@@ -208,45 +208,23 @@ class CategoricalEngine:
             out.append(q)
         return out
 
-    def step_weights(
-        self, weights: list, warm: bool = True, kkt_tol: float | None = None
-    ) -> list:
-        from .projections import KKT_TOL
-
-        tol = KKT_TOL if kkt_tol is None else kkt_tol
+    def step_weights(self, weights: list, warm: bool = True) -> list:
         qs = self.linear_terms(weights)
         if self.shared_support:
             q_rows = np.stack(qs, axis=0)
             if self.projection == "simplex":
                 starts = np.stack(weights, axis=0) if warm else None
                 rows, _, _ = solve_simplex_qp_batch(
-                    self.projectors[0].gram,
-                    q_rows,
-                    starts,
-                    lipschitz=self.projectors[0].lipschitz,
-                    tol=tol,
+                    self.projectors[0].gram, q_rows, starts
                 )
             else:
                 proj = self.projectors[0]
                 rows = q_rows @ proj._s.T + proj.offset[None, :]
             return [rows[x] for x in range(self.mdp.n_states)]
-        new = []
-        for x in range(self.mdp.n_states):
-            start = weights[x] if warm else None
-            if self.projection == "simplex":
-                from .projections import solve_simplex_qp
-
-                res = solve_simplex_qp(
-                    self.projectors[x].gram,
-                    qs[x],
-                    start,
-                    lipschitz=self.projectors[x].lipschitz,
-                    tol=tol,
-                )
-            else:
-                res = self.projectors[x].solve_linear(qs[x], start)
-            new.append(res.weights)
-        return new
+        return [
+            self.projectors[x].solve_linear(qs[x], weights[x] if warm else None).weights
+            for x in range(self.mdp.n_states)
+        ]
 
     def distance(self, w1: list, w2: list) -> float:
         """sup-MMD between two weight assignments on the engine's support."""
@@ -303,19 +281,14 @@ def categorical_dp_solve(
     distances = []
     converged = False
     iterations = 0
-    # Inner projections track the outer residual: early sweeps are solved
-    # loosely, with the target tightening three decades below the last
-    # successive-iterate distance (floored at the solver's own target).
-    inner_tol = 1e-5
     for iterations in range(1, max_iter + 1):
-        new_weights = engine.step_weights(weights, kkt_tol=inner_tol)
+        new_weights = engine.step_weights(weights)
         dist = engine.distance(new_weights, weights)
         distances.append(dist)
         weights = new_weights
         if dist <= tol:
             converged = True
             break
-        inner_tol = float(np.clip(1e-3 * dist, 1e-10, 1e-5))
     wall = time.perf_counter() - start_time
     return DpReport(
         distances=distances,

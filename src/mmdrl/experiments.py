@@ -72,15 +72,34 @@ def _require(cond: bool, message: str) -> None:
         raise InvalidInputError(message)
 
 
+def _section(raw: dict, key: str) -> dict:
+    value = raw.get(key, {})
+    _require(isinstance(value, dict), f"{key} must be a JSON object")
+    return dict(value)
+
+
 def resolve_config(raw: dict) -> ExperimentConfig:
-    """Validate a raw config dict and fill in all defaults."""
+    """Validate a raw config dict and fill in all defaults.
+
+    Every malformed value raises ``InvalidInputError``, including values
+    that fail their int/float conversion.
+    """
+    try:
+        return _resolve_config(raw)
+    except InvalidInputError:
+        raise
+    except (TypeError, ValueError) as exc:
+        raise InvalidInputError(f"malformed config value: {exc}") from exc
+
+
+def _resolve_config(raw: dict) -> ExperimentConfig:
     _require(isinstance(raw, dict), "config must be a JSON object")
     version = raw.get("format_version", CONFIG_VERSION)
     _require(version == CONFIG_VERSION, f"unsupported config version {version}")
     algorithm = raw.get("algorithm")
     _require(algorithm in ALGORITHMS, f"algorithm must be one of {ALGORITHMS}")
 
-    mdp_cfg = dict(raw.get("mdp", {}))
+    mdp_cfg = _section(raw, "mdp")
     kind = mdp_cfg.get("kind", "random")
     _require(kind in ("random", "dsm", "file"), f"unknown mdp kind {kind!r}")
     if kind == "random":
@@ -107,23 +126,29 @@ def resolve_config(raw: dict) -> ExperimentConfig:
         _require("path" in mdp_cfg, "mdp kind 'file' needs a path")
         mdp_cfg = {"kind": "file", "path": str(mdp_cfg["path"])}
 
-    kernel_cfg = dict(raw.get("kernel", {}))
+    kernel_cfg = _section(raw, "kernel")
+    ref = kernel_cfg.get("reference_point", None)
+    _require(
+        ref is None or isinstance(ref, list), "reference_point must be null or a list"
+    )
     kernel_cfg = {
         "alpha": float(kernel_cfg.get("alpha", 1.0)),
-        "reference_point": kernel_cfg.get("reference_point", None),
+        "reference_point": None if ref is None else [float(v) for v in ref],
     }
 
+    seeds = raw.get("seeds", [0])
+    _require(isinstance(seeds, list), "seeds must be a JSON list of integers")
     resolved = {
         "format_version": CONFIG_VERSION,
         "algorithm": algorithm,
         "mdp": mdp_cfg,
         "kernel": kernel_cfg,
-        "seeds": [int(s) for s in raw.get("seeds", [0])],
+        "seeds": [int(s) for s in seeds],
     }
     _require(len(resolved["seeds"]) >= 1, "need at least one seed")
 
     if algorithm in ("dp-cat", "td-cat"):
-        sup = dict(raw.get("support", {}))
+        sup = _section(raw, "support")
         sup_kind = sup.get("kind", "grid")
         _require(
             sup_kind in ("grid", "random", "simplex-grid", "file"),
@@ -142,7 +167,7 @@ def resolve_config(raw: dict) -> ExperimentConfig:
         resolved["support"] = sup
 
     if algorithm == "dp-cat":
-        dp_cfg = dict(raw.get("dp", {}))
+        dp_cfg = _section(raw, "dp")
         resolved["dp"] = {
             "tol": float(dp_cfg.get("tol", 1e-8)),
             "max_iter": int(dp_cfg.get("max_iter", 400)),
@@ -153,15 +178,15 @@ def resolve_config(raw: dict) -> ExperimentConfig:
             "dp projection must be 'simplex' or 'signed'",
         )
     if algorithm == "dp-ewp":
-        ewp_cfg = dict(raw.get("ewp", {}))
+        ewp_cfg = _section(raw, "ewp")
         iters = ewp_cfg.get("iterations", None)
         resolved["ewp"] = {
             "particles": int(ewp_cfg.get("particles", 64)),
             "iterations": None if iters is None else int(iters),
         }
     if algorithm in ("td-cat", "td-ewp"):
-        td_cfg = dict(raw.get("td", {}))
-        schedule = dict(td_cfg.get("schedule", {}))
+        td_cfg = _section(raw, "td")
+        schedule = _section(td_cfg, "schedule")
         resolved["td"] = {
             "steps": int(td_cfg.get("steps", 10000)),
             "report_interval": int(td_cfg.get("report_interval", 1000)),
@@ -172,14 +197,27 @@ def resolve_config(raw: dict) -> ExperimentConfig:
             },
             "reference": td_cfg.get("reference", "signed-dp"),
         }
+        reference = resolved["td"]["reference"]
+        if isinstance(reference, dict):
+            _require("path" in reference, "td reference file needs a path")
+            resolved["td"]["reference"] = {"path": str(reference["path"])}
+        else:
+            _require(
+                reference in ("signed-dp", None),
+                "td reference must be 'signed-dp', null or {\"path\": ...}",
+            )
+        _require(
+            resolved["td"]["report_interval"] >= 1,
+            "td report_interval must be a positive integer",
+        )
         if algorithm == "td-ewp":
             resolved["td"]["particles"] = int(td_cfg.get("particles", 64))
             if resolved["td"]["reference"] == "signed-dp":
                 resolved["td"]["reference"] = None
 
     if "zeroshot" in raw or algorithm == "dp-cat":
-        zs = dict(raw.get("zeroshot", {}))
-        estimate = zs.get("estimate", {"kind": "solve"})
+        zs = _section(raw, "zeroshot")
+        estimate = _section(zs, "estimate")
         kind = estimate.get("kind", "solve")
         _require(kind in ("solve", "file"), f"unknown estimate kind {kind!r}")
         if kind == "file":
@@ -291,7 +329,7 @@ def run_seed(config: ExperimentConfig, seed: int) -> SeedResult:
         summary = {
             "iterations": report.iterations,
             "converged": report.converged,
-            "final_distance": report.distances[-1] if report.distances else 0.0,
+            "final_distance": report.distances[-1] if report.distances else None,
         }
         estimate = report.final
         header = ["iteration", "sup_mmd"]
@@ -307,7 +345,7 @@ def run_seed(config: ExperimentConfig, seed: int) -> SeedResult:
         summary = {
             "iterations": report.iterations,
             "converged": True,
-            "final_distance": report.distances[-1] if report.distances else 0.0,
+            "final_distance": report.distances[-1] if report.distances else None,
         }
         estimate = report.final
         header = ["iteration", "sup_mmd"]
@@ -337,7 +375,7 @@ def run_seed(config: ExperimentConfig, seed: int) -> SeedResult:
         ]
         summary = {
             "steps": state.step,
-            "final_distance": report.sup_mmd[-1] if report.sup_mmd else math.nan,
+            "final_distance": report.sup_mmd[-1] if report.sup_mmd else None,
         }
         estimate = state.estimate
         header = ["step", "sup_mmd_to_reference", "mean_step_size"]

@@ -52,7 +52,10 @@ class KernelSpec:
     """Kernel induced by a power semimetric around a reference point.
 
     ``reference_point=None`` stands for the origin of whatever dimension
-    the evaluated vectors have.
+    the evaluated vectors have. Gram matrices depend on it, but MMDs
+    between equal-mass measures and projected weights do not, and neither
+    does the work of a projection; config schema v1 keeps it for that
+    reason only.
     """
 
     semimetric: SemimetricSpec = field(default_factory=SemimetricSpec)

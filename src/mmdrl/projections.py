@@ -8,13 +8,23 @@ xi_1..xi_n, both minimizing the quadratic
 
 which equals MMD^2 to the target (atoms a, weights w) up to a constant:
 
-* ``simplex``       p >= 0, sum p = 1  -- accelerated projected gradient
-                    with an exact Euclidean simplex-projection substep and
-                    restart on non-monotone objective values;
+* ``simplex``       p >= 0, sum p = 1  -- exact primal active-set solve
+                    (Lawson & Hanson style): each step solves the mass-1
+                    equality QP on the current free set. The atom with
+                    the most negative reduced gradient joins the set; a
+                    step toward a solution with a negative weight stops
+                    where the first such weight reaches zero, and that
+                    atom leaves the set.
+                    When the mass-1 solution on all atoms is already
+                    nonnegative it is returned as is (at d=1, alpha=1 that
+                    is the Cramer two-hot projection);
 * ``affine-sum-1``  sum p = 1 only     -- the constraint is eliminated and
                     the reduced symmetric positive-definite system solved
                     directly, making the projection an affine map of the
                     target weights.
+
+Both minimisers depend on the semimetric alone: the kernel's reference
+point changes K and q but not the projected weights.
 """
 
 from __future__ import annotations
@@ -28,11 +38,8 @@ from .errors import InvalidInputError, SolverError
 from .kernels import KernelSpec, cross_kernel, gram
 from .measures import DiscreteMeasure, _check_distinct
 
-# Target KKT residual; iteration stops as soon as it is reached.
-KKT_TOL = 1e-10
 # Residual beyond which a finished solve is reported as failed.
 KKT_ACCEPT = 1e-8
-MAX_ITERS = 100_000
 
 CONSTRAINTS = ("simplex", "affine-sum-1")
 
@@ -78,197 +85,151 @@ def project_to_simplex(v: np.ndarray) -> np.ndarray:
     return np.maximum(v - theta, 0.0)
 
 
-def _project_rows_to_simplex(v: np.ndarray) -> np.ndarray:
-    """Row-wise exact simplex projection for a (s, n) stack of vectors."""
-    s, n = v.shape
-    u = -np.sort(-v, axis=1)
-    css = np.cumsum(u, axis=1) - 1.0
-    cond = u * np.arange(1, n + 1) > css
-    rho = n - 1 - np.argmax(cond[:, ::-1], axis=1)
-    theta = css[np.arange(s), rho] / (rho + 1.0)
-    return np.maximum(v - theta[:, None], 0.0)
-
-
 def _jitter(k: np.ndarray) -> np.ndarray:
     n = k.shape[0]
     return k + (1e-12 * np.trace(k) / n) * np.eye(n)
 
 
+def _free_set_solve(k: np.ndarray, q: np.ndarray, free: np.ndarray):
+    """Minimiser of p^T K p - 2 p^T q over sum p = 1 with p zero off ``free``.
+
+    Solves the bordered system [[2 K_FF, 1], [1^T, 0]] [p_F; mu] = [2 q_F; 1];
+    the gradient 2 (K p - q) then equals -mu on the free set. Returns the
+    full-length weights and mu.
+    """
+    idx = np.flatnonzero(free)
+    r = idx.size
+    border = np.ones((r + 1, r + 1))
+    border[:r, :r] = 2.0 * k[np.ix_(idx, idx)]
+    border[r, r] = 0.0
+    rhs = np.append(2.0 * q[idx], 1.0)
+    try:
+        sol = np.linalg.solve(border, rhs)
+    except np.linalg.LinAlgError as exc:
+        raise SolverError("simplex projection hit a singular free-set system") from exc
+    p = np.zeros(q.size)
+    p[idx] = sol[:r]
+    return p, sol[r]
+
+
+def _active_set(k: np.ndarray, q: np.ndarray, start: np.ndarray | None):
+    """Primal active-set solve of the simplex QP; returns (weights, solves).
+
+    A cold start first solves on all atoms and is done if that solution is
+    nonnegative; otherwise its clipped, renormalised positive part is the
+    feasible starting point. A warm start begins from ``start`` (clipped
+    and renormalised) with its positive entries free. Each step solves the
+    equality QP on the free set. If that solution has a negative weight,
+    the iterate moves toward it only until the first free weight reaches
+    zero, and that atom leaves the free set. Otherwise the iterate moves to
+    it and the fixed atom with the most negative reduced gradient joins
+    the free set; the solve ends when no reduced gradient is negative.
+    """
+    n = q.size
+    p = None
+    solves = 0
+    if start is not None and start.shape == (n,) and np.all(np.isfinite(start)):
+        p = np.maximum(start, 0.0)
+        mass = p.sum()
+        p = p / mass if mass > 0.0 else None
+    if p is None:
+        p, _ = _free_set_solve(k, q, np.ones(n, dtype=bool))
+        solves = 1
+        if np.all(p >= 0.0):
+            return p, solves
+        p = np.maximum(p, 0.0)
+        p /= p.sum()
+    free = p > 0.0
+    # Round-off floor for reduced gradients: below it an atom is not added.
+    floor = 1e-14 * (1.0 + float(np.max(np.abs(np.diag(k)))) + float(np.max(np.abs(q))))
+    added = None
+    # Free sets at full steps never repeat, so the loop is finite; the cap
+    # only stops round-off cycling, which the caller's KKT check reports.
+    for _ in range(4 * n + 8):
+        x, mu = _free_set_solve(k, q, free)
+        solves += 1
+        neg = free & (x < 0.0)
+        if np.any(neg):
+            if added is not None and x[added] <= 0.0:
+                # The added atom's reduced gradient was round-off.
+                break
+            ratios = p[neg] / (p[neg] - x[neg])
+            step = float(np.min(ratios))
+            p = np.maximum(p + step * (x - p), 0.0)
+            blocking = np.flatnonzero(neg)[ratios <= step]
+            p[blocking] = 0.0
+            free[blocking] = False
+            added = None
+            continue
+        p = x
+        reduced = 2.0 * (k @ p - q) + mu
+        reduced[free] = 0.0
+        added = int(np.argmin(reduced))
+        if reduced[added] >= -floor:
+            break
+        free[added] = True
+    return p, solves
+
+
+def _kkt_residual(k: np.ndarray, q: np.ndarray, p: np.ndarray) -> float:
+    """Sup-norm of the projected-gradient fixed-point map p - P(p - grad f(p))."""
+    return float(np.max(np.abs(p - project_to_simplex(p - 2.0 * (k @ p - q)))))
+
+
+def _accept(residual: float, what: str) -> None:
+    if residual > KKT_ACCEPT:
+        raise SolverError(
+            f"{what} ended at KKT residual {residual:.3e} (accepts {KKT_ACCEPT:.0e})",
+            residual=residual,
+        )
+
+
 def solve_simplex_qp(
-    gram_matrix: np.ndarray,
-    linear: np.ndarray,
-    start: np.ndarray | None = None,
-    *,
-    lipschitz: float | None = None,
-    tol: float = KKT_TOL,
-    max_iter: int = MAX_ITERS,
+    gram_matrix: np.ndarray, linear: np.ndarray, start: np.ndarray | None = None
 ) -> ProjectionResult:
     """Minimize p^T K p - 2 p^T q over the simplex.
 
-    Accelerated projected gradient with momentum restart whenever the
-    objective increases. The KKT residual is the sup-norm of the
-    projected-gradient fixed-point map p - P(p - grad f(p)).
+    Exact active-set solve, warm-started from ``start`` when given; the
+    result's ``iterations`` counts equality solves. The KKT residual is the
+    sup-norm of the projected-gradient fixed-point map p - P(p - grad f(p)).
     """
     k = np.asarray(gram_matrix, dtype=np.float64)
     q = np.asarray(linear, dtype=np.float64)
-    n = k.shape[0]
-    if n == 1:
+    if q.size == 1:
         return ProjectionResult(np.array([1.0]), 0.0, 0)
-
-    if lipschitz is None:
-        eigs = np.linalg.eigvalsh(k)
-        if eigs[0] < -1e-12 * max(1.0, np.trace(k) / n):
-            k = _jitter(k)
-            eigs = np.linalg.eigvalsh(k)
-        lipschitz = float(eigs[-1])
-    step = 1.0 / max(2.0 * lipschitz, 1e-30)
-
-    if start is not None and start.shape == (n,) and np.all(np.isfinite(start)):
-        x = project_to_simplex(np.asarray(start, dtype=np.float64))
-    else:
-        x = np.full(n, 1.0 / n)
-
-    kx = k @ x
-    fx = x @ kx - 2.0 * (x @ q)
-    y = x
-    t = 1.0
-    best_res = np.inf
-    best_x = x
-    iterations = 0
-
-    for iterations in range(1, max_iter + 1):
-        grad_y = 2.0 * ((k @ y) - q)
-        x_new = project_to_simplex(y - step * grad_y)
-        kx_new = k @ x_new
-        f_new = x_new @ kx_new - 2.0 * (x_new @ q)
-        if not np.isfinite(f_new):
-            k = _jitter(k)
-            x_new = x
-            kx_new = k @ x
-            f_new = x_new @ kx_new - 2.0 * (x_new @ q)
-            y, t = x, 1.0
-        elif f_new > fx + 1e-13 * (1.0 + abs(fx)):
-            # Momentum restart: retake a plain projected-gradient step.
-            # The slack keeps float round-off from spuriously killing
-            # the acceleration near the optimum.
-            grad_x = 2.0 * (kx - q)
-            x_new = project_to_simplex(x - step * grad_x)
-            kx_new = k @ x_new
-            f_new = x_new @ kx_new - 2.0 * (x_new @ q)
-            y, t = x, 1.0
-
-        residual = float(
-            np.max(np.abs(x_new - project_to_simplex(x_new - 2.0 * (kx_new - q))))
-        )
-        if residual < best_res:
-            best_res = residual
-            best_x = x_new
-        if residual <= tol:
-            return ProjectionResult(x_new, residual, iterations)
-
-        t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
-        y = x_new + ((t - 1.0) / t_next) * (x_new - x)
-        x, kx, fx, t = x_new, kx_new, f_new, t_next
-
-    if best_res > KKT_ACCEPT:
-        raise SolverError(
-            f"simplex projection stalled at KKT residual {best_res:.3e} "
-            f"after {max_iter} iterations",
-            residual=best_res,
-        )
-    return ProjectionResult(best_x, best_res, iterations)
+    p, solves = _active_set(k, q, start)
+    residual = _kkt_residual(k, q, p)
+    _accept(residual, "simplex projection")
+    return ProjectionResult(p, residual, solves)
 
 
 def solve_simplex_qp_batch(
     gram_matrix: np.ndarray,
     linear_rows: np.ndarray,
     start_rows: np.ndarray | None = None,
-    *,
-    lipschitz: float | None = None,
-    tol: float = KKT_TOL,
-    max_iter: int = MAX_ITERS,
 ):
-    """Row-batched variant of :func:`solve_simplex_qp` for a shared Gram matrix.
+    """Row-wise :func:`solve_simplex_qp` for a shared Gram matrix.
 
-    Each row of ``linear_rows`` defines an independent QP; all rows advance
-    in lockstep so the per-iteration work is a single matrix product.
-    Momentum restarts and convergence are tracked per row, and a row's
-    weights are frozen the moment its KKT residual reaches ``tol``.
-    Returns (weights rows, residuals, iterations).
+    Each row of ``linear_rows`` defines an independent QP, warm-started
+    from the matching row of ``start_rows`` when given. Returns (weights
+    rows, residuals, equality solves summed over rows).
     """
     k = np.asarray(gram_matrix, dtype=np.float64)
     q = np.atleast_2d(np.asarray(linear_rows, dtype=np.float64))
     s, n = q.shape
     if n == 1:
         return np.ones((s, 1)), np.zeros(s), 0
-    if lipschitz is None:
-        eigs = np.linalg.eigvalsh(k)
-        if eigs[0] < -1e-12 * max(1.0, np.trace(k) / n):
-            k = _jitter(k)
-            eigs = np.linalg.eigvalsh(k)
-        lipschitz = float(eigs[-1])
-    step = 1.0 / max(2.0 * lipschitz, 1e-30)
-
-    if start_rows is not None and start_rows.shape == (s, n):
-        x = _project_rows_to_simplex(np.asarray(start_rows, dtype=np.float64))
-    else:
-        x = np.full((s, n), 1.0 / n)
-
-    step2q = (2.0 * step) * q
-    two_q = 2.0 * q
-    kx = x @ k
-    fx = np.einsum("ij,ij->i", x, kx - two_q)
-    y = x
-    t = np.ones(s)
-    out = x.copy()
-    out_res = np.full(s, np.inf)
-    done = np.zeros(s, dtype=bool)
-    iterations = 0
-    check_every = 4
-    res = np.full(s, np.inf)
-
-    for iterations in range(1, max_iter + 1):
-        x_new = _project_rows_to_simplex(y - (2.0 * step) * (y @ k) + step2q)
-        kx_new = x_new @ k
-        f_new = np.einsum("ij,ij->i", x_new, kx_new - two_q)
-        bad = (f_new > fx + 1e-13 * (1.0 + np.abs(fx))) & ~done
-        if np.any(bad):
-            x_new[bad] = _project_rows_to_simplex(
-                x[bad] - (2.0 * step) * kx[bad] + step2q[bad]
-            )
-            kx_new[bad] = x_new[bad] @ k
-            f_new[bad] = np.einsum(
-                "ij,ij->i", x_new[bad], kx_new[bad] - two_q[bad]
-            )
-            t[bad] = 1.0
-
-        if iterations % check_every == 0 or iterations == max_iter:
-            fixed = _project_rows_to_simplex(x_new - 2.0 * kx_new + two_q)
-            res = np.max(np.abs(x_new - fixed), axis=1)
-            newly = (res <= tol) & ~done
-            if np.any(newly):
-                out[newly] = x_new[newly]
-                out_res[newly] = res[newly]
-                done |= newly
-                if np.all(done):
-                    return out, out_res, iterations
-
-        t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
-        y = x_new + ((t - 1.0) / t_next)[:, None] * (x_new - x)
-        y[bad] = x_new[bad]
-        x, kx, fx, t = x_new, kx_new, f_new, t_next
-
-    live = ~done
-    out[live] = x[live]
-    out_res[live] = res[live]
-    worst = float(np.max(out_res))
-    if worst > KKT_ACCEPT:
-        raise SolverError(
-            f"batched simplex projection stalled at KKT residual {worst:.3e} "
-            f"after {max_iter} iterations",
-            residual=worst,
-        )
-    return out, out_res, iterations
+    if start_rows is None or start_rows.shape != (s, n):
+        start_rows = [None] * s
+    rows = np.empty((s, n))
+    residuals = np.empty(s)
+    solves = 0
+    for i in range(s):
+        rows[i], row_solves = _active_set(k, q[i], start_rows[i])
+        residuals[i] = _kkt_residual(k, q[i], rows[i])
+        solves += row_solves
+    _accept(float(np.max(residuals)), "batched simplex projection")
+    return rows, residuals, solves
 
 
 def _reduced_system(k: np.ndarray, q: np.ndarray):
@@ -347,8 +308,8 @@ def project_signed(target: DiscreteMeasure, support, spec: KernelSpec) -> Discre
 class SimplexProjector:
     """Repeated simplex projections onto one fixed support.
 
-    Caches the Gram matrix and its largest eigenvalue so per-call work is
-    the cross-kernel assembly plus the iterative solve (warm-startable).
+    Caches the Gram matrix so per-call work is the cross-kernel assembly
+    plus the active-set solve (warm-startable).
     """
 
     def __init__(self, support_atoms, spec: KernelSpec):
@@ -356,17 +317,12 @@ class SimplexProjector:
         _check_distinct(self.atoms, 0)
         self.spec = spec
         self.gram = gram(self.atoms, spec)
-        eigs = np.linalg.eigvalsh(self.gram)
-        if eigs[0] < -1e-12 * max(1.0, np.trace(self.gram) / self.atoms.shape[0]):
-            self.gram = _jitter(self.gram)
-            eigs = np.linalg.eigvalsh(self.gram)
-        self.lipschitz = float(eigs[-1])
 
     def linear_term(self, target_atoms, target_weights) -> np.ndarray:
         return cross_kernel(self.atoms, target_atoms, self.spec) @ target_weights
 
     def solve_linear(self, q: np.ndarray, start=None) -> ProjectionResult:
-        return solve_simplex_qp(self.gram, q, start, lipschitz=self.lipschitz)
+        return solve_simplex_qp(self.gram, q, start)
 
     def project(self, target_atoms, target_weights, start=None) -> ProjectionResult:
         return self.solve_linear(self.linear_term(target_atoms, target_weights), start)

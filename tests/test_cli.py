@@ -134,6 +134,27 @@ class TestRunCommand:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["per_seed"][0]["converged"] is True
 
+    @pytest.mark.parametrize(
+        "payload, count",
+        [
+            ({"algorithm": "dp-cat", "dp": {"max_iter": 0}}, "iterations"),
+            ({"algorithm": "dp-ewp", "ewp": {"particles": 4, "iterations": 0}}, "iterations"),
+            ({"algorithm": "td-cat", "td": {"steps": 0}}, "steps"),
+        ],
+    )
+    def test_no_sweep_reports_null_distance(self, tmp_path, payload, count):
+        payload = {
+            "mdp": {"kind": "random", "n_states": 2, "dim": 1},
+            "support": {"kind": "grid", "m": 4},
+            "seeds": [0],
+            **payload,
+        }
+        out = tmp_path / "out"
+        assert main(["run", "--config", write_config(tmp_path, payload), "--out", str(out)]) == 0
+        per_seed = json.loads((out / "summary.json").read_text())["per_seed"][0]
+        assert per_seed[count] == 0
+        assert per_seed["final_distance"] is None
+
     def test_dp_ewp_runs(self, tmp_path):
         config = write_config(
             tmp_path,
@@ -158,6 +179,37 @@ class TestRunCommand:
 
     def test_missing_config_exits_2(self, tmp_path):
         assert main(["run", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path / "o")]) == 2
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {
+                "algorithm": "td-cat",
+                "mdp": {"kind": "random", "n_states": 2, "dim": 1},
+                "support": {"kind": "grid", "m": 4},
+                "td": {"steps": 10, "report_interval": 0},
+            },
+            {
+                "algorithm": "td-ewp",
+                "mdp": {"kind": "random", "n_states": 2, "dim": 1},
+                "td": {"steps": 10, "report_interval": 0, "particles": 4},
+            },
+            {"algorithm": "dp-cat", "seeds": ["a"]},
+            {"algorithm": "dp-cat", "seeds": 3},
+            {"algorithm": "dp-cat", "mdp": [1, 2]},
+            {"algorithm": "dp-cat", "support": {"kind": "grid", "m": "many"}},
+            {"algorithm": "dp-cat", "dp": {"tol": None}},
+            {"algorithm": "td-cat", "td": {"schedule": [0.6]}},
+            {"algorithm": "dp-cat", "zeroshot": {"estimate": "solve"}},
+            {"algorithm": "dp-cat", "kernel": {"reference_point": "abc"}},
+            {"algorithm": "td-cat", "td": {"reference": {}}},
+            {"algorithm": "td-cat", "td": {"reference": "bogus"}},
+        ],
+    )
+    def test_malformed_values_never_exit_1(self, tmp_path, payload):
+        config = write_config(tmp_path, payload)
+        code = main(["run", "--config", config, "--out", str(tmp_path / "o")])
+        assert code in (2, 3)
 
     def test_engine_error_exits_3(self, tmp_path, monkeypatch):
         import mmdrl.cli as cli_module

@@ -4,6 +4,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mmdrl import (
     DiscreteMeasure,
@@ -23,6 +25,7 @@ from mmdrl import (
 from mmdrl.evaluation import mesh_and_bound
 from mmdrl.mdp import TabularMDP
 from mmdrl.projections import (
+    KKT_ACCEPT,
     ProjectionResult,
     project_to_simplex,
     solve_signed_qp,
@@ -37,6 +40,37 @@ SPEC = energy_kernel(1.0)
 
 def qp_objective(weights, qp):
     return float(weights @ qp.gram @ weights - 2.0 * qp.linear @ weights)
+
+
+def enumerate_active_sets(qp):
+    """Exact oracle: the best simplex point over every candidate free set.
+
+    Each free set's equality-constrained restriction is solved in closed
+    form (stationarity with the mass constraint via a bordered system).
+    """
+    n = qp.gram.shape[0]
+    best, best_w = np.inf, None
+    for r in range(1, n + 1):
+        for subset in itertools.combinations(range(n), r):
+            idx = list(subset)
+            kkt = np.zeros((r + 1, r + 1))
+            kkt[:r, :r] = 2.0 * qp.gram[np.ix_(idx, idx)]
+            kkt[:r, r] = 1.0
+            kkt[r, :r] = 1.0
+            rhs = np.concatenate([2.0 * qp.linear[idx], [1.0]])
+            try:
+                sol = np.linalg.solve(kkt, rhs)
+            except np.linalg.LinAlgError:
+                continue
+            w_sub = sol[:r]
+            if np.any(w_sub < -1e-12):
+                continue
+            full = np.zeros(n)
+            full[idx] = np.maximum(w_sub, 0.0)
+            value = qp_objective(full, qp)
+            if value < best:
+                best, best_w = value, full
+    return best_w
 
 
 class TestEuclideanSimplexProjection:
@@ -149,36 +183,12 @@ class TestProjectSimplex:
             assert qp_objective(res.weights, qp) <= best + 1e-5
 
     def test_matches_active_set_enumeration_four_atoms(self):
-        # Exact oracle: enumerate every candidate active set and solve the
-        # equality-constrained restriction in closed form.
         rng = np.random.default_rng(5)
         for _ in range(5):
             support = rng.uniform(0, 2, size=(4, 2))
             target = random_probability_measure(rng, 4, 2, low=0.0, high=2.0)
             qp = build_qp(target, support, SPEC)
-            best = np.inf
-            for r in range(1, 5):
-                for subset in itertools.combinations(range(4), r):
-                    idx = list(subset)
-                    k_sub = qp.gram[np.ix_(idx, idx)]
-                    q_sub = qp.linear[idx]
-                    # Stationarity with the mass constraint via a bordered
-                    # system.
-                    kkt = np.zeros((r + 1, r + 1))
-                    kkt[:r, :r] = 2.0 * k_sub
-                    kkt[:r, r] = 1.0
-                    kkt[r, :r] = 1.0
-                    rhs = np.concatenate([2.0 * q_sub, [1.0]])
-                    try:
-                        sol = np.linalg.solve(kkt, rhs)
-                    except np.linalg.LinAlgError:
-                        continue
-                    w_sub = sol[:r]
-                    if np.any(w_sub < -1e-12):
-                        continue
-                    full = np.zeros(4)
-                    full[idx] = np.maximum(w_sub, 0.0)
-                    best = min(best, qp_objective(full, qp))
+            best = qp_objective(enumerate_active_sets(qp), qp)
             res = solve_simplex_qp(qp.gram, qp.linear)
             assert qp_objective(res.weights, qp) <= best + 1e-5
 
@@ -332,14 +342,10 @@ class TestProjectorCaches:
             target = random_probability_measure(rng, 3, 2, low=0.0, high=2.0)
             q_rows.append(projector.linear_term(target.atoms, target.weights))
         q_rows = np.stack(q_rows)
-        batch_w, residuals, _ = solve_simplex_qp_batch(
-            projector.gram, q_rows, lipschitz=projector.lipschitz
-        )
+        batch_w, residuals, _ = solve_simplex_qp_batch(projector.gram, q_rows)
         assert np.all(residuals <= 1e-8)
         for row, q in zip(batch_w, q_rows):
-            serial = solve_simplex_qp(
-                projector.gram, q, lipschitz=projector.lipschitz
-            )
+            serial = solve_simplex_qp(projector.gram, q)
             delta = row - serial.weights
             assert float(delta @ projector.gram @ delta) <= 1e-14
 
@@ -373,3 +379,111 @@ class TestMixedProjectionInstance:
             + (1 - lam) * project_signed(p2, grid, SPEC).weights,
         )
         assert mmd(signed_left, signed_right, SPEC) <= 1e-8
+
+
+# Supports on a lattice of spacing 1/4 keep atoms apart, so the free-set
+# systems stay well conditioned; targets live on a finer lattice that
+# reaches past the support on both sides.
+@st.composite
+def projection_instances(draw, dim=None, alpha=None):
+    dim = draw(st.sampled_from((1, 2))) if dim is None else dim
+    alpha = draw(st.sampled_from((0.5, 1.0, 1.5))) if alpha is None else alpha
+    cells = draw(
+        st.lists(
+            st.tuples(*[st.integers(0, 8)] * dim), min_size=2, max_size=6, unique=True
+        )
+    )
+    support = np.array(cells, dtype=float) / 4.0
+    n_target = draw(st.integers(1, 4))
+    target_atoms = np.array(
+        draw(
+            st.lists(
+                st.tuples(*[st.integers(-8, 24)] * dim),
+                min_size=n_target,
+                max_size=n_target,
+            )
+        ),
+        dtype=float,
+    ) / 8.0
+    raw = np.array(draw(st.lists(st.integers(1, 10), min_size=n_target, max_size=n_target)))
+    return support, DiscreteMeasure(target_atoms, raw / raw.sum()), alpha
+
+
+def two_hot(support_1d, target):
+    """Closed-form Cramer projection of a 1-d target onto sorted support atoms."""
+    order = np.argsort(support_1d)
+    xs = support_1d[order]
+    out = np.zeros(xs.size)
+    for atom, w in zip(target.atoms[:, 0], target.weights):
+        if atom <= xs[0]:
+            out[0] += w
+        elif atom >= xs[-1]:
+            out[-1] += w
+        else:
+            i = int(np.searchsorted(xs, atom)) - 1
+            frac = (atom - xs[i]) / (xs[i + 1] - xs[i])
+            out[i] += w * (1.0 - frac)
+            out[i + 1] += w * frac
+    weights = np.zeros(xs.size)
+    weights[order] = out
+    return weights
+
+
+PROPERTY_SETTINGS = settings(derandomize=True, max_examples=150, deadline=None)
+
+
+class TestSimplexSolverProperties:
+    @PROPERTY_SETTINGS
+    @given(projection_instances())
+    def test_matches_enumeration_and_accepts(self, instance):
+        support, target, alpha = instance
+        qp = build_qp(target, support, energy_kernel(alpha))
+        res = solve_simplex_qp(qp.gram, qp.linear)
+        assert res.kkt_residual <= KKT_ACCEPT
+        assert np.all(res.weights >= 0.0)
+        assert abs(res.weights.sum() - 1.0) <= 1e-12
+        np.testing.assert_allclose(res.weights, enumerate_active_sets(qp), atol=1e-9)
+
+    @PROPERTY_SETTINGS
+    @given(projection_instances())
+    def test_equals_signed_when_signed_is_feasible(self, instance):
+        support, target, alpha = instance
+        qp = build_qp(target, support, energy_kernel(alpha))
+        signed = solve_signed_qp(qp.gram, qp.linear).weights
+        if np.min(signed) >= 0.0:
+            res = solve_simplex_qp(qp.gram, qp.linear)
+            np.testing.assert_allclose(res.weights, signed, atol=1e-9)
+
+    @PROPERTY_SETTINGS
+    @given(projection_instances(dim=1, alpha=1.0))
+    def test_two_hot_closed_form_at_d1_alpha1(self, instance):
+        support, target, _ = instance
+        out = project_simplex(target, support, SPEC)
+        np.testing.assert_allclose(out.weights, two_hot(support[:, 0], target), atol=1e-9)
+
+    @PROPERTY_SETTINGS
+    @given(projection_instances())
+    def test_reference_point_invariance(self, instance):
+        support, target, alpha = instance
+        dim = support.shape[1]
+        weights = [
+            project_simplex(target, support, energy_kernel(alpha, ref)).weights
+            for ref in (None, [5.0, 5.0][:dim], [-30.0, 40.0][:dim])
+        ]
+        np.testing.assert_allclose(weights[1], weights[0], atol=1e-9)
+        np.testing.assert_allclose(weights[2], weights[0], atol=1e-9)
+
+    @PROPERTY_SETTINGS
+    @given(projection_instances(), st.integers(0, 2**32 - 1))
+    def test_warm_start_reaches_cold_solution(self, instance, seed):
+        support, target, alpha = instance
+        qp = build_qp(target, support, energy_kernel(alpha))
+        cold = solve_simplex_qp(qp.gram, qp.linear).weights
+        # A sparse probability vector, as a previous sweep would leave.
+        start = np.random.default_rng(seed).dirichlet(np.ones(cold.size))
+        start[start < 0.2] = 0.0
+        rows, residuals, _ = solve_simplex_qp_batch(
+            qp.gram, qp.linear[None, :], start[None, :]
+        )
+        assert residuals[0] <= KKT_ACCEPT
+        np.testing.assert_allclose(rows[0], cold, atol=1e-9)
