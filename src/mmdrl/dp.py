@@ -324,13 +324,10 @@ def ewp_random_step(
     state yields a reproducible sweep.
     """
     particles = _ewp_particles(eta, m)
-    cum_rows = np.cumsum(mdp.transition, axis=1)
     out = []
     weights = np.full(m, 1.0 / m)
     for x in range(mdp.n_states):
-        u = rng.random(m)
-        successors = np.sum(u[:, None] > cum_rows[x][None, :], axis=1)
-        np.minimum(successors, mdp.n_states - 1, out=successors)
+        successors = mdp._successors.many(x, rng.random(m))
         slots = rng.integers(0, m, size=m)
         z = particles[successors, slots, :]
         out.append(DiscreteMeasure(mdp.cumulants[x] + mdp.gamma * z, weights))

@@ -1,4 +1,8 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit, and the input-file readers
+that map malformed files onto ``InvalidInputError``."""
+
+import json
+from contextlib import contextmanager
 
 
 class InvalidInputError(ValueError):
@@ -23,3 +27,25 @@ class SolverError(RuntimeError):
 
 class SupportBlowupError(RuntimeError):
     """Exact dynamic programming exceeded the configured atom budget."""
+
+
+@contextmanager
+def malformed_as_invalid(what: str):
+    """Re-raise a missing key, wrong type or bad value met while decoding
+    ``what`` as ``InvalidInputError``."""
+    try:
+        yield
+    except InvalidInputError:
+        raise
+    except (LookupError, TypeError, ValueError) as exc:
+        raise InvalidInputError(f"malformed {what}: {exc!r}") from exc
+
+
+def read_json(path, what: str):
+    """Parsed contents of a JSON file; a file that cannot be opened or is
+    not JSON raises ``InvalidInputError``."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise InvalidInputError(f"cannot read {what} {path}: {exc}") from exc

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .dp import DpReport, EwpConfig, categorical_dp_solve, ewp_random_solve
-from .errors import InvalidInputError
+from .errors import InvalidInputError, malformed_as_invalid, read_json
 from .evaluation import ScalarDist, cramer_distance, zeroshot_scalar
 from .kernels import KernelSpec, SemimetricSpec, mmd
 from .measures import DiscreteMeasure, ReturnDistFn, SupportMap
@@ -84,12 +84,8 @@ def resolve_config(raw: dict) -> ExperimentConfig:
     Every malformed value raises ``InvalidInputError``, including values
     that fail their int/float conversion.
     """
-    try:
+    with malformed_as_invalid("config value"):
         return _resolve_config(raw)
-    except InvalidInputError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise InvalidInputError(f"malformed config value: {exc}") from exc
 
 
 def _resolve_config(raw: dict) -> ExperimentConfig:
@@ -236,12 +232,7 @@ def _resolve_config(raw: dict) -> ExperimentConfig:
 
 
 def load_config(path) -> ExperimentConfig:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise InvalidInputError(f"cannot read config {path}: {exc}") from exc
-    return resolve_config(raw)
+    return resolve_config(read_json(path, "config"))
 
 
 def build_kernel(config: ExperimentConfig) -> KernelSpec:
@@ -285,9 +276,11 @@ def build_support(config: ExperimentConfig, mdp: TabularMDP, seed: int) -> Suppo
         return SupportMap.simplex_grid(
             mdp.n_states, mdp.dim, sc["resolution"], scale=mdp.v_max
         )
-    with open(sc["path"], "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
-    return SupportMap(tuple(np.asarray(a, dtype=np.float64) for a in payload["atoms"]))
+    payload = read_json(sc["path"], "support file")
+    with malformed_as_invalid("support file"):
+        return SupportMap(
+            tuple(np.asarray(a, dtype=np.float64) for a in payload["atoms"])
+        )
 
 
 def _signed_reference(mdp, support, spec) -> ReturnDistFn:
@@ -533,11 +526,7 @@ def zeroshot_seed(config: ExperimentConfig, seed: int, estimate: ReturnDistFn | 
     if estimate is None:
         source = zs.get("estimate", {"kind": "solve"})
         if source["kind"] == "file":
-            path = source["path"].format(seed=seed)
-            try:
-                estimate = ReturnDistFn.load(path)
-            except OSError as exc:
-                raise InvalidInputError(f"missing estimate file {path}: {exc}") from exc
+            estimate = ReturnDistFn.load(source["path"].format(seed=seed))
         else:
             estimate = run_seed(config, seed).estimate
     probability_estimate = _as_probability_fn(estimate, spec)

@@ -168,8 +168,10 @@ def signed_energy_sum(atoms: np.ndarray, weights: np.ndarray, alpha: float) -> f
     """sum_ij w_i w_j rho_alpha(a_i, a_j) for signed weights.
 
     Uses an exact O(n log n) prefix-sum evaluation for scalar atoms with
-    alpha = 1; otherwise accumulates the pairwise matrix in blocks so the
-    memory footprint stays bounded for large atom sets.
+    alpha = 1; otherwise accumulates the pairwise matrix in row blocks of
+    at most ``_BLOCK_ENTRIES`` entries. Squared distances are summed one
+    coordinate at a time in place, so a block holds at most two
+    ``(rows, n)`` float arrays and no ``(rows, n, d)`` difference tensor.
     """
     n, d = atoms.shape
     if n == 1:
@@ -185,8 +187,15 @@ def signed_energy_sum(atoms: np.ndarray, weights: np.ndarray, alpha: float) -> f
     total = 0.0
     for start in range(0, n, block):
         stop = min(start + block, n)
-        diff = atoms[start:stop, None, :] - atoms[None, :, :]
-        dist = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+        dist = None
+        for col in atoms.T:
+            dk = col[start:stop, None] - col[None, :]
+            dk *= dk
+            if dist is None:
+                dist = dk
+            else:
+                dist += dk
+        np.sqrt(dist, out=dist)
         if alpha != 1.0:
             dist **= alpha
         total += float(weights[start:stop] @ dist @ weights)

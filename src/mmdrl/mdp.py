@@ -6,13 +6,15 @@ are deterministic per-state cumulant vectors in [0, r_max]^d.
 
 from __future__ import annotations
 
+import bisect
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, malformed_as_invalid, read_json
 
 _ROW_TOL = 1e-9
 
@@ -42,11 +44,17 @@ class TabularMDP:
             raise InvalidInputError(
                 f"{r.shape[0]} cumulant rows for {p.shape[0]} states"
             )
-        if np.any(p < 0.0) or np.any(np.abs(p.sum(axis=1) - 1.0) > _ROW_TOL):
-            raise InvalidInputError("transition rows must be nonnegative and sum to 1")
+        if (
+            not np.all(np.isfinite(p))
+            or np.any(p < 0.0)
+            or np.any(np.abs(p.sum(axis=1) - 1.0) > _ROW_TOL)
+        ):
+            raise InvalidInputError(
+                "transition rows must be finite, nonnegative and sum to 1"
+            )
         if not 0.0 <= self.gamma < 1.0:
             raise InvalidInputError(f"gamma must lie in [0, 1), got {self.gamma}")
-        if np.any(r < 0.0) or np.any(r > self.r_max):
+        if not np.all((r >= 0.0) & (r <= self.r_max)):
             raise InvalidInputError(f"cumulants must lie in [0, {self.r_max}]")
         p.flags.writeable = False
         r.flags.writeable = False
@@ -66,6 +74,10 @@ class TabularMDP:
         """Upper bound on every coordinate of the discounted return."""
         return self.r_max / (1.0 - self.gamma)
 
+    @cached_property
+    def _successors(self) -> "_InverseCdf":
+        return _InverseCdf(self.transition)
+
     def to_json(self) -> dict:
         return {
             "n_states": self.n_states,
@@ -78,13 +90,15 @@ class TabularMDP:
 
     @classmethod
     def from_json(cls, payload: dict) -> "TabularMDP":
-        mdp = cls(
-            np.asarray(payload["transition"], dtype=np.float64),
-            np.asarray(payload["cumulants"], dtype=np.float64),
-            float(payload["gamma"]),
-            float(payload["r_max"]),
-        )
-        if mdp.n_states != payload["n_states"] or mdp.dim != payload["d"]:
+        with malformed_as_invalid("MDP"):
+            mdp = cls(
+                np.asarray(payload["transition"], dtype=np.float64),
+                np.asarray(payload["cumulants"], dtype=np.float64),
+                float(payload["gamma"]),
+                float(payload["r_max"]),
+            )
+            shape = (payload["n_states"], payload["d"])
+        if (mdp.n_states, mdp.dim) != shape:
             raise InvalidInputError("serialized MDP shape fields do not match arrays")
         return mdp
 
@@ -94,8 +108,38 @@ class TabularMDP:
 
     @classmethod
     def load(cls, path) -> "TabularMDP":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_json(json.load(fh))
+        return cls.from_json(read_json(path, "MDP file"))
+
+
+class _InverseCdf:
+    """Inverse-CDF successor draws over the cumulative transition rows.
+
+    A uniform draw ``u`` from state ``x`` selects the number of entries of
+    the cumulative row ``x`` below ``u``, capped at ``n - 1`` because
+    round-off can leave the last entry just under 1. Rows are
+    nondecreasing (probabilities are nonnegative), so that count is a left
+    bisection over the first ``n - 1`` entries, and the cap needs no
+    comparison against the last entry. Every caller draws ``u`` itself, so
+    the generator stream is the caller's to order.
+    """
+
+    def __init__(self, transition: np.ndarray):
+        cum = np.cumsum(transition, axis=1)
+        self._last = cum.shape[0] - 1
+        self._rows = cum.tolist()
+        self._cols = np.ascontiguousarray(cum[:, :-1].T)
+
+    def one(self, state: int, u: float) -> int:
+        """Successor of one state for one scalar draw."""
+        return bisect.bisect_left(self._rows[state], u, 0, self._last)
+
+    def many(self, states, u: np.ndarray) -> np.ndarray:
+        """Successors for draws ``u`` from ``states`` (an index array
+        aligned with ``u``, or one state for all draws)."""
+        out = np.zeros(u.shape, dtype=np.int64)
+        for col in self._cols:
+            out += u > col[states]
+        return out
 
 
 @dataclass(frozen=True)
@@ -183,16 +227,14 @@ def rollout_returns(
     """
     if horizon < 1 or n < 1:
         raise InvalidInputError("need horizon >= 1 and n >= 1")
-    cum_rows = np.cumsum(mdp.transition, axis=1)
+    successors = mdp._successors
     states = np.full(n, state, dtype=np.int64)
     total = np.zeros((n, mdp.dim))
     discount = 1.0
     for _ in range(horizon):
         total += discount * mdp.cumulants[states]
         discount *= mdp.gamma
-        u = rng.random(n)
-        states = np.sum(u[:, None] > cum_rows[states], axis=1)
-        np.minimum(states, mdp.n_states - 1, out=states)
+        states = successors.many(states, rng.random(n))
     return total
 
 

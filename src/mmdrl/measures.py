@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, malformed_as_invalid, read_json
 from .kernels import MASS_TOL, MERGE_TOL, merge_close_atoms
 
 # Negative-weight slack tolerated in probability measures before clamping.
@@ -201,7 +201,10 @@ class ReturnDistFn:
 
     @classmethod
     def from_json(cls, payload: dict) -> "ReturnDistFn":
-        return cls(tuple(DiscreteMeasure.from_json(m) for m in payload["measures"]))
+        with malformed_as_invalid("return distribution"):
+            return cls(
+                tuple(DiscreteMeasure.from_json(m) for m in payload["measures"])
+            )
 
     def save(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
@@ -209,8 +212,7 @@ class ReturnDistFn:
 
     @classmethod
     def load(cls, path) -> "ReturnDistFn":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_json(json.load(fh))
+        return cls.from_json(read_json(path, "return distribution file"))
 
 
 def _check_distinct(atoms: np.ndarray, state: int) -> None:
@@ -275,9 +277,17 @@ class SupportMap:
 
     @classmethod
     def uniform_grid(cls, n_states: int, dim: int, n_atoms: int, v_max: float) -> "SupportMap":
-        """Uniform grid on [0, v_max]^d with round(n_atoms^(1/d)) points per axis."""
+        """Uniform grid on [0, v_max]^d with round(n_atoms^(1/d)) points per axis.
+
+        ``n_atoms`` must be at least 2^d, two points per axis; the grid then
+        has round(n_atoms^(1/d))^d atoms.
+        """
+        if n_atoms < 2**dim:
+            raise InvalidInputError(
+                f"a grid in {dim} dimensions needs at least {2**dim} atoms, "
+                f"got {n_atoms}"
+            )
         per_dim = int(round(n_atoms ** (1.0 / dim)))
-        per_dim = max(per_dim, 2)
         axis = np.linspace(0.0, v_max, per_dim)
         mesh = np.meshgrid(*([axis] * dim), indexing="ij")
         pts = np.stack([m.ravel() for m in mesh], axis=1)
@@ -308,6 +318,8 @@ class SupportMap:
     @classmethod
     def random(cls, n_states: int, dim: int, n_atoms: int, v_max: float, rng) -> "SupportMap":
         """Per-state uniform draws in [0, v_max]^d, re-drawn if atoms collide."""
+        if n_atoms < 1:
+            raise InvalidInputError(f"a random support needs atoms, got {n_atoms}")
         per_state = []
         for _ in range(n_states):
             for _ in range(64):

@@ -190,7 +190,7 @@ def categorical_td_run(
     ]
     visits = state.visit_counts.copy()
     cache = _SignedBackupCache(mdp, support, spec)
-    cum_rows = np.cumsum(mdp.transition, axis=1)
+    next_state = mdp._successors.one
 
     ref_weights = None
     if reference is not None:
@@ -226,15 +226,14 @@ def categorical_td_run(
     for t in range(1, steps + 1):
         if state_sampler == "uniform":
             x = int(rng.integers(mdp.n_states))
-        y = int(np.sum(rng.random() > cum_rows[x]))
-        y = min(y, mdp.n_states - 1)
+        y = next_state(x, rng.random())
         visits[x] += 1
         alpha = schedule(int(visits[x]))
         alphas_since_report.append(alpha)
         m_map, b_map = cache.affine(x, y)
         projected = m_map @ weights[y] + b_map
         new_w = (1.0 - alpha) * weights[x] + alpha * projected
-        drift = float(np.sum(new_w)) - 1.0
+        drift = float(new_w.sum()) - 1.0
         if abs(drift) > MASS_DRIFT_TOL:
             new_w = new_w / (1.0 + drift)
         weights[x] = new_w
@@ -329,7 +328,7 @@ def ewp_td_run(
 
         particles = np.stack([meas.atoms for meas in ewp_init(mdp, m)], axis=0)
     visits = np.zeros(mdp.n_states, dtype=np.int64)
-    cum_rows = np.cumsum(mdp.transition, axis=1)
+    next_state = mdp._successors.one
     slot_weights = np.full(m, 1.0 / m)
 
     def _distance_to_reference() -> float:
@@ -344,8 +343,7 @@ def ewp_td_run(
     alphas_since_report = []
     for t in range(1, steps + 1):
         x = int(rng.integers(mdp.n_states))
-        y = int(np.sum(rng.random() > cum_rows[x]))
-        y = min(y, mdp.n_states - 1)
+        y = next_state(x, rng.random())
         visits[x] += 1
         alpha = schedule(int(visits[x]))
         alphas_since_report.append(alpha)

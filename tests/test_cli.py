@@ -21,6 +21,21 @@ def write_config(tmp_path, payload, name="config.json"):
     return str(path)
 
 
+def write_malformed_files(tmp_path):
+    """Input files that are not JSON, or JSON missing what a loader needs."""
+    mdp = {"n_states": 1, "d": 1, "gamma": 0.5, "r_max": 1.0, "cumulants": [[0.5]]}
+    files = {
+        "not_json.json": "{not json",
+        "list.json": "[1, 2]",
+        "mdp_no_transition.json": json.dumps(mdp),
+        "mdp_text_transition.json": json.dumps({**mdp, "transition": "abc"}),
+        "mdp_nan_transition.json": json.dumps({**mdp, "transition": [[float("nan")]]}),
+        "no_measures.json": json.dumps({"n_states": 5}),
+    }
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+
+
 def dp_cat_config(tmp_path, **overrides):
     payload = {
         "format_version": 1,
@@ -204,12 +219,39 @@ class TestRunCommand:
             {"algorithm": "dp-cat", "kernel": {"reference_point": "abc"}},
             {"algorithm": "td-cat", "td": {"reference": {}}},
             {"algorithm": "td-cat", "td": {"reference": "bogus"}},
+            {"algorithm": "dp-cat", "mdp": {"kind": "file", "path": "not_json.json"}},
+            {"algorithm": "dp-cat", "mdp": {"kind": "file", "path": "list.json"}},
+            {"algorithm": "dp-cat", "mdp": {"kind": "file", "path": "mdp_no_transition.json"}},
+            {"algorithm": "dp-cat", "mdp": {"kind": "file", "path": "mdp_text_transition.json"}},
+            {"algorithm": "dp-cat", "mdp": {"kind": "file", "path": "mdp_nan_transition.json"}},
+            {"algorithm": "dp-cat", "mdp": {"kind": "file", "path": "."}},
+            {"algorithm": "dp-cat", "support": {"kind": "file", "path": "not_json.json"}},
+            {"algorithm": "dp-cat", "support": {"kind": "file", "path": "list.json"}},
+            {"algorithm": "td-cat", "td": {"reference": {"path": "not_json.json"}}},
+            {"algorithm": "td-cat", "td": {"reference": {"path": "list.json"}}},
+            {"algorithm": "td-cat", "td": {"reference": {"path": "no_measures.json"}}},
+            {"algorithm": "dp-cat", "support": {"kind": "grid", "m": 0}},
+            {"algorithm": "dp-cat", "support": {"kind": "random", "m": -3}},
         ],
     )
-    def test_malformed_values_never_exit_1(self, tmp_path, payload):
+    def test_malformed_values_never_exit_1(self, tmp_path, monkeypatch, payload):
+        write_malformed_files(tmp_path)
+        monkeypatch.chdir(tmp_path)
         config = write_config(tmp_path, payload)
         code = main(["run", "--config", config, "--out", str(tmp_path / "o")])
         assert code in (2, 3)
+
+    @pytest.mark.parametrize("m, dim, code", [(0, 1, 2), (1, 1, 2), (3, 2, 2), (2, 1, 0)])
+    def test_grid_needs_two_points_per_axis(self, tmp_path, capsys, m, dim, code):
+        config = dp_cat_config(
+            tmp_path,
+            mdp={"kind": "random", "n_states": 2, "dim": dim, "gamma": 0.5},
+            support={"kind": "grid", "m": m},
+            seeds=[0],
+        )
+        assert main(["run", "--config", config, "--out", str(tmp_path / "o")]) == code
+        if code == 2:
+            assert f"needs at least {2**dim} atoms" in capsys.readouterr().err
 
     def test_engine_error_exits_3(self, tmp_path, monkeypatch):
         import mmdrl.cli as cli_module
@@ -335,6 +377,21 @@ class TestZeroshotEval:
                     "tail_tol": 1e-2,
                     "estimate": {"kind": "file", "path": str(tmp_path / "none_{seed}.json")},
                 },
+            },
+        )
+        assert main(["zeroshot-eval", "--config", config, "--out", str(tmp_path / "o")]) == 2
+
+    @pytest.mark.parametrize("name", ["not_json.json", "list.json", "no_measures.json"])
+    def test_malformed_estimate_file_exits_2(self, tmp_path, name):
+        write_malformed_files(tmp_path)
+        config = write_config(
+            tmp_path,
+            {
+                "algorithm": "dp-cat",
+                "mdp": {"kind": "random", "n_states": 2, "dim": 2, "gamma": 0.8},
+                "support": {"kind": "grid", "m": 9},
+                "seeds": [0],
+                "zeroshot": {"estimate": {"kind": "file", "path": str(tmp_path / name)}},
             },
         )
         assert main(["zeroshot-eval", "--config", config, "--out", str(tmp_path / "o")]) == 2

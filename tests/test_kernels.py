@@ -224,3 +224,67 @@ class TestMmdSquared:
                 for j in range(n):
                     brute += w[i] * w[j] * abs(atoms[i, 0] - atoms[j, 0]) ** alpha
             assert fast == pytest.approx(brute, abs=1e-10)
+
+
+def difference_tensor_energy_sum(atoms, weights, alpha):
+    """The blocked evaluation signed_energy_sum used before it summed
+    squared distances per coordinate: an einsum over the full
+    ``(rows, n, d)`` difference tensor."""
+    from mmdrl import kernels as kernels_module
+
+    n = atoms.shape[0]
+    block = max(1, kernels_module._BLOCK_ENTRIES // n)
+    total = 0.0
+    for start in range(0, n, block):
+        stop = min(start + block, n)
+        diff = atoms[start:stop, None, :] - atoms[None, :, :]
+        dist = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+        if alpha != 1.0:
+            dist **= alpha
+        total += float(weights[start:stop] @ dist @ weights)
+    return total
+
+
+class TestSignedEnergySumBlocks:
+    @pytest.fixture(autouse=True)
+    def small_blocks(self, monkeypatch):
+        from mmdrl import kernels as kernels_module
+
+        # 256 entries: 2 to 15 rows per block, several blocks per call.
+        monkeypatch.setattr(kernels_module, "_BLOCK_ENTRIES", 256)
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5])
+    def test_bitwise_equal_at_d2(self, alpha):
+        rng = np.random.default_rng(11)
+        for _ in range(40):
+            n = int(rng.integers(17, 120))
+            atoms = rng.normal(size=(n, 2)) * rng.choice([1e-3, 1.0, 1e3])
+            w = rng.normal(size=n)
+            assert n > 256 // n
+            assert signed_energy_sum(atoms, w, alpha) == difference_tensor_energy_sum(
+                atoms, w, alpha
+            )
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.5])
+    def test_bitwise_equal_at_d1(self, alpha):
+        rng = np.random.default_rng(12)
+        for _ in range(20):
+            n = int(rng.integers(17, 90))
+            atoms = rng.normal(size=(n, 1))
+            w = rng.normal(size=n)
+            assert signed_energy_sum(atoms, w, alpha) == difference_tensor_energy_sum(
+                atoms, w, alpha
+            )
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5])
+    def test_close_at_d3(self, alpha):
+        # The coordinates are summed in another order, so only round-off
+        # separates the two evaluations.
+        rng = np.random.default_rng(13)
+        for _ in range(20):
+            n = int(rng.integers(17, 90))
+            atoms = rng.normal(size=(n, 3))
+            w = rng.uniform(0.1, 1.0, size=n)
+            ref = difference_tensor_energy_sum(atoms, w, alpha)
+            got = signed_energy_sum(atoms, w, alpha)
+            assert abs(got - ref) <= 1e-12 * abs(ref)

@@ -42,6 +42,12 @@ class TestTabularMDP:
         with pytest.raises(InvalidInputError):
             TabularMDP(np.eye(2), np.full((2, 1), 1.5), 0.9, r_max=1.0)
 
+    def test_nan_entries_rejected(self):
+        with pytest.raises(InvalidInputError):
+            TabularMDP(np.array([[np.nan, 1.0], [0.0, 1.0]]), np.zeros((2, 1)), 0.9)
+        with pytest.raises(InvalidInputError):
+            TabularMDP(np.eye(2), np.array([[0.5], [np.nan]]), 0.9)
+
     def test_gamma_range(self):
         with pytest.raises(InvalidInputError):
             TabularMDP(np.eye(2), np.zeros((2, 1)), 1.0)

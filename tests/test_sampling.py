@@ -1,0 +1,210 @@
+"""Inverse-CDF successor sampling: the shared sampler against the inline
+rule it replaced, and seeded outputs at every call site."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import mmdrl.mdp as mdp_module
+from mmdrl import (
+    SupportMap,
+    TabularMDP,
+    categorical_td_run,
+    energy_kernel,
+    ewp_td_run,
+    make_schedule,
+    random_mdp,
+    rng_stream,
+    rollout_returns,
+)
+from mmdrl.dp import ewp_init, ewp_random_step
+
+
+def inline_rule(cum_rows, states, u):
+    """The successor rule each call site used to inline: the number of
+    cumulative entries below u, capped at n - 1."""
+    n = cum_rows.shape[0]
+    return np.minimum(np.sum(u[:, None] > cum_rows[states], axis=1), n - 1)
+
+
+class InlineSampler:
+    """Drop-in for the shared sampler that evaluates ``inline_rule``."""
+
+    def __init__(self, transition):
+        self.cum_rows = np.cumsum(transition, axis=1)
+
+    def one(self, state, u):
+        return int(inline_rule(self.cum_rows, np.array([state]), np.array([u]))[0])
+
+    def many(self, states, u):
+        states = np.broadcast_to(np.asarray(states), u.shape)
+        return inline_rule(self.cum_rows, states, u)
+
+
+@st.composite
+def transition_rows(draw):
+    """Stochastic matrices with zero-probability columns (repeated
+    cumulative values) and rows normalised two ways, so that the last
+    cumulative entry lands on either side of 1 by round-off."""
+    n = draw(st.integers(1, 7))
+    counts = draw(
+        st.lists(
+            st.lists(st.integers(0, 4), min_size=n, max_size=n).filter(any),
+            min_size=n,
+            max_size=n,
+        )
+    )
+    counts = np.array(counts, dtype=np.float64)
+    totals = counts.sum(axis=1, keepdims=True)
+    if draw(st.booleans()):
+        return counts / totals
+    return counts * (1.0 / totals)
+
+
+@st.composite
+def sampler_cases(draw):
+    transition = draw(transition_rows())
+    n = transition.shape[0]
+    cum_rows = np.cumsum(transition, axis=1)
+    k = draw(st.integers(1, 12))
+    states = np.array(draw(st.lists(st.integers(0, n - 1), min_size=k, max_size=k)))
+    draws = []
+    for x in states:
+        kind = draw(st.sampled_from(("uniform", "on_entry", "above_entry", "top")))
+        if kind == "uniform":
+            draws.append(draw(st.floats(0.0, 1.0, exclude_max=True)))
+        elif kind == "top":
+            draws.append(float(np.nextafter(1.0, 0.0)))
+        else:
+            entry = float(cum_rows[x, draw(st.integers(0, n - 1))])
+            draws.append(entry if kind == "on_entry" else float(np.nextafter(entry, 2.0)))
+    return transition, states, np.array(draws)
+
+
+SAMPLER_SETTINGS = settings(derandomize=True, max_examples=300, deadline=None)
+
+
+class TestSamplerMatchesInlineRule:
+    @SAMPLER_SETTINGS
+    @given(sampler_cases())
+    def test_vector_and_scalar_forms(self, case):
+        transition, states, u = case
+        mdp = TabularMDP(transition, np.zeros((transition.shape[0], 1)), 0.5)
+        expected = inline_rule(np.cumsum(mdp.transition, axis=1), states, u)
+        sampler = mdp._successors
+        np.testing.assert_array_equal(sampler.many(states, u), expected)
+        scalar = [sampler.one(int(x), float(v)) for x, v in zip(states, u)]
+        assert scalar == expected.tolist()
+        for x in np.unique(states):
+            sel = states == x
+            np.testing.assert_array_equal(sampler.many(int(x), u[sel]), expected[sel])
+
+    def test_last_entry_below_one_is_capped(self):
+        # Rows may sum to 1 - 1e-10; draws above the sum go to the last state.
+        transition = np.array([[0.5, 0.5 - 1e-10], [0.0, 1.0]])
+        mdp = TabularMDP(transition, np.zeros((2, 1)), 0.5)
+        u = np.array([1.0 - 5e-11, float(np.nextafter(1.0, 0.0)), 0.5, 0.25])
+        assert np.all(u[:2] > np.cumsum(transition[0])[-1])
+        np.testing.assert_array_equal(mdp._successors.many(0, u), [1, 1, 0, 0])
+        assert [mdp._successors.one(0, float(v)) for v in u] == [1, 1, 0, 0]
+
+
+def _mdps():
+    """A random MDP and a hand-made one with zero-probability columns."""
+    rows = np.array(
+        [
+            [0.5, 0.0, 0.5, 0.0],
+            [0.1, 0.2, 0.3, 0.4],
+            [0.0, 0.0, 0.0, 1.0],
+            [1.0 / 3.0, 1.0 / 3.0, 0.0, 1.0 / 3.0],
+        ]
+    )
+    cumulants = np.array([[0.2], [0.9], [0.0], [0.5]])
+    return [random_mdp(5, 1, 0.8, 0.5, rng_stream(3)), TabularMDP(rows, cumulants, 0.8)]
+
+
+def _fresh(mdp):
+    """Copy of ``mdp`` whose sampler is built on first use."""
+    return TabularMDP(mdp.transition, mdp.cumulants, mdp.gamma, mdp.r_max)
+
+
+def _with_inline_rule(monkeypatch, fn):
+    """Result of ``fn`` when every call site samples by ``inline_rule``."""
+    with monkeypatch.context() as patch:
+        patch.setattr(mdp_module, "_InverseCdf", InlineSampler)
+        return fn()
+
+
+@pytest.mark.parametrize("which", [0, 1])
+class TestCallSitesMatchInlineRule:
+    def test_rollout_returns(self, which):
+        mdp = _mdps()[which]
+        got = rollout_returns(mdp, 1, 40, 500, rng_stream(5))
+        # The body rollout_returns had with the rule inline.
+        cum_rows = np.cumsum(mdp.transition, axis=1)
+        rng = rng_stream(5)
+        states = np.full(500, 1, dtype=np.int64)
+        expected = np.zeros((500, mdp.dim))
+        discount = 1.0
+        for _ in range(40):
+            expected += discount * mdp.cumulants[states]
+            discount *= mdp.gamma
+            states = inline_rule(cum_rows, states, rng.random(500))
+        assert np.array_equal(got, expected)
+
+    def test_ewp_random_step(self, which):
+        mdp = _mdps()[which]
+        m = 16
+        eta = ewp_random_step(ewp_init(mdp, m), mdp, m, rng_stream(6))
+        got = ewp_random_step(eta, mdp, m, rng_stream(7))
+        # The body ewp_random_step had with the rule inline.
+        particles = np.stack([eta[x].atoms for x in range(mdp.n_states)])
+        cum_rows = np.cumsum(mdp.transition, axis=1)
+        rng = rng_stream(7)
+        for x in range(mdp.n_states):
+            successors = inline_rule(cum_rows, np.full(m, x), rng.random(m))
+            slots = rng.integers(0, m, size=m)
+            z = particles[successors, slots, :]
+            assert np.array_equal(got[x].atoms, mdp.cumulants[x] + mdp.gamma * z)
+
+    @pytest.mark.parametrize("sampler", ["uniform", "trajectory"])
+    def test_categorical_td_run(self, monkeypatch, which, sampler):
+        mdp = _mdps()[which]
+        support = SupportMap.uniform_grid(mdp.n_states, 1, 6, mdp.v_max)
+
+        def run():
+            return categorical_td_run(
+                _fresh(mdp), support, energy_kernel(1.0), make_schedule(0.6),
+                600, rng_stream(8), state_sampler=sampler, report_interval=100,
+            )
+
+        state, _ = run()
+        ref_state, _ = _with_inline_rule(monkeypatch, run)
+        assert np.array_equal(state.visit_counts, ref_state.visit_counts)
+        for x in range(mdp.n_states):
+            assert np.array_equal(state.estimate[x].weights, ref_state.estimate[x].weights)
+        if sampler == "trajectory":
+            # Visits follow the sampled chain: replay its draws in order.
+            cum_rows = np.cumsum(mdp.transition, axis=1)
+            rng = rng_stream(8)
+            x = int(rng.integers(mdp.n_states))
+            visits = np.zeros(mdp.n_states, dtype=np.int64)
+            for _ in range(600):
+                y = int(inline_rule(cum_rows, np.array([x]), np.array([rng.random()]))[0])
+                visits[x] += 1
+                x = y
+            assert np.array_equal(state.visit_counts, visits)
+
+    def test_ewp_td_run(self, monkeypatch, which):
+        mdp = _mdps()[which]
+
+        def run():
+            return ewp_td_run(
+                _fresh(mdp), 4, energy_kernel(1.0), make_schedule(0.6), 300,
+                rng_stream(9), report_interval=100,
+            )
+
+        particles, _ = run()
+        ref_particles, _ = _with_inline_rule(monkeypatch, run)
+        assert np.array_equal(particles, ref_particles)
