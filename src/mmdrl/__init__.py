@@ -3,7 +3,8 @@
 Discrete weighted atom sets represent per-state return distributions;
 dynamic programming and TD learning operate on categorical (fixed
 support) and equally weighted particle representations, with MMD
-projections solved by in-house QP routines.
+projections onto probability or mass-1 signed weights over a fixed
+support.
 """
 
 from .dp import (
@@ -69,10 +70,8 @@ from .mdp import (
 )
 from .projections import (
     ProjectionResult,
-    QpProblem,
     SignedProjector,
     SimplexProjector,
-    build_qp,
     project_signed,
     project_simplex,
 )

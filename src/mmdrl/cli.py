@@ -8,6 +8,7 @@ All CSV floats carry 17 significant digits.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -21,13 +22,15 @@ from .errors import (
 )
 from .evaluation import mesh_and_bound
 from .experiments import (
+    ExperimentConfig,
+    build_support,
     load_config,
     nonaffinity_certificate,
+    resolve_config,
     run as run_experiment,
     zeroshot_run,
 )
 from .kernels import KernelSpec, SemimetricSpec
-from .measures import SupportMap
 from .mdp import TabularMDP, dsm_mdp, random_mdp, rng_stream
 
 EXIT_OK = 0
@@ -46,7 +49,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--config", required=True, help="experiment config JSON")
     p_run.add_argument("--out", required=True, help="output directory")
     p_run.add_argument("--seed", type=int, default=None, help="override the seed list")
-    p_run.add_argument("--threads", type=int, default=1)
 
     p_cert = sub.add_parser(
         "cert-nonaffine",
@@ -61,7 +63,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_zs.add_argument("--config", required=True)
     p_zs.add_argument("--out", required=True)
     p_zs.add_argument("--seed", type=int, default=None)
-    p_zs.add_argument("--threads", type=int, default=1)
 
     p_gen = sub.add_parser("gen-mdp", help="generate and save a random MDP")
     p_gen.add_argument("--n-states", type=int, default=5)
@@ -88,11 +89,16 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_run(args) -> int:
+def _load_config(args) -> ExperimentConfig:
+    """The config file, with ``--seed`` (if given) as its only seed."""
     config = load_config(args.config)
     if args.seed is not None:
-        config.resolved["seeds"] = [args.seed]
-    run_experiment(config, args.out, threads=args.threads)
+        config = resolve_config({**config.resolved, "seeds": [args.seed]})
+    return config
+
+
+def _cmd_run(args) -> int:
+    run_experiment(_load_config(args), args.out)
     return EXIT_OK
 
 
@@ -113,10 +119,7 @@ def _cmd_cert(args) -> int:
 
 
 def _cmd_zeroshot(args) -> int:
-    config = load_config(args.config)
-    if args.seed is not None:
-        config.resolved["seeds"] = [args.seed]
-    zeroshot_run(config, args.out, threads=args.threads)
+    zeroshot_run(_load_config(args), args.out)
     return EXIT_OK
 
 
@@ -142,27 +145,14 @@ def _cmd_gen_mdp(args) -> int:
 
 def _cmd_mesh(args) -> int:
     mdp = TabularMDP.load(args.mdp)
-    if args.support_kind == "grid":
-        support = SupportMap.uniform_grid(
-            mdp.n_states, mdp.dim, args.support_m, mdp.v_max
-        )
-    elif args.support_kind == "random":
-        support = SupportMap.random(
-            mdp.n_states, mdp.dim, args.support_m, mdp.v_max, rng_stream(args.seed, 1)
-        )
-    else:
-        support = SupportMap.simplex_grid(
-            mdp.n_states, mdp.dim, args.support_resolution, scale=mdp.v_max
-        )
-    spec = KernelSpec(SemimetricSpec(args.alpha))
-    report = mesh_and_bound(support, mdp, spec)
-    payload = {
-        "mesh": report.mesh,
-        "fixed_point_bound": report.fixed_point_bound,
-        "uniform_grid_bound": report.uniform_grid_bound,
-        "exact": report.exact,
+    support_cfg = {
+        "kind": args.support_kind,
+        "m": args.support_m,
+        "resolution": args.support_resolution,
     }
-    text = json.dumps(payload, indent=2)
+    support = build_support(support_cfg, mdp, args.seed)
+    report = mesh_and_bound(support, mdp, KernelSpec(SemimetricSpec(args.alpha)))
+    text = json.dumps(dataclasses.asdict(report), indent=2)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)

@@ -33,7 +33,13 @@ from .measures import (
     weights_on_support,
 )
 from .mdp import TabularMDP
-from .projections import SignedProjector, SimplexProjector, solve_simplex_qp_batch
+from .projections import (
+    SignedProjector,
+    SimplexProjector,
+    _gram_sup_mmd,
+    solve_simplex_qp_batch,
+    state_projectors,
+)
 
 PROJECTIONS = ("simplex", "signed")
 
@@ -57,14 +63,11 @@ class DpReport:
         return out
 
     def to_csv(self, path) -> None:
-        """Series CSV with columns iteration, sup_mmd, wall_ms."""
-        per_iter_ms = (
-            1000.0 * self.wall_time_s / self.iterations if self.iterations else 0.0
-        )
+        """Series CSV with columns iteration, sup_mmd."""
         with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write("iteration,sup_mmd,wall_ms\r\n")
+            fh.write("iteration,sup_mmd\r\n")
             for i, dist in enumerate(self.distances, start=1):
-                fh.write(f"{i},{dist:.17g},{per_iter_ms * i:.17g}\r\n")
+                fh.write(f"{i},{dist:.17g}\r\n")
 
 
 @dataclass(frozen=True)
@@ -177,16 +180,9 @@ class CategoricalEngine:
         self.support = support
         self.spec = spec
         self.projection = projection
-        self.shared_support = all(
-            support[x] is support[0] or np.array_equal(support[x], support[0])
-            for x in range(mdp.n_states)
-        )
         cls = SimplexProjector if projection == "simplex" else SignedProjector
-        if self.shared_support:
-            shared = cls(support[0], spec)
-            self.projectors = [shared] * mdp.n_states
-        else:
-            self.projectors = [cls(support[x], spec) for x in range(mdp.n_states)]
+        self.projectors = state_projectors(cls, support, spec)
+        self.shared_support = all(p is self.projectors[0] for p in self.projectors)
         # Cross-kernel blocks: state x sees successor x' atoms shifted by r(x).
         self._blocks = {}
         for x in range(mdp.n_states):
@@ -228,12 +224,7 @@ class CategoricalEngine:
 
     def distance(self, w1: list, w2: list) -> float:
         """sup-MMD between two weight assignments on the engine's support."""
-        worst = 0.0
-        for x in range(self.mdp.n_states):
-            delta = w1[x] - w2[x]
-            val = float(delta @ self.projectors[x].gram @ delta)
-            worst = max(worst, math.sqrt(max(val, 0.0)))
-        return worst
+        return _gram_sup_mmd(self.projectors, w1, w2)
 
     def init_weights(self) -> list:
         init = point_init(self.mdp)
@@ -273,8 +264,8 @@ def categorical_dp_solve(
     The report's distance series is the successive-iterate sup-MMD, whose
     ratios empirically form the contraction-rate series.
     """
-    if tol <= 0:
-        raise InvalidInputError("tolerance must be positive")
+    if not tol > 0:
+        raise InvalidInputError(f"tolerance must be positive, got {tol}")
     start_time = time.perf_counter()
     engine = CategoricalEngine(mdp, support, spec, projection)
     weights = init_weights if init_weights is not None else engine.init_weights()

@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -109,6 +108,8 @@ def _resolve_config(raw: dict) -> ExperimentConfig:
             ),
             "r_max": float(mdp_cfg.get("r_max", 1.0)),
         }
+        r_max = mdp_cfg["r_max"]
+        _require(0.0 <= r_max < math.inf, f"mdp r_max must be finite, >= 0: {r_max}")
     elif kind == "dsm":
         mdp_cfg = {
             "kind": "dsm",
@@ -142,6 +143,7 @@ def _resolve_config(raw: dict) -> ExperimentConfig:
         "seeds": [int(s) for s in seeds],
     }
     _require(len(resolved["seeds"]) >= 1, "need at least one seed")
+    _require(min(resolved["seeds"]) >= 0, "seeds must be nonnegative integers")
 
     if algorithm in ("dp-cat", "td-cat"):
         sup = _section(raw, "support")
@@ -206,6 +208,11 @@ def _resolve_config(raw: dict) -> ExperimentConfig:
             resolved["td"]["report_interval"] >= 1,
             "td report_interval must be a positive integer",
         )
+        samplers = ("uniform", "trajectory") if algorithm == "td-cat" else ("uniform",)
+        _require(
+            resolved["td"]["state_sampler"] in samplers,
+            f"{algorithm} state_sampler must be one of {samplers}",
+        )
         if algorithm == "td-ewp":
             resolved["td"]["particles"] = int(td_cfg.get("particles", 64))
             if resolved["td"]["reference"] == "signed-dp":
@@ -228,6 +235,14 @@ def _resolve_config(raw: dict) -> ExperimentConfig:
             "tail_tol": float(zs.get("tail_tol", 1e-3)),
             "estimate": estimate,
         }
+        _require(
+            resolved["zeroshot"]["reward_draws"] >= 1,
+            "zeroshot reward_draws must be a positive integer",
+        )
+        _require(
+            resolved["zeroshot"]["tail_tol"] > 0.0,
+            "zeroshot tail_tol must be positive",
+        )
     return ExperimentConfig(resolved)
 
 
@@ -265,8 +280,8 @@ def build_mdp(config: ExperimentConfig, seed: int) -> TabularMDP:
     )
 
 
-def build_support(config: ExperimentConfig, mdp: TabularMDP, seed: int) -> SupportMap:
-    sc = config["support"]
+def build_support(sc: dict, mdp: TabularMDP, seed: int) -> SupportMap:
+    """The support map a resolved ``support`` config section describes."""
     if sc["kind"] == "grid":
         return SupportMap.uniform_grid(mdp.n_states, mdp.dim, sc["m"], mdp.v_max)
     if sc["kind"] == "random":
@@ -307,7 +322,7 @@ def run_seed(config: ExperimentConfig, seed: int) -> SeedResult:
     mdp = build_mdp(config, seed)
     algorithm = config.algorithm
     if algorithm == "dp-cat":
-        support = build_support(config, mdp, seed)
+        support = build_support(config["support"], mdp, seed)
         report = categorical_dp_solve(
             mdp,
             support,
@@ -343,7 +358,7 @@ def run_seed(config: ExperimentConfig, seed: int) -> SeedResult:
         estimate = report.final
         header = ["iteration", "sup_mmd"]
     elif algorithm == "td-cat":
-        support = build_support(config, mdp, seed)
+        support = build_support(config["support"], mdp, seed)
         td_cfg = config["td"]
         schedule = StepSchedule(**td_cfg["schedule"])
         reference = None
@@ -412,19 +427,14 @@ def _write_csv(path: Path, header: list, rows: list) -> None:
             fh.write(",".join(row) + "\r\n")
 
 
-def run(config: ExperimentConfig, out_dir, threads: int = 1) -> dict:
+def run(config: ExperimentConfig, out_dir) -> dict:
     """Run every configured seed and write CSV/JSON reports.
 
     Returns the summary payload that is also written to summary.json.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    seeds = config.seeds
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(lambda s: run_seed(config, s), seeds))
-    else:
-        results = [run_seed(config, s) for s in seeds]
+    results = [run_seed(config, s) for s in config.seeds]
 
     merged_rows = []
     per_seed = []
@@ -555,20 +565,13 @@ def zeroshot_seed(config: ExperimentConfig, seed: int, estimate: ReturnDistFn | 
     return rows
 
 
-def zeroshot_run(config: ExperimentConfig, out_dir, threads: int = 1) -> dict:
+def zeroshot_run(config: ExperimentConfig, out_dir) -> dict:
     """Zero-shot evaluation across seeds; writes per-draw CSV and a summary."""
     if "zeroshot" not in config.resolved:
         raise InvalidInputError("config carries no zeroshot section")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    spec_dim = None
-    seeds = config.seeds
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            chunks = list(pool.map(lambda s: zeroshot_seed(config, s), seeds))
-    else:
-        chunks = [zeroshot_seed(config, s) for s in seeds]
-    rows = [row for chunk in chunks for row in chunk]
+    rows = [row for s in config.seeds for row in zeroshot_seed(config, s)]
     spec_dim = (len(rows[0]) - 3) if rows else 0
     header = ["seed", "draw"] + [f"w_{j}" for j in range(spec_dim)] + ["cramer_mean"]
     _write_csv(out / "zeroshot.csv", header, rows)

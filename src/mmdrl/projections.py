@@ -1,4 +1,4 @@
-"""MMD projections onto a fixed support via in-house QP solves.
+"""MMD projections onto a fixed support.
 
 Two feasible sets are supported for the weight vector p over support atoms
 xi_1..xi_n, both minimizing the quadratic
@@ -8,20 +8,18 @@ xi_1..xi_n, both minimizing the quadratic
 
 which equals MMD^2 to the target (atoms a, weights w) up to a constant:
 
-* ``simplex``       p >= 0, sum p = 1  -- exact primal active-set solve
-                    (Lawson & Hanson style): each step solves the mass-1
-                    equality QP on the current free set. The atom with
-                    the most negative reduced gradient joins the set; a
-                    step toward a solution with a negative weight stops
-                    where the first such weight reaches zero, and that
-                    atom leaves the set.
-                    When the mass-1 solution on all atoms is already
-                    nonnegative it is returned as is (at d=1, alpha=1 that
-                    is the Cramer two-hot projection);
-* ``affine-sum-1``  sum p = 1 only     -- the constraint is eliminated and
-                    the reduced symmetric positive-definite system solved
-                    directly, making the projection an affine map of the
-                    target weights.
+* simplex, p >= 0 and sum p = 1 (``SimplexProjector``): exact primal
+  active-set solve (Lawson & Hanson style). Each step solves the mass-1
+  equality QP on the current free set. The atom with the most negative
+  reduced gradient joins the set; a step toward a solution with a negative
+  weight stops where the first such weight reaches zero, and that atom
+  leaves the set. When the mass-1 solution on all atoms is already
+  nonnegative it is returned as is (at d=1, alpha=1 that is the Cramer
+  two-hot projection).
+* signed, sum p = 1 only (``SignedProjector``): the constraint is
+  eliminated and the reduced symmetric positive-definite system inverted
+  once per support, making the projection an affine map of the target
+  weights.
 
 Both minimisers depend on the semimetric alone: the kernel's reference
 point changes K and q but not the projected weights.
@@ -29,28 +27,17 @@ point changes K and q but not the projected weights.
 
 from __future__ import annotations
 
-import warnings
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidInputError, SolverError
 from .kernels import KernelSpec, cross_kernel, gram
-from .measures import DiscreteMeasure, _check_distinct
+from .measures import DiscreteMeasure, SupportMap, _check_distinct
 
 # Residual beyond which a finished solve is reported as failed.
 KKT_ACCEPT = 1e-8
-
-CONSTRAINTS = ("simplex", "affine-sum-1")
-
-
-@dataclass(frozen=True)
-class QpProblem:
-    """Quadratic program data for one projection."""
-
-    gram: np.ndarray
-    linear: np.ndarray
-    constraint: str
 
 
 @dataclass(frozen=True)
@@ -58,21 +45,6 @@ class ProjectionResult:
     weights: np.ndarray
     kkt_residual: float
     iterations: int
-
-
-def build_qp(
-    target: DiscreteMeasure, support, spec: KernelSpec, constraint: str = "simplex"
-) -> QpProblem:
-    """Assemble the projection QP of a target measure onto support atoms."""
-    if constraint not in CONSTRAINTS:
-        raise InvalidInputError(f"unknown constraint {constraint!r}")
-    atoms = np.atleast_2d(np.asarray(support, dtype=np.float64))
-    _check_distinct(atoms, 0)
-    if abs(target.mass - 1.0) > 1e-9:
-        raise InvalidInputError(f"projection target must have mass 1, got {target.mass}")
-    k = gram(atoms, spec)
-    q = cross_kernel(atoms, target.atoms, spec) @ target.weights
-    return QpProblem(k, q, constraint)
 
 
 def project_to_simplex(v: np.ndarray) -> np.ndarray:
@@ -232,79 +204,6 @@ def solve_simplex_qp_batch(
     return rows, residuals, solves
 
 
-def _reduced_system(k: np.ndarray, q: np.ndarray):
-    """Eliminate the mass constraint via p = e_n + B z, B = [I; -1^T]."""
-    h = k[:-1, :-1] - k[:-1, -1:] - k[-1:, :-1] + k[-1, -1]
-    c = q - k[:, -1]
-    rhs = c[:-1] - c[-1]
-    return h, rhs
-
-
-def _assemble(z: np.ndarray) -> np.ndarray:
-    return np.concatenate([z, [1.0 - float(np.sum(z))]])
-
-
-def solve_signed_qp(gram_matrix: np.ndarray, linear: np.ndarray) -> ProjectionResult:
-    """Minimize p^T K p - 2 p^T q subject to sum p = 1 (signs free)."""
-    k = np.asarray(gram_matrix, dtype=np.float64)
-    q = np.asarray(linear, dtype=np.float64)
-    n = k.shape[0]
-    if n == 1:
-        return ProjectionResult(np.array([1.0]), 0.0, 1)
-    h, rhs = _reduced_system(k, q)
-    scale = 1.0 + float(np.max(np.abs(rhs)))
-
-    def _residual(z):
-        return float(np.max(np.abs(h @ z - rhs))) / scale
-
-    try:
-        z = np.linalg.solve(h, rhs)
-        res = _residual(z)
-    except np.linalg.LinAlgError:
-        z, res = None, np.inf
-    if z is None or res > KKT_ACCEPT:
-        hj = _jitter(h)
-        try:
-            z = np.linalg.solve(hj, rhs)
-            res = _residual(z)
-        except np.linalg.LinAlgError:
-            z, res = None, np.inf
-    if z is None or res > KKT_ACCEPT:
-        z, *_ = np.linalg.lstsq(h, rhs, rcond=None)
-        res = _residual(z)
-        if res > KKT_ACCEPT:
-            raise SolverError(
-                f"signed projection system is rank-deficient beyond jitter "
-                f"(residual {res:.3e})",
-                residual=res,
-            )
-        warnings.warn(
-            "signed projection fell back to a least-squares pseudo-solution",
-            RuntimeWarning,
-        )
-    return ProjectionResult(_assemble(z), res, 1)
-
-
-def project_simplex(
-    target: DiscreteMeasure,
-    support,
-    spec: KernelSpec,
-    *,
-    start: np.ndarray | None = None,
-) -> DiscreteMeasure:
-    """MMD projection of ``target`` onto probability weights over ``support``."""
-    qp = build_qp(target, support, spec, "simplex")
-    result = solve_simplex_qp(qp.gram, qp.linear, start)
-    return DiscreteMeasure(np.atleast_2d(np.asarray(support, dtype=np.float64)), result.weights)
-
-
-def project_signed(target: DiscreteMeasure, support, spec: KernelSpec) -> DiscreteMeasure:
-    """MMD projection of ``target`` onto mass-1 signed weights over ``support``."""
-    qp = build_qp(target, support, spec, "affine-sum-1")
-    result = solve_signed_qp(qp.gram, qp.linear)
-    return DiscreteMeasure(np.atleast_2d(np.asarray(support, dtype=np.float64)), result.weights)
-
-
 class SimplexProjector:
     """Repeated simplex projections onto one fixed support.
 
@@ -374,7 +273,7 @@ class SignedProjector:
     def solve_linear(self, q: np.ndarray, start=None) -> ProjectionResult:
         return ProjectionResult(self._s @ q + self.offset, 0.0, 1)
 
-    def project(self, target_atoms, target_weights) -> ProjectionResult:
+    def project(self, target_atoms, target_weights, start=None) -> ProjectionResult:
         q = cross_kernel(self.atoms, target_atoms, self.spec) @ target_weights
         return self.solve_linear(q)
 
@@ -382,3 +281,47 @@ class SignedProjector:
         """(M, b) with projected weights = M @ target_weights + b."""
         m = self._s @ cross_kernel(self.atoms, target_atoms, self.spec)
         return m, self.offset
+
+
+def project_simplex(
+    target: DiscreteMeasure, support, spec: KernelSpec, *, start: np.ndarray | None = None
+) -> DiscreteMeasure:
+    """MMD projection of ``target`` onto probability weights over ``support``."""
+    return _project(SimplexProjector, target, support, spec, start)
+
+
+def project_signed(target: DiscreteMeasure, support, spec: KernelSpec) -> DiscreteMeasure:
+    """MMD projection of ``target`` onto mass-1 signed weights over ``support``."""
+    return _project(SignedProjector, target, support, spec)
+
+
+def _project(kind, target: DiscreteMeasure, support, spec: KernelSpec, start=None):
+    projector = kind(support, spec)
+    if abs(target.mass - 1.0) > 1e-9:
+        raise InvalidInputError(f"projection target must have mass 1, got {target.mass}")
+    result = projector.project(target.atoms, target.weights, start)
+    return DiscreteMeasure(projector.atoms, result.weights)
+
+
+def state_projectors(kind, support: SupportMap, spec: KernelSpec) -> list:
+    """One ``kind`` projector per state of ``support``.
+
+    States whose atoms are equal share one projector object, so its Gram
+    matrix (and, for ``SignedProjector``, the reduced inverse) is built
+    once per distinct support.
+    """
+    projectors = []
+    for atoms in support.atoms:
+        shared = next((p for p in projectors if np.array_equal(p.atoms, atoms)), None)
+        projectors.append(shared if shared is not None else kind(atoms, spec))
+    return projectors
+
+
+def _gram_sup_mmd(projectors: list, w1: list, w2: list) -> float:
+    """sup-MMD between two weight assignments on the projectors' supports."""
+    worst = 0.0
+    for projector, a, b in zip(projectors, w1, w2):
+        delta = a - b
+        val = float(delta @ projector.gram @ delta)
+        worst = max(worst, math.sqrt(max(val, 0.0)))
+    return worst

@@ -25,7 +25,12 @@ from .measures import (
     weights_on_support,
 )
 from .mdp import TabularMDP, Transition
-from .projections import SignedProjector, SimplexProjector
+from .projections import (
+    SignedProjector,
+    SimplexProjector,
+    _gram_sup_mmd,
+    state_projectors,
+)
 
 # Weight-sum drift beyond which the mass-1 constraint is re-imposed.
 MASS_DRIFT_TOL = 1e-10
@@ -98,11 +103,10 @@ def init_td_state(
     from .dp import point_init
 
     init = point_init(mdp)
+    projectors = state_projectors(SimplexProjector, support, spec)
     measures = []
     for x in range(mdp.n_states):
-        res = SimplexProjector(support[x], spec).project(
-            init[x].atoms, init[x].weights
-        )
+        res = projectors[x].project(init[x].atoms, init[x].weights)
         measures.append(DiscreteMeasure(support[x], res.weights))
     return TdState(ReturnDistFn(tuple(measures)), np.zeros(mdp.n_states, dtype=np.int64))
 
@@ -127,37 +131,19 @@ def categorical_td_step(
     backup = stochastic_backup(state.estimate, tr, gamma)
     projected = SignedProjector(support[x], spec).project(backup.atoms, backup.weights)
     old_w = weights_on_support(state.estimate[x], support[x])
-    new_w = (1.0 - alpha) * old_w + alpha * projected.weights
-    drift = float(np.sum(new_w)) - 1.0
-    if abs(drift) > MASS_DRIFT_TOL:
-        new_w = new_w / (1.0 + drift)
+    new_w = _blend(old_w, projected.weights, alpha)
     estimate = state.estimate.replace(x, DiscreteMeasure(support[x], new_w))
     return TdState(estimate, visits, state.step + 1)
 
 
-class _SignedBackupCache:
-    """Per-(state, next-state) affine maps for the projected backup.
-
-    The projected backup weights are an affine function M w + b of the
-    next state's weights because the target atom set r(x) + gamma xi(x')
-    is fixed; TD steps then reduce to matrix-vector products.
-    """
-
-    def __init__(self, mdp: TabularMDP, support: SupportMap, spec: KernelSpec):
-        self.mdp = mdp
-        self.support = support
-        self.spec = spec
-        self.projectors = [
-            SignedProjector(support[x], spec) for x in range(mdp.n_states)
-        ]
-        self._maps = {}
-
-    def affine(self, x: int, y: int):
-        key = (x, y)
-        if key not in self._maps:
-            shifted = self.mdp.cumulants[x] + self.mdp.gamma * self.support[y]
-            self._maps[key] = self.projectors[x].affine_map(shifted)
-        return self._maps[key]
+def _blend(old_w: np.ndarray, projected: np.ndarray, alpha: float) -> np.ndarray:
+    """(1 - alpha) old_w + alpha projected, renormalised to mass 1 when float
+    drift exceeds ``MASS_DRIFT_TOL``."""
+    new_w = (1.0 - alpha) * old_w + alpha * projected
+    drift = float(new_w.sum()) - 1.0
+    if abs(drift) > MASS_DRIFT_TOL:
+        new_w = new_w / (1.0 + drift)
+    return new_w
 
 
 def categorical_td_run(
@@ -189,7 +175,10 @@ def categorical_td_run(
         for x in range(mdp.n_states)
     ]
     visits = state.visit_counts.copy()
-    cache = _SignedBackupCache(mdp, support, spec)
+    projectors = state_projectors(SignedProjector, support, spec)
+    # Per-(state, next-state) affine maps M w + b of the projected backup:
+    # its atom set r(x) + gamma xi(x') is fixed, so each map is built once.
+    maps = {}
     next_state = mdp._successors.one
 
     ref_weights = None
@@ -200,25 +189,17 @@ def categorical_td_run(
                 for x in range(mdp.n_states)
             ]
         except InvalidInputError:
-            ref_weights = None
+            pass
 
     def _distance_to_reference() -> float:
         if reference is None:
             return math.nan
         if ref_weights is not None:
-            worst = 0.0
-            for x in range(mdp.n_states):
-                delta = weights[x] - ref_weights[x]
-                val = float(delta @ cache.projectors[x].gram @ delta)
-                worst = max(worst, math.sqrt(max(val, 0.0)))
-            return worst
-        current = ReturnDistFn(
-            tuple(
-                DiscreteMeasure(support[x], weights[x])
-                for x in range(mdp.n_states)
-            )
+            return _gram_sup_mmd(projectors, weights, ref_weights)
+        return max(
+            mmd(DiscreteMeasure(support[x], weights[x]), reference[x], spec)
+            for x in range(mdp.n_states)
         )
-        return max(mmd(current[x], reference[x], spec) for x in range(mdp.n_states))
 
     report = TdReport()
     alphas_since_report = []
@@ -230,13 +211,12 @@ def categorical_td_run(
         visits[x] += 1
         alpha = schedule(int(visits[x]))
         alphas_since_report.append(alpha)
-        m_map, b_map = cache.affine(x, y)
-        projected = m_map @ weights[y] + b_map
-        new_w = (1.0 - alpha) * weights[x] + alpha * projected
-        drift = float(new_w.sum()) - 1.0
-        if abs(drift) > MASS_DRIFT_TOL:
-            new_w = new_w / (1.0 + drift)
-        weights[x] = new_w
+        key = (x, y)
+        if key not in maps:
+            shifted = mdp.cumulants[x] + mdp.gamma * support[y]
+            maps[key] = projectors[x].affine_map(shifted)
+        m_map, b_map = maps[key]
+        weights[x] = _blend(weights[x], m_map @ weights[y] + b_map, alpha)
         if state_sampler == "trajectory":
             x = y
         if t % report_interval == 0 or t == steps:

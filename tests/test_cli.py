@@ -102,19 +102,47 @@ class TestRunCommand:
             == (out2 / "seed_0" / "estimate.json").read_bytes()
         )
 
-    def test_threads_match_serial(self, tmp_path):
-        config = dp_cat_config(tmp_path)
-        serial, threaded = tmp_path / "s", tmp_path / "t"
-        main(["run", "--config", config, "--out", str(serial)])
-        main(["run", "--config", config, "--out", str(threaded), "--threads", "2"])
-        assert (serial / "series.csv").read_bytes() == (threaded / "series.csv").read_bytes()
-
     def test_seed_flag_overrides(self, tmp_path):
         config = dp_cat_config(tmp_path)
         out = tmp_path / "out"
         main(["run", "--config", config, "--out", str(out), "--seed", "7"])
         summary = json.loads((out / "summary.json").read_text())
         assert [p["seed"] for p in summary["per_seed"]] == [7]
+
+    @pytest.mark.parametrize("command", ["run", "zeroshot-eval"])
+    def test_negative_seed_flag_exits_2(self, tmp_path, command):
+        config = dp_cat_config(tmp_path)
+        out = str(tmp_path / "out")
+        assert main([command, "--config", config, "--out", out, "--seed", "-1"]) == 2
+
+    @pytest.mark.parametrize(
+        "algorithm, sampler, code",
+        [
+            ("td-cat", "trajectory", 0),
+            ("td-cat", "bogus", 2),
+            ("td-ewp", "uniform", 0),
+            ("td-ewp", "trajectory", 2),
+            ("td-ewp", "bogus", 2),
+        ],
+    )
+    def test_state_sampler_validated(self, tmp_path, algorithm, sampler, code):
+        config = write_config(
+            tmp_path,
+            {
+                "algorithm": algorithm,
+                "mdp": {"kind": "random", "n_states": 2, "dim": 1, "gamma": 0.8},
+                "support": {"kind": "grid", "m": 4},
+                "td": {
+                    "steps": 20,
+                    "report_interval": 10,
+                    "particles": 4,
+                    "state_sampler": sampler,
+                    "reference": None,
+                },
+                "seeds": [0],
+            },
+        )
+        assert main(["run", "--config", config, "--out", str(tmp_path / "o")]) == code
 
     def test_td_cat_series_columns(self, tmp_path):
         config = write_config(
@@ -232,6 +260,13 @@ class TestRunCommand:
             {"algorithm": "td-cat", "td": {"reference": {"path": "no_measures.json"}}},
             {"algorithm": "dp-cat", "support": {"kind": "grid", "m": 0}},
             {"algorithm": "dp-cat", "support": {"kind": "random", "m": -3}},
+            {"algorithm": "dp-cat", "zeroshot": {"tail_tol": 0}},
+            {"algorithm": "dp-cat", "zeroshot": {"tail_tol": -1}},
+            {"algorithm": "dp-cat", "zeroshot": {"reward_draws": 0}},
+            {"algorithm": "dp-cat", "mdp": {"r_max": float("inf")}},
+            {"algorithm": "dp-cat", "mdp": {"r_max": float("nan")}},
+            {"algorithm": "dp-cat", "seeds": [-1]},
+            {"algorithm": "dp-cat", "dp": {"tol": float("nan")}},
         ],
     )
     def test_malformed_values_never_exit_1(self, tmp_path, monkeypatch, payload):
@@ -405,6 +440,16 @@ class TestMeshReport:
         payload = json.loads(capsys.readouterr().out)
         assert set(payload) == {"mesh", "fixed_point_bound", "uniform_grid_bound", "exact"}
         assert payload["exact"] is True
+
+    @pytest.mark.parametrize("kind", ["random", "simplex-grid"])
+    def test_non_grid_supports(self, tmp_path, capsys, kind):
+        mdp_path = tmp_path / "mdp.json"
+        main(["gen-mdp", "--n-states", "2", "--dim", "2", "--gamma", "0.5", "--out", str(mdp_path)])
+        args = ["--support-kind", kind, "--support-m", "9", "--support-resolution", "3"]
+        assert main(["mesh-report", "--mdp", str(mdp_path), *args]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["exact"] is False
+        assert payload["mesh"] > 0.0
 
     def test_missing_mdp_exits_2(self, tmp_path):
         assert main(["mesh-report", "--mdp", str(tmp_path / "nope.json")]) == 2

@@ -204,7 +204,7 @@ class TestCategoricalDpSolve:
         path = tmp_path / "report.csv"
         report.to_csv(path)
         lines = path.read_text().splitlines()
-        assert lines[0] == "iteration,sup_mmd,wall_ms"
+        assert lines[0] == "iteration,sup_mmd"
         assert len(lines) == report.iterations + 1
 
     def test_tolerance_validated(self):

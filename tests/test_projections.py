@@ -1,6 +1,7 @@
 """MMD projection QPs: simplex and mass-1 signed solvers."""
 
 import itertools
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,7 +15,6 @@ from mmdrl import (
     SimplexProjector,
     SolverError,
     SupportMap,
-    build_qp,
     energy_kernel,
     gram,
     mixture,
@@ -28,14 +28,22 @@ from mmdrl.projections import (
     KKT_ACCEPT,
     ProjectionResult,
     project_to_simplex,
-    solve_signed_qp,
     solve_simplex_qp,
     solve_simplex_qp_batch,
+    state_projectors,
 )
 
 from util import random_probability_measure, random_signed_measure
 
 SPEC = energy_kernel(1.0)
+
+
+def projection_qp(target, support, spec):
+    """Gram matrix and linear term of the projection QP, as the projector builds them."""
+    projector = SimplexProjector(support, spec)
+    return SimpleNamespace(
+        gram=projector.gram, linear=projector.linear_term(target.atoms, target.weights)
+    )
 
 
 def qp_objective(weights, qp):
@@ -97,30 +105,28 @@ class TestEuclideanSimplexProjection:
 class TestBuildQp:
     def test_hand_linear_term(self):
         # Support {0, 1}, target delta at 0.5: q = (kappa(0, .5), kappa(1, .5)).
-        qp = build_qp(DiscreteMeasure.point([0.5]), np.array([[0.0], [1.0]]), SPEC)
+        qp = projection_qp(DiscreteMeasure.point([0.5]), np.array([[0.0], [1.0]]), SPEC)
         np.testing.assert_allclose(qp.linear, [0.0, 0.5], atol=1e-12)
         np.testing.assert_allclose(qp.gram, [[0.0, 0.0], [0.0, 1.0]], atol=1e-12)
 
     def test_duplicate_support_rejected(self):
-        with pytest.raises(InvalidInputError):
-            build_qp(DiscreteMeasure.point([0.5]), np.array([[0.0], [0.0]]), SPEC)
+        for project in (project_simplex, project_signed):
+            with pytest.raises(InvalidInputError):
+                project(DiscreteMeasure.point([0.5]), np.array([[0.0], [0.0]]), SPEC)
 
     def test_target_mass_checked(self):
         bad = DiscreteMeasure(np.array([[0.0]]), np.array([0.7]))
-        with pytest.raises(InvalidInputError):
-            build_qp(bad, np.array([[0.0], [1.0]]), SPEC)
+        for project in (project_simplex, project_signed):
+            with pytest.raises(InvalidInputError):
+                project(bad, np.array([[0.0], [1.0]]), SPEC)
 
     def test_finite_for_disjoint_targets(self):
-        qp = build_qp(
+        qp = projection_qp(
             DiscreteMeasure.point([9.0, -4.0]),
             np.array([[0.0, 0.0], [1.0, 1.0]]),
             SPEC,
         )
         assert np.all(np.isfinite(qp.linear))
-
-    def test_unknown_constraint(self):
-        with pytest.raises(InvalidInputError):
-            build_qp(DiscreteMeasure.point([0.0]), np.array([[0.0], [1.0]]), SPEC, "box")
 
 
 class TestProjectSimplex:
@@ -150,7 +156,7 @@ class TestProjectSimplex:
         rng = np.random.default_rng(3)
         support = rng.uniform(0, 2, size=(8, 2))
         target = random_probability_measure(rng, 5, 2, low=0.0, high=2.0)
-        qp = build_qp(target, support, SPEC)
+        qp = projection_qp(target, support, SPEC)
         res = solve_simplex_qp(qp.gram, qp.linear)
         assert isinstance(res, ProjectionResult)
         assert abs(res.weights.sum() - 1.0) <= 1e-10
@@ -173,7 +179,7 @@ class TestProjectSimplex:
         for _ in range(3):
             support = rng.uniform(0, 2, size=(3, 2))
             target = random_probability_measure(rng, 3, 2, low=0.0, high=2.0)
-            qp = build_qp(target, support, SPEC)
+            qp = projection_qp(target, support, SPEC)
             objectives = (
                 np.einsum("ij,jk,ik->i", candidates, qp.gram, candidates)
                 - 2.0 * candidates @ qp.linear
@@ -187,7 +193,7 @@ class TestProjectSimplex:
         for _ in range(5):
             support = rng.uniform(0, 2, size=(4, 2))
             target = random_probability_measure(rng, 4, 2, low=0.0, high=2.0)
-            qp = build_qp(target, support, SPEC)
+            qp = projection_qp(target, support, SPEC)
             best = qp_objective(enumerate_active_sets(qp), qp)
             res = solve_simplex_qp(qp.gram, qp.linear)
             assert qp_objective(res.weights, qp) <= best + 1e-5
@@ -196,7 +202,7 @@ class TestProjectSimplex:
         rng = np.random.default_rng(6)
         support = rng.uniform(0, 2, size=(6, 2))
         target = random_probability_measure(rng, 5, 2, low=0.0, high=2.0)
-        qp = build_qp(target, support, SPEC)
+        qp = projection_qp(target, support, SPEC)
         res = solve_simplex_qp(qp.gram, qp.linear)
         base = qp_objective(res.weights, qp)
         trials = 0
@@ -295,12 +301,37 @@ class TestProjectSigned:
         out = project_signed(p, support, SPEC)
         assert abs(out.mass - 1.0) <= 1e-10
 
-    def test_rank_deficient_system_raises(self):
+    def test_rank_deficient_system_raises(self, monkeypatch):
+        import mmdrl.projections as projections
+
+        monkeypatch.setattr(projections, "gram", lambda atoms, spec: np.zeros((3, 3)))
         with pytest.raises(SolverError):
-            solve_signed_qp(np.zeros((3, 3)), np.array([1.0, 0.0, 0.0]))
+            SignedProjector(np.array([[0.0], [1.0], [2.0]]), SPEC)
 
 
 class TestProjectorCaches:
+    @pytest.mark.parametrize("kind", [SimplexProjector, SignedProjector])
+    def test_constant_support_shares_one_projector(self, kind):
+        support = SupportMap.constant(np.array([[0.0], [0.5], [1.0]]), 4)
+        projectors = state_projectors(kind, support, SPEC)
+        assert len(projectors) == 4
+        assert isinstance(projectors[0], kind)
+        assert all(p is projectors[0] for p in projectors)
+
+    @pytest.mark.parametrize("kind", [SimplexProjector, SignedProjector])
+    def test_distinct_supports_get_distinct_projectors(self, kind):
+        support = SupportMap.random(3, 2, 5, 1.0, np.random.default_rng(30))
+        projectors = state_projectors(kind, support, SPEC)
+        assert len({id(p) for p in projectors}) == 3
+        for x, p in enumerate(projectors):
+            assert np.array_equal(p.atoms, support[x])
+
+    def test_equal_states_share_among_distinct_ones(self):
+        a, b = np.array([[0.0], [1.0]]), np.array([[0.0], [2.0]])
+        projectors = state_projectors(SignedProjector, SupportMap((a, b, a, b)), SPEC)
+        assert projectors[0] is projectors[2] and projectors[1] is projectors[3]
+        assert projectors[0] is not projectors[1]
+
     def test_simplex_projector_matches_one_shot(self):
         rng = np.random.default_rng(13)
         support = rng.uniform(0, 2, size=(9, 2))
@@ -437,7 +468,7 @@ class TestSimplexSolverProperties:
     @given(projection_instances())
     def test_matches_enumeration_and_accepts(self, instance):
         support, target, alpha = instance
-        qp = build_qp(target, support, energy_kernel(alpha))
+        qp = projection_qp(target, support, energy_kernel(alpha))
         res = solve_simplex_qp(qp.gram, qp.linear)
         assert res.kkt_residual <= KKT_ACCEPT
         assert np.all(res.weights >= 0.0)
@@ -448,8 +479,10 @@ class TestSimplexSolverProperties:
     @given(projection_instances())
     def test_equals_signed_when_signed_is_feasible(self, instance):
         support, target, alpha = instance
-        qp = build_qp(target, support, energy_kernel(alpha))
-        signed = solve_signed_qp(qp.gram, qp.linear).weights
+        qp = projection_qp(target, support, energy_kernel(alpha))
+        signed = SignedProjector(support, energy_kernel(alpha)).project(
+            target.atoms, target.weights
+        ).weights
         if np.min(signed) >= 0.0:
             res = solve_simplex_qp(qp.gram, qp.linear)
             np.testing.assert_allclose(res.weights, signed, atol=1e-9)
@@ -477,7 +510,7 @@ class TestSimplexSolverProperties:
     @given(projection_instances(), st.integers(0, 2**32 - 1))
     def test_warm_start_reaches_cold_solution(self, instance, seed):
         support, target, alpha = instance
-        qp = build_qp(target, support, energy_kernel(alpha))
+        qp = projection_qp(target, support, energy_kernel(alpha))
         cold = solve_simplex_qp(qp.gram, qp.linear).weights
         # A sparse probability vector, as a previous sweep would leave.
         start = np.random.default_rng(seed).dirichlet(np.ones(cold.size))

@@ -261,6 +261,97 @@ class TestCategoricalTdRun:
         assert len(lines) == 4
 
 
+def per_state_projector_td_run(
+    mdp, support, spec, schedule, steps, rng, state_sampler, reference
+):
+    """categorical_td_run with one projector per state and no helper calls:
+    the loop as it was before projectors were shared between states.
+    Returns (weights, visits, sup-MMD series)."""
+    from mmdrl import SignedProjector, SimplexProjector, point_init
+    from mmdrl.td import MASS_DRIFT_TOL
+
+    n = mdp.n_states
+    init = point_init(mdp)
+    weights = [
+        SimplexProjector(support[x], spec).project(init[x].atoms, init[x].weights).weights
+        for x in range(n)
+    ]
+    projectors = [SignedProjector(support[x], spec) for x in range(n)]
+    ref_weights = [weights_on_support(reference[x], support[x]) for x in range(n)]
+    maps = {}
+    visits = np.zeros(n, dtype=np.int64)
+    series = []
+    x = int(rng.integers(n)) if state_sampler == "trajectory" else 0
+    for t in range(1, steps + 1):
+        if state_sampler == "uniform":
+            x = int(rng.integers(n))
+        y = mdp._successors.one(x, rng.random())
+        visits[x] += 1
+        alpha = schedule(int(visits[x]))
+        if (x, y) not in maps:
+            shifted = mdp.cumulants[x] + mdp.gamma * support[y]
+            maps[(x, y)] = projectors[x].affine_map(shifted)
+        m_map, b_map = maps[(x, y)]
+        projected = m_map @ weights[y] + b_map
+        new_w = (1.0 - alpha) * weights[x] + alpha * projected
+        drift = float(new_w.sum()) - 1.0
+        if abs(drift) > MASS_DRIFT_TOL:
+            new_w = new_w / (1.0 + drift)
+        weights[x] = new_w
+        if state_sampler == "trajectory":
+            x = y
+        if t % 250 == 0 or t == steps:
+            worst = 0.0
+            for z in range(n):
+                delta = weights[z] - ref_weights[z]
+                val = float(delta @ projectors[z].gram @ delta)
+                worst = max(worst, np.sqrt(max(val, 0.0)))
+            series.append(worst)
+    return weights, visits, series
+
+
+class TestSharedProjectors:
+    @pytest.mark.parametrize("kind", ["random", "grid"])
+    @pytest.mark.parametrize("sampler", ["uniform", "trajectory"])
+    def test_run_equals_per_state_projector_loop(self, kind, sampler):
+        mdp = random_mdp(3, 2, 0.8, 1.0, rng_stream(21))
+        if kind == "random":
+            support = SupportMap.random(3, 2, 7, mdp.v_max, rng_stream(22))
+        else:
+            support = SupportMap.uniform_grid(3, 2, 9, mdp.v_max)
+        reference = categorical_dp_solve(
+            mdp, support, SPEC, tol=1e-10, max_iter=1000, projection="signed"
+        ).final
+        schedule = make_schedule()
+        state, report = categorical_td_run(
+            mdp, support, SPEC, schedule, 1000, rng_stream(23),
+            state_sampler=sampler, reference=reference, report_interval=250,
+        )
+        weights, visits, series = per_state_projector_td_run(
+            mdp, support, SPEC, schedule, 1000, rng_stream(23), sampler, reference
+        )
+        for x in range(3):
+            assert np.array_equal(state.estimate[x].weights, weights[x])
+        assert np.array_equal(state.visit_counts, visits)
+        assert np.array_equal(np.array(report.sup_mmd), np.array(series))
+
+    def test_init_equals_per_state_projection(self):
+        from mmdrl import SimplexProjector, point_init
+
+        mdp = random_mdp(3, 2, 0.8, 1.0, rng_stream(24))
+        init = point_init(mdp)
+        for support in (
+            SupportMap.uniform_grid(3, 2, 9, mdp.v_max),
+            SupportMap.random(3, 2, 7, mdp.v_max, rng_stream(25)),
+        ):
+            state = init_td_state(mdp, support, SPEC)
+            for x in range(3):
+                own = SimplexProjector(support[x], SPEC).project(
+                    init[x].atoms, init[x].weights
+                )
+                assert np.array_equal(state.estimate[x].weights, own.weights)
+
+
 class TestEwpGradient:
     def test_zero_at_coincident_configuration(self):
         theta = np.array([[1.0, 2.0], [3.0, 4.0]])
