@@ -12,8 +12,7 @@ import dataclasses
 import json
 import sys
 
-import numpy as np
-
+from .config import ExperimentConfig, load_config, resolve_config, resolve_mdp
 from .errors import (
     ConsistencyError,
     InvalidInputError,
@@ -22,16 +21,14 @@ from .errors import (
 )
 from .evaluation import mesh_and_bound
 from .experiments import (
-    ExperimentConfig,
+    build_mdp,
     build_support,
-    load_config,
     nonaffinity_certificate,
-    resolve_config,
     run as run_experiment,
     zeroshot_run,
 )
 from .kernels import KernelSpec, SemimetricSpec
-from .mdp import TabularMDP, dsm_mdp, random_mdp, rng_stream
+from .mdp import TabularMDP
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -124,22 +121,12 @@ def _cmd_zeroshot(args) -> int:
 
 
 def _cmd_gen_mdp(args) -> int:
-    rng = rng_stream(args.seed)
-    if args.dsm:
-        rows = rng.dirichlet(
-            np.full(args.n_states, args.concentration), size=args.n_states
-        )
-        mdp = dsm_mdp(rows, args.gamma)
-    else:
-        mdp = random_mdp(
-            args.n_states,
-            args.dim,
-            args.gamma,
-            args.concentration,
-            rng,
-            args.r_max,
-        )
-    mdp.save(args.out)
+    section = resolve_mdp({
+        "kind": "dsm" if args.dsm else "random", "n_states": args.n_states,
+        "dim": args.dim, "gamma": args.gamma, "r_max": args.r_max,
+        "dirichlet_concentration": args.concentration,
+    })
+    build_mdp(section, args.seed).save(args.out)
     return EXIT_OK
 
 

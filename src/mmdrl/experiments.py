@@ -1,10 +1,9 @@
-"""Reproducible experiment configs and runners behind the CLI.
+"""Reproducible experiment runners behind the CLI.
 
-A config is one JSON document (schema version 1). Every run echoes the
-fully resolved config, writes per-seed CSV series plus a merged CSV, and
-serializes final estimates as measure JSON. Given the same config, the
-CSV outputs are byte-identical across reruns; wall times live only in the
-JSON summary.
+A run takes a resolved config (see ``config``). Every run echoes it,
+writes per-seed CSV series plus a merged CSV, and serializes final
+estimates as measure JSON. Given the same config, the CSV outputs are
+byte-identical across reruns; wall times live only in the JSON summary.
 """
 
 from __future__ import annotations
@@ -17,11 +16,18 @@ from pathlib import Path
 
 import numpy as np
 
+from .config import CONFIG_VERSION, ExperimentConfig
 from .dp import DpReport, EwpConfig, categorical_dp_solve, ewp_random_solve
 from .errors import InvalidInputError, malformed_as_invalid, read_json
 from .evaluation import ScalarDist, cramer_distance, zeroshot_scalar
 from .kernels import KernelSpec, SemimetricSpec, mmd
-from .measures import DiscreteMeasure, ReturnDistFn, SupportMap
+from .measures import (
+    PROBABILITY_TOL,
+    DiscreteMeasure,
+    ReturnDistFn,
+    SupportMap,
+    as_probability,
+)
 from .mdp import (
     TabularMDP,
     dsm_mdp,
@@ -31,10 +37,7 @@ from .mdp import (
     rollout_returns,
 )
 from .projections import project_simplex
-from .td import StepSchedule, categorical_td_run, ewp_td_run
-
-CONFIG_VERSION = 1
-ALGORITHMS = ("dp-cat", "dp-ewp", "td-cat", "td-ewp")
+from .td import StepSchedule, TdReport, categorical_td_run, ewp_td_run
 
 # Stream ids carving up each seed's randomness by purpose.
 _STREAM_MDP = 0
@@ -48,208 +51,6 @@ def _fmt(value: float) -> str:
     return f"{value:.17g}"
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """Validated, fully resolved experiment description."""
-
-    resolved: dict
-
-    @property
-    def algorithm(self) -> str:
-        return self.resolved["algorithm"]
-
-    @property
-    def seeds(self) -> list:
-        return self.resolved["seeds"]
-
-    def __getitem__(self, key):
-        return self.resolved[key]
-
-
-def _require(cond: bool, message: str) -> None:
-    if not cond:
-        raise InvalidInputError(message)
-
-
-def _section(raw: dict, key: str) -> dict:
-    value = raw.get(key, {})
-    _require(isinstance(value, dict), f"{key} must be a JSON object")
-    return dict(value)
-
-
-def resolve_config(raw: dict) -> ExperimentConfig:
-    """Validate a raw config dict and fill in all defaults.
-
-    Every malformed value raises ``InvalidInputError``, including values
-    that fail their int/float conversion.
-    """
-    with malformed_as_invalid("config value"):
-        return _resolve_config(raw)
-
-
-def _resolve_config(raw: dict) -> ExperimentConfig:
-    _require(isinstance(raw, dict), "config must be a JSON object")
-    version = raw.get("format_version", CONFIG_VERSION)
-    _require(version == CONFIG_VERSION, f"unsupported config version {version}")
-    algorithm = raw.get("algorithm")
-    _require(algorithm in ALGORITHMS, f"algorithm must be one of {ALGORITHMS}")
-
-    mdp_cfg = _section(raw, "mdp")
-    kind = mdp_cfg.get("kind", "random")
-    _require(kind in ("random", "dsm", "file"), f"unknown mdp kind {kind!r}")
-    if kind == "random":
-        mdp_cfg = {
-            "kind": "random",
-            "n_states": int(mdp_cfg.get("n_states", 5)),
-            "dim": int(mdp_cfg.get("dim", 2)),
-            "gamma": float(mdp_cfg.get("gamma", 0.9)),
-            "dirichlet_concentration": float(
-                mdp_cfg.get("dirichlet_concentration", 1.0)
-            ),
-            "r_max": float(mdp_cfg.get("r_max", 1.0)),
-        }
-        r_max = mdp_cfg["r_max"]
-        _require(0.0 <= r_max < math.inf, f"mdp r_max must be finite, >= 0: {r_max}")
-    elif kind == "dsm":
-        mdp_cfg = {
-            "kind": "dsm",
-            "n_states": int(mdp_cfg.get("n_states", 3)),
-            "gamma": float(mdp_cfg.get("gamma", 0.9)),
-            "dirichlet_concentration": float(
-                mdp_cfg.get("dirichlet_concentration", 1.0)
-            ),
-        }
-    else:
-        _require("path" in mdp_cfg, "mdp kind 'file' needs a path")
-        mdp_cfg = {"kind": "file", "path": str(mdp_cfg["path"])}
-
-    kernel_cfg = _section(raw, "kernel")
-    ref = kernel_cfg.get("reference_point", None)
-    _require(
-        ref is None or isinstance(ref, list), "reference_point must be null or a list"
-    )
-    kernel_cfg = {
-        "alpha": float(kernel_cfg.get("alpha", 1.0)),
-        "reference_point": None if ref is None else [float(v) for v in ref],
-    }
-
-    seeds = raw.get("seeds", [0])
-    _require(isinstance(seeds, list), "seeds must be a JSON list of integers")
-    resolved = {
-        "format_version": CONFIG_VERSION,
-        "algorithm": algorithm,
-        "mdp": mdp_cfg,
-        "kernel": kernel_cfg,
-        "seeds": [int(s) for s in seeds],
-    }
-    _require(len(resolved["seeds"]) >= 1, "need at least one seed")
-    _require(min(resolved["seeds"]) >= 0, "seeds must be nonnegative integers")
-
-    if algorithm in ("dp-cat", "td-cat"):
-        sup = _section(raw, "support")
-        sup_kind = sup.get("kind", "grid")
-        _require(
-            sup_kind in ("grid", "random", "simplex-grid", "file"),
-            f"unknown support kind {sup_kind!r}",
-        )
-        if sup_kind in ("grid", "random"):
-            sup = {"kind": sup_kind, "m": int(sup.get("m", 64))}
-        elif sup_kind == "simplex-grid":
-            sup = {
-                "kind": "simplex-grid",
-                "resolution": int(sup.get("resolution", 10)),
-            }
-        else:
-            _require("path" in sup, "support kind 'file' needs a path")
-            sup = {"kind": "file", "path": str(sup["path"])}
-        resolved["support"] = sup
-
-    if algorithm == "dp-cat":
-        dp_cfg = _section(raw, "dp")
-        resolved["dp"] = {
-            "tol": float(dp_cfg.get("tol", 1e-8)),
-            "max_iter": int(dp_cfg.get("max_iter", 400)),
-            "projection": str(dp_cfg.get("projection", "simplex")),
-        }
-        _require(
-            resolved["dp"]["projection"] in ("simplex", "signed"),
-            "dp projection must be 'simplex' or 'signed'",
-        )
-    if algorithm == "dp-ewp":
-        ewp_cfg = _section(raw, "ewp")
-        iters = ewp_cfg.get("iterations", None)
-        resolved["ewp"] = {
-            "particles": int(ewp_cfg.get("particles", 64)),
-            "iterations": None if iters is None else int(iters),
-        }
-    if algorithm in ("td-cat", "td-ewp"):
-        td_cfg = _section(raw, "td")
-        schedule = _section(td_cfg, "schedule")
-        resolved["td"] = {
-            "steps": int(td_cfg.get("steps", 10000)),
-            "report_interval": int(td_cfg.get("report_interval", 1000)),
-            "state_sampler": str(td_cfg.get("state_sampler", "uniform")),
-            "schedule": {
-                "exponent": float(schedule.get("exponent", 0.6)),
-                "scale": float(schedule.get("scale", 1.0)),
-            },
-            "reference": td_cfg.get("reference", "signed-dp"),
-        }
-        reference = resolved["td"]["reference"]
-        if isinstance(reference, dict):
-            _require("path" in reference, "td reference file needs a path")
-            resolved["td"]["reference"] = {"path": str(reference["path"])}
-        else:
-            _require(
-                reference in ("signed-dp", None),
-                "td reference must be 'signed-dp', null or {\"path\": ...}",
-            )
-        _require(
-            resolved["td"]["report_interval"] >= 1,
-            "td report_interval must be a positive integer",
-        )
-        samplers = ("uniform", "trajectory") if algorithm == "td-cat" else ("uniform",)
-        _require(
-            resolved["td"]["state_sampler"] in samplers,
-            f"{algorithm} state_sampler must be one of {samplers}",
-        )
-        if algorithm == "td-ewp":
-            resolved["td"]["particles"] = int(td_cfg.get("particles", 64))
-            if resolved["td"]["reference"] == "signed-dp":
-                resolved["td"]["reference"] = None
-
-    if "zeroshot" in raw or algorithm == "dp-cat":
-        zs = _section(raw, "zeroshot")
-        estimate = _section(zs, "estimate")
-        kind = estimate.get("kind", "solve")
-        _require(kind in ("solve", "file"), f"unknown estimate kind {kind!r}")
-        if kind == "file":
-            _require("path" in estimate, "estimate kind 'file' needs a path")
-            estimate = {"kind": "file", "path": str(estimate["path"])}
-        else:
-            estimate = {"kind": "solve"}
-        resolved["zeroshot"] = {
-            "reward_draws": int(zs.get("reward_draws", 10)),
-            "nonnegative_orthant": bool(zs.get("nonnegative_orthant", False)),
-            "oracle_samples": int(zs.get("oracle_samples", 10000)),
-            "tail_tol": float(zs.get("tail_tol", 1e-3)),
-            "estimate": estimate,
-        }
-        _require(
-            resolved["zeroshot"]["reward_draws"] >= 1,
-            "zeroshot reward_draws must be a positive integer",
-        )
-        _require(
-            resolved["zeroshot"]["tail_tol"] > 0.0,
-            "zeroshot tail_tol must be positive",
-        )
-    return ExperimentConfig(resolved)
-
-
-def load_config(path) -> ExperimentConfig:
-    return resolve_config(read_json(path, "config"))
-
-
 def build_kernel(config: ExperimentConfig) -> KernelSpec:
     kc = config["kernel"]
     ref = kc["reference_point"]
@@ -259,8 +60,8 @@ def build_kernel(config: ExperimentConfig) -> KernelSpec:
     )
 
 
-def build_mdp(config: ExperimentConfig, seed: int) -> TabularMDP:
-    mc = config["mdp"]
+def build_mdp(mc: dict, seed: int) -> TabularMDP:
+    """The MDP a resolved ``mdp`` config section describes."""
     if mc["kind"] == "file":
         return TabularMDP.load(mc["path"])
     rng = rng_stream(seed, _STREAM_MDP)
@@ -298,11 +99,71 @@ def build_support(sc: dict, mdp: TabularMDP, seed: int) -> SupportMap:
         )
 
 
-def _signed_reference(mdp, support, spec) -> ReturnDistFn:
-    report = categorical_dp_solve(
-        mdp, support, spec, tol=1e-10, max_iter=2000, projection="signed"
+def _td_reference_fn(td: dict, mdp, support, spec) -> ReturnDistFn | None:
+    """What a TD run measures its distance to: the signed-DP fixed point on
+    its support, a saved estimate, or nothing."""
+    if td["reference"] == "signed-dp":
+        return categorical_dp_solve(
+            mdp, support, spec, tol=1e-10, max_iter=2000, projection="signed"
+        ).final
+    return None if td["reference"] is None else ReturnDistFn.load(td["reference"]["path"])
+
+
+def _dp_series(report: DpReport) -> dict:
+    return {"iteration": range(1, len(report.distances) + 1), "sup_mmd": report.distances}
+
+
+def _td_series(report: TdReport) -> dict:
+    return {"step": report.steps, "sup_mmd_to_reference": report.sup_mmd,
+            "mean_step_size": report.mean_step_size}
+
+
+# Each runner returns (series, estimate, summary): the series columns by
+# name, the first an integer index and the second the distance that
+# final_distance reports. Engines are called by their module-level names;
+# the dp section's fields are categorical_dp_solve's keyword arguments.
+def _run_dp_cat(config, seed, mdp, spec):
+    support = build_support(config["support"], mdp, seed)
+    report = categorical_dp_solve(mdp, support, spec, **config["dp"])
+    summary = {"iterations": report.iterations, "converged": report.converged}
+    return _dp_series(report), report.final, summary
+
+
+def _run_dp_ewp(config, seed, mdp, spec):
+    ewp = EwpConfig(config["ewp"]["particles"], config["ewp"]["iterations"], seed)
+    report = ewp_random_solve(mdp, ewp, spec, rng=rng_stream(seed, _STREAM_ALGO))
+    summary = {"iterations": report.iterations, "converged": True}
+    return _dp_series(report), report.final, summary
+
+
+def _run_td_cat(config, seed, mdp, spec):
+    td = config["td"]
+    support = build_support(config["support"], mdp, seed)
+    state, report = categorical_td_run(
+        mdp, support, spec, StepSchedule(**td["schedule"]), td["steps"],
+        rng_stream(seed, _STREAM_ALGO), state_sampler=td["state_sampler"],
+        reference=_td_reference_fn(td, mdp, support, spec),
+        report_interval=td["report_interval"],
     )
-    return report.final
+    return _td_series(report), state.estimate, {"steps": state.step}
+
+
+def _run_td_ewp(config, seed, mdp, spec):
+    td = config["td"]
+    particles, report = ewp_td_run(
+        mdp, td["particles"], spec, StepSchedule(**td["schedule"]), td["steps"],
+        rng_stream(seed, _STREAM_ALGO), reference=_td_reference_fn(td, mdp, None, spec),
+        report_interval=td["report_interval"],
+    )
+    m = particles.shape[1]
+    estimate = ReturnDistFn(
+        tuple(DiscreteMeasure(p, np.full(m, 1.0 / m)) for p in particles)
+    )
+    return _td_series(report), estimate, {"steps": td["steps"]}
+
+
+_RUNNERS = {"dp-cat": _run_dp_cat, "dp-ewp": _run_dp_ewp,
+            "td-cat": _run_td_cat, "td-ewp": _run_td_ewp}
 
 
 @dataclass
@@ -310,114 +171,27 @@ class SeedResult:
     seed: int
     header: list
     rows: list
-    estimate: ReturnDistFn | None
+    estimate: ReturnDistFn
     wall_time_s: float
     summary: dict
 
 
 def run_seed(config: ExperimentConfig, seed: int) -> SeedResult:
-    """Execute the configured algorithm for one seed."""
+    """Execute the configured algorithm for one seed.
+
+    ``final_distance`` is the last reported distance, or ``None`` when
+    there is none or it is not finite (TD without a reference).
+    """
     start = time.perf_counter()
     spec = build_kernel(config)
-    mdp = build_mdp(config, seed)
-    algorithm = config.algorithm
-    if algorithm == "dp-cat":
-        support = build_support(config["support"], mdp, seed)
-        report = categorical_dp_solve(
-            mdp,
-            support,
-            spec,
-            tol=config["dp"]["tol"],
-            max_iter=config["dp"]["max_iter"],
-            projection=config["dp"]["projection"],
-        )
-        rows = [
-            [str(i + 1), _fmt(dist)] for i, dist in enumerate(report.distances)
-        ]
-        summary = {
-            "iterations": report.iterations,
-            "converged": report.converged,
-            "final_distance": report.distances[-1] if report.distances else None,
-        }
-        estimate = report.final
-        header = ["iteration", "sup_mmd"]
-    elif algorithm == "dp-ewp":
-        ewp = config["ewp"]
-        ewp_config = EwpConfig(ewp["particles"], ewp["iterations"], seed)
-        report = ewp_random_solve(
-            mdp, ewp_config, spec, rng=rng_stream(seed, _STREAM_ALGO)
-        )
-        rows = [
-            [str(i + 1), _fmt(dist)] for i, dist in enumerate(report.distances)
-        ]
-        summary = {
-            "iterations": report.iterations,
-            "converged": True,
-            "final_distance": report.distances[-1] if report.distances else None,
-        }
-        estimate = report.final
-        header = ["iteration", "sup_mmd"]
-    elif algorithm == "td-cat":
-        support = build_support(config["support"], mdp, seed)
-        td_cfg = config["td"]
-        schedule = StepSchedule(**td_cfg["schedule"])
-        reference = None
-        if td_cfg["reference"] == "signed-dp":
-            reference = _signed_reference(mdp, support, spec)
-        elif isinstance(td_cfg["reference"], dict):
-            reference = ReturnDistFn.load(td_cfg["reference"]["path"])
-        state, report = categorical_td_run(
-            mdp,
-            support,
-            spec,
-            schedule,
-            td_cfg["steps"],
-            rng_stream(seed, _STREAM_ALGO),
-            state_sampler=td_cfg["state_sampler"],
-            reference=reference,
-            report_interval=td_cfg["report_interval"],
-        )
-        rows = [
-            [str(s), _fmt(d), _fmt(a)]
-            for s, d, a in zip(report.steps, report.sup_mmd, report.mean_step_size)
-        ]
-        summary = {
-            "steps": state.step,
-            "final_distance": report.sup_mmd[-1] if report.sup_mmd else None,
-        }
-        estimate = state.estimate
-        header = ["step", "sup_mmd_to_reference", "mean_step_size"]
-    else:  # td-ewp
-        td_cfg = config["td"]
-        schedule = StepSchedule(**td_cfg["schedule"])
-        reference = None
-        if isinstance(td_cfg["reference"], dict):
-            reference = ReturnDistFn.load(td_cfg["reference"]["path"])
-        particles, report = ewp_td_run(
-            mdp,
-            td_cfg["particles"],
-            spec,
-            schedule,
-            td_cfg["steps"],
-            rng_stream(seed, _STREAM_ALGO),
-            reference=reference,
-            report_interval=td_cfg["report_interval"],
-        )
-        rows = [
-            [str(s), _fmt(d), _fmt(a)]
-            for s, d, a in zip(report.steps, report.sup_mmd, report.mean_step_size)
-        ]
-        summary = {"steps": td_cfg["steps"]}
-        m = particles.shape[1]
-        estimate = ReturnDistFn(
-            tuple(
-                DiscreteMeasure(particles[x], np.full(m, 1.0 / m))
-                for x in range(mdp.n_states)
-            )
-        )
-        header = ["step", "sup_mmd_to_reference", "mean_step_size"]
+    mdp = build_mdp(config["mdp"], seed)
+    series, estimate, summary = _RUNNERS[config.algorithm](config, seed, mdp, spec)
+    rows = [[str(i), *map(_fmt, values)] for i, *values in zip(*series.values())]
+    distances = list(series.values())[1]
+    last = distances[-1] if len(distances) else math.nan
+    summary["final_distance"] = last if math.isfinite(last) else None
     wall = time.perf_counter() - start
-    return SeedResult(seed, header, rows, estimate, wall, summary)
+    return SeedResult(seed, list(series), rows, estimate, wall, summary)
 
 
 def _write_csv(path: Path, header: list, rows: list) -> None:
@@ -442,10 +216,8 @@ def run(config: ExperimentConfig, out_dir) -> dict:
         seed_dir = out / f"seed_{res.seed}"
         seed_dir.mkdir(exist_ok=True)
         _write_csv(seed_dir / "series.csv", res.header, res.rows)
-        estimate_file = None
-        if res.estimate is not None:
-            estimate_file = str(seed_dir / "estimate.json")
-            res.estimate.save(estimate_file)
+        estimate_file = str(seed_dir / "estimate.json")
+        res.estimate.save(estimate_file)
         merged_rows.extend([[str(res.seed)] + row for row in res.rows])
         per_seed.append(
             {
@@ -513,14 +285,10 @@ def _sample_reward_vector(rng: np.random.Generator, dim: int, nonnegative: bool)
 
 def _as_probability_fn(estimate: ReturnDistFn, spec: KernelSpec) -> ReturnDistFn:
     """Project any signed state estimates onto probability weights."""
-    measures = []
-    for measure in estimate:
-        if np.min(measure.weights) < -1e-12:
-            measures.append(project_simplex(measure, measure.atoms, spec))
-        else:
-            w = np.maximum(measure.weights, 0.0)
-            measures.append(DiscreteMeasure(measure.atoms, w / np.sum(w)))
-    return ReturnDistFn(tuple(measures))
+    return ReturnDistFn(tuple(
+        as_probability(m) if np.min(m.weights) >= -PROBABILITY_TOL
+        else project_simplex(m, m.atoms, spec) for m in estimate
+    ))
 
 
 def zeroshot_seed(config: ExperimentConfig, seed: int, estimate: ReturnDistFn | None = None):
@@ -531,12 +299,11 @@ def zeroshot_seed(config: ExperimentConfig, seed: int, estimate: ReturnDistFn | 
     passed in directly.
     """
     spec = build_kernel(config)
-    mdp = build_mdp(config, seed)
+    mdp = build_mdp(config["mdp"], seed)
     zs = config["zeroshot"]
     if estimate is None:
-        source = zs.get("estimate", {"kind": "solve"})
-        if source["kind"] == "file":
-            estimate = ReturnDistFn.load(source["path"].format(seed=seed))
+        if zs["estimate"]["kind"] == "file":
+            estimate = ReturnDistFn.load(zs["estimate"]["path"].format(seed=seed))
         else:
             estimate = run_seed(config, seed).estimate
     probability_estimate = _as_probability_fn(estimate, spec)

@@ -21,6 +21,8 @@ _ROW_TOL = 1e-9
 
 def rng_stream(seed: int, stream: int = 0) -> np.random.Generator:
     """Independent generator for (seed, stream id); same pair, same draws."""
+    if seed < 0:
+        raise InvalidInputError(f"seeds must be nonnegative, got {seed}")
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(stream,)))
 
 
@@ -40,9 +42,9 @@ class TabularMDP:
             raise InvalidInputError(f"transition matrix must be square, got {p.shape}")
         if r.ndim == 1:
             r = r[:, None]
-        if r.shape[0] != p.shape[0]:
+        if p.shape[0] < 1 or r.ndim != 2 or r.shape[0] != p.shape[0] or r.shape[1] < 1:
             raise InvalidInputError(
-                f"{r.shape[0]} cumulant rows for {p.shape[0]} states"
+                f"need n_states, d >= 1 and (n_states, d) cumulants: {p.shape}, {r.shape}"
             )
         if (
             not np.all(np.isfinite(p))

@@ -5,14 +5,10 @@ import json
 import numpy as np
 import pytest
 
-from mmdrl import ReturnDistFn, SolverError, TabularMDP
+from mmdrl import ReturnDistFn, SolverError, TabularMDP, dsm_mdp, random_mdp, rng_stream
 from mmdrl.cli import main
-from mmdrl.experiments import (
-    load_config,
-    nonaffinity_certificate,
-    resolve_config,
-    run_seed,
-)
+from mmdrl.config import load_config, resolve_config
+from mmdrl.experiments import nonaffinity_certificate, run_seed
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -74,6 +70,41 @@ class TestGenMdp:
         main(["gen-mdp", "--seed", "5", "--out", str(a)])
         main(["gen-mdp", "--seed", "5", "--out", str(b)])
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("dsm", [False, True])
+    def test_same_bytes_as_direct_build(self, tmp_path, dsm):
+        # The body gen-mdp had before it went through the config's mdp
+        # section and build_mdp, kept as the reference.
+        n_states, dim, gamma, concentration, r_max, seed = 4, 3, 0.7, 0.5, 2.0, 11
+        rng = rng_stream(seed)
+        if dsm:
+            rows = rng.dirichlet(np.full(n_states, concentration), size=n_states)
+            expected = dsm_mdp(rows, gamma)
+        else:
+            expected = random_mdp(n_states, dim, gamma, concentration, rng, r_max)
+        expected.save(tmp_path / "expected.json")
+        out = tmp_path / "mdp.json"
+        args = [
+            "gen-mdp", "--n-states", "4", "--dim", "3", "--gamma", "0.7",
+            "--concentration", "0.5", "--r-max", "2", "--seed", "11", "--out", str(out),
+        ]
+        assert main(args + (["--dsm"] if dsm else [])) == 0
+        assert out.read_bytes() == (tmp_path / "expected.json").read_bytes()
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["--dsm", "--n-states", "0"],
+            ["--n-states", "0"],
+            ["--dim", "0"],
+            ["--concentration", "-1"],
+            ["--seed", "-1"],
+        ],
+    )
+    def test_invalid_arguments_exit_2(self, tmp_path, args):
+        out = tmp_path / "mdp.json"
+        assert main(["gen-mdp", *args, "--out", str(out)]) == 2
+        assert not out.exists()
 
 
 class TestRunCommand:
@@ -198,6 +229,47 @@ class TestRunCommand:
         assert per_seed[count] == 0
         assert per_seed["final_distance"] is None
 
+    @pytest.mark.parametrize("algorithm", ["td-cat", "td-ewp"])
+    def test_td_summary_is_strict_json(self, tmp_path, algorithm):
+        # With no reference the series holds nan, which summary.json
+        # reports as a null final_distance rather than a NaN token.
+        payload = {
+            "algorithm": algorithm,
+            "mdp": {"kind": "random", "n_states": 2, "dim": 1, "gamma": 0.8},
+            "support": {"kind": "grid", "m": 4},
+            "td": {"steps": 40, "report_interval": 20, "particles": 4, "reference": None},
+            "seeds": [0],
+        }
+        out = tmp_path / "out"
+        assert main(["run", "--config", write_config(tmp_path, payload), "--out", str(out)]) == 0
+        text = (out / "summary.json").read_text()
+        per_seed = json.loads(text, parse_constant=pytest.fail)["per_seed"][0]
+        assert per_seed["final_distance"] is None
+        assert per_seed["steps"] == 40
+        assert "nan" in (out / "series.csv").read_text()
+
+    def test_td_ewp_reports_final_distance(self, tmp_path):
+        mdp = {"kind": "random", "n_states": 2, "dim": 1, "gamma": 0.8}
+        solved = tmp_path / "solved"
+        dp = {"algorithm": "dp-ewp", "mdp": mdp, "ewp": {"particles": 8}, "seeds": [0]}
+        assert main(["run", "--config", write_config(tmp_path, dp, "dp.json"), "--out", str(solved)]) == 0
+        td = {
+            "algorithm": "td-ewp",
+            "mdp": mdp,
+            "td": {
+                "steps": 40,
+                "report_interval": 20,
+                "particles": 4,
+                "reference": {"path": str(solved / "seed_0" / "estimate.json")},
+            },
+            "seeds": [0],
+        }
+        out = tmp_path / "out"
+        assert main(["run", "--config", write_config(tmp_path, td, "td.json"), "--out", str(out)]) == 0
+        per_seed = json.loads((out / "summary.json").read_text())["per_seed"][0]
+        last_row = (out / "series.csv").read_text().splitlines()[-1].split(",")
+        assert per_seed["final_distance"] == float(last_row[2])
+
     def test_dp_ewp_runs(self, tmp_path):
         config = write_config(
             tmp_path,
@@ -275,6 +347,34 @@ class TestRunCommand:
         config = write_config(tmp_path, payload)
         code = main(["run", "--config", config, "--out", str(tmp_path / "o")])
         assert code in (2, 3)
+
+    @pytest.mark.parametrize(
+        "payload, key",
+        [
+            ({"algorithm": "dp-cat", "mdp": {"kind": "dsm", "n_states": 0}}, "n_states"),
+            (
+                {"algorithm": "dp-cat", "mdp": {"kind": "dsm", "dirichlet_concentration": -1}},
+                "dirichlet_concentration",
+            ),
+            ({"algorithm": "td-ewp", "td": {"steps": 10, "particles": 0}}, "particles"),
+            ({"algorithm": "dp-cat", "dp": {"max_iter": -1}}, "max_iter"),
+            ({"algorithm": "dp-cat", "zeroshot": {"oracle_samples": 0}}, "oracle_samples"),
+            ({"algorithm": "dp-cat", "kernel": {"reference_point": [float("nan")]}}, "reference_point"),
+            ({"algorithm": "dp-cat", "zeroshot": {"nonnegative_orthant": "no"}}, "nonnegative_orthant"),
+            ({"algorithm": "dp-cat", "suport": {"kind": "grid", "m": 4}}, "suport"),
+            ({"algorithm": "dp-cat", "mdp": {"kind": "random", "n_state": 2}}, "n_state"),
+        ],
+    )
+    def test_out_of_bounds_and_unknown_keys_exit_2(self, tmp_path, capsys, payload, key):
+        payload = {
+            "mdp": {"kind": "random", "n_states": 2, "dim": 1},
+            "support": {"kind": "grid", "m": 4},
+            "seeds": [0],
+            **payload,
+        }
+        config = write_config(tmp_path, payload)
+        assert main(["run", "--config", config, "--out", str(tmp_path / "o")]) == 2
+        assert key in capsys.readouterr().err
 
     @pytest.mark.parametrize("m, dim, code", [(0, 1, 2), (1, 1, 2), (3, 2, 2), (2, 1, 0)])
     def test_grid_needs_two_points_per_axis(self, tmp_path, capsys, m, dim, code):
@@ -453,6 +553,12 @@ class TestMeshReport:
 
     def test_missing_mdp_exits_2(self, tmp_path):
         assert main(["mesh-report", "--mdp", str(tmp_path / "nope.json")]) == 2
+
+    def test_negative_seed_exits_2(self, tmp_path):
+        mdp_path = tmp_path / "mdp.json"
+        main(["gen-mdp", "--n-states", "2", "--dim", "2", "--out", str(mdp_path)])
+        args = ["--support-kind", "random", "--seed", "-1"]
+        assert main(["mesh-report", "--mdp", str(mdp_path), *args]) == 2
 
 
 class TestConfigResolution:

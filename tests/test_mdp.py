@@ -28,6 +28,10 @@ class TestRngStream:
         b = rng_stream(42, 1).random(10)
         assert not np.array_equal(a, b)
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(InvalidInputError):
+            rng_stream(-1)
+
 
 class TestTabularMDP:
     def test_row_sums_validated(self):
@@ -47,6 +51,14 @@ class TestTabularMDP:
             TabularMDP(np.array([[np.nan, 1.0], [0.0, 1.0]]), np.zeros((2, 1)), 0.9)
         with pytest.raises(InvalidInputError):
             TabularMDP(np.eye(2), np.array([[0.5], [np.nan]]), 0.9)
+
+    @pytest.mark.parametrize(
+        "transition, cumulants",
+        [(np.zeros((0, 0)), np.zeros((0, 1))), (np.eye(2), np.zeros((2, 0)))],
+    )
+    def test_needs_a_state_and_a_reward_dimension(self, transition, cumulants):
+        with pytest.raises(InvalidInputError):
+            TabularMDP(transition, cumulants, 0.9)
 
     def test_gamma_range(self):
         with pytest.raises(InvalidInputError):
