@@ -65,6 +65,14 @@ def _point(value) -> list:
     return point
 
 
+def _seed_path(value) -> str:
+    """A path whose only format field is ``{seed}``: another field or a
+    bad format spec fails here, as ``KeyError('run')`` for ``{run}``."""
+    path = str(value)
+    path.format(seed=0)
+    return path
+
+
 def _td_reference(value):
     if isinstance(value, dict):
         return _resolve(value, {"path": _PATH}, "td.reference")
@@ -133,7 +141,7 @@ _ZEROSHOT = {
     "nonnegative_orthant": (_flag, False, None),
     "oracle_samples": (int, 10000, "[1, inf)"),
     "tail_tol": (float, 1e-3, "(0, inf]"),
-    "estimate": {"kind": {"solve": {}, "file": {"path": _PATH}}},
+    "estimate": {"kind": {"solve": {}, "file": {"path": (_seed_path, _REQUIRED, None)}}},
 }
 # The sections each algorithm reads besides mdp, kernel and seeds; each
 # also reads a zeroshot section when its config carries one. A key that no
@@ -212,9 +220,10 @@ def _resolve_config(raw: dict) -> ExperimentConfig:
     }
     seeds = raw.get("seeds", [0])
     _require(isinstance(seeds, list), "seeds must be a JSON list of integers")
-    resolved["seeds"] = [int(s) for s in seeds]
-    _require(len(resolved["seeds"]) >= 1, "need at least one seed")
-    _require(min(resolved["seeds"]) >= 0, "seeds must be nonnegative integers")
+    seeds = resolved["seeds"] = [int(s) for s in seeds]
+    _require(len(seeds) >= 1, "need at least one seed")
+    _require(min(seeds) >= 0, "seeds must be nonnegative integers")
+    _require(len(set(seeds)) == len(seeds), f"seeds must not repeat, got {seeds}")
 
     sections = dict(_SECTIONS[algorithm])
     if "zeroshot" in raw:

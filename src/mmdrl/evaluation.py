@@ -41,8 +41,12 @@ class ScalarDist:
             raise InvalidInputError(
                 f"scalar distribution mass must be 1, got {np.sum(weights)}"
             )
-        order = np.argsort(atoms, kind="stable")
-        atoms, weights = atoms[order], weights[order]
+        if np.all(weights == weights[0]) and np.all(atoms != 0.0):
+            # No tie order changes a sum of equal weights; a zero's sign would move.
+            atoms = np.sort(atoms)
+        else:
+            order = np.argsort(atoms, kind="stable")
+            atoms, weights = atoms[order], weights[order]
         # Merge atoms equal within the tolerance (they arrive sorted).
         keys = np.round(atoms / _ATOM_MERGE) + 0.0
         boundaries = np.concatenate(([True], np.diff(keys) > 0))
@@ -113,20 +117,22 @@ def zeroshot_scalar(eta_x: DiscreteMeasure, w) -> ScalarDist:
     return ScalarDist(eta_x.atoms @ w, eta_x.weights)
 
 
-def _cdf_at(dist: ScalarDist, points: np.ndarray) -> np.ndarray:
-    cum = np.concatenate(([0.0], np.cumsum(dist.weights)))
-    return cum[np.searchsorted(dist.atoms, points, side="right")]
-
-
 def cramer_distance(p: ScalarDist, q: ScalarDist) -> float:
     """L2 norm of the CDF difference, integrated exactly.
 
     Both CDFs are piecewise constant, so the integral is a finite sum over
-    the merged breakpoints.
+    the merged breakpoints. One stable merge of both atom arrays gives
+    them: at the last copy of each value, the running count of each
+    side's atoms is that side's ``searchsorted(atoms, value, "right")``.
     """
-    breaks = np.unique(np.concatenate([p.atoms, q.atoms]))
-    diff = _cdf_at(p, breaks) - _cdf_at(q, breaks)
-    gaps = np.diff(breaks)
+    both = np.concatenate([p.atoms, q.atoms])
+    order = np.argsort(both, kind="stable")
+    merged = both[order]
+    last = np.append(merged[1:] != merged[:-1], True)
+    count_p = np.cumsum(order < p.n_atoms)[last]
+    count_q = np.flatnonzero(last) + 1 - count_p
+    diff = np.concatenate(([0.0], p.cdf()))[count_p] - np.concatenate(([0.0], q.cdf()))[count_q]
+    gaps = np.diff(merged[last])
     return float(np.sqrt(np.sum(diff[:-1] ** 2 * gaps)))
 
 

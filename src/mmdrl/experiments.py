@@ -292,7 +292,8 @@ def _as_probability_fn(estimate: ReturnDistFn, spec: KernelSpec) -> ReturnDistFn
 
 
 def zeroshot_seed(config: ExperimentConfig, seed: int, estimate: ReturnDistFn | None = None):
-    """Per-seed zero-shot evaluation rows (one per reward draw).
+    """Per-seed zero-shot evaluation rows (one per reward draw), plus the
+    wall seconds spent on the Monte Carlo oracle and on scoring the draws.
 
     The estimate comes from the configured source: solved in-run, loaded
     from a file (a ``{seed}`` placeholder in the path is substituted), or
@@ -310,10 +311,12 @@ def zeroshot_seed(config: ExperimentConfig, seed: int, estimate: ReturnDistFn | 
     reward_rng = rng_stream(seed, _STREAM_REWARDS)
     oracle_rng = rng_stream(seed, _STREAM_ORACLE)
     horizon = horizon_for_tail(mdp, zs["tail_tol"])
+    start = time.perf_counter()
     oracle_samples = [
         rollout_returns(mdp, x, horizon, zs["oracle_samples"], oracle_rng)
         for x in range(mdp.n_states)
     ]
+    scoring_start = time.perf_counter()
     rows = []
     for draw in range(zs["reward_draws"]):
         w = _sample_reward_vector(reward_rng, mdp.dim, zs["nonnegative_orthant"])
@@ -329,7 +332,8 @@ def zeroshot_seed(config: ExperimentConfig, seed: int, estimate: ReturnDistFn | 
             + [_fmt(v) for v in w]
             + [_fmt(float(np.mean(errors)))]
         )
-    return rows
+    end = time.perf_counter()
+    return rows, scoring_start - start, end - scoring_start
 
 
 def zeroshot_run(config: ExperimentConfig, out_dir) -> dict:
@@ -338,7 +342,8 @@ def zeroshot_run(config: ExperimentConfig, out_dir) -> dict:
         raise InvalidInputError("config carries no zeroshot section")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    rows = [row for s in config.seeds for row in zeroshot_seed(config, s)]
+    results = [zeroshot_seed(config, s) for s in config.seeds]
+    rows = [row for seed_rows, _, _ in results for row in seed_rows]
     spec_dim = (len(rows[0]) - 3) if rows else 0
     header = ["seed", "draw"] + [f"w_{j}" for j in range(spec_dim)] + ["cramer_mean"]
     _write_csv(out / "zeroshot.csv", header, rows)
@@ -355,6 +360,8 @@ def zeroshot_run(config: ExperimentConfig, out_dir) -> dict:
         "rows": len(rows),
         "cramer_mean": mean,
         "cramer_ci95": [mean - half_width, mean + half_width],
+        "oracle_s": sum(r[1] for r in results),
+        "scoring_s": sum(r[2] for r in results),
     }
     with open(out / "zeroshot_summary.json", "w", encoding="utf-8") as fh:
         json.dump(summary, fh, indent=2)

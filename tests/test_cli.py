@@ -363,6 +363,21 @@ class TestRunCommand:
             ({"algorithm": "dp-cat", "zeroshot": {"nonnegative_orthant": "no"}}, "nonnegative_orthant"),
             ({"algorithm": "dp-cat", "suport": {"kind": "grid", "m": 4}}, "suport"),
             ({"algorithm": "dp-cat", "mdp": {"kind": "random", "n_state": 2}}, "n_state"),
+            (
+                {
+                    "algorithm": "dp-cat",
+                    "zeroshot": {"estimate": {"kind": "file", "path": "out/{run}/estimate.json"}},
+                },
+                "run",
+            ),
+            ({"algorithm": "dp-cat", "seeds": [0, 0]}, "seeds"),
+            (
+                {
+                    "algorithm": "dp-cat",
+                    "zeroshot": {"estimate": {"kind": "file", "path": "out/{seed:q}/e.json"}},
+                },
+                "zeroshot.estimate.path",
+            ),
         ],
     )
     def test_out_of_bounds_and_unknown_keys_exit_2(self, tmp_path, capsys, payload, key):
@@ -446,6 +461,7 @@ class TestZeroshotEval:
         summary = json.loads((out / "zeroshot_summary.json").read_text())
         assert summary["rows"] == 6
         assert summary["cramer_ci95"][0] <= summary["cramer_mean"]
+        assert summary["oracle_s"] > 0.0 and summary["scoring_s"] > 0.0
 
     def test_missing_file_exits_2(self, tmp_path):
         config = write_config(

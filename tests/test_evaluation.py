@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mmdrl import (
     DiscreteMeasure,
@@ -27,7 +29,11 @@ from mmdrl import (
 from mmdrl.kernels import pairwise_semimetric
 from mmdrl.measures import mixture
 
-from util import random_probability_measure
+from util import (
+    random_probability_measure,
+    reference_cramer_distance,
+    reference_scalar_dist,
+)
 
 SPEC = energy_kernel(1.0)
 
@@ -160,6 +166,63 @@ class TestCramerDistance:
             assert cramer_distance(p, q) ** 2 == pytest.approx(
                 0.5 * energy_sq, abs=1e-9
             )
+
+
+@st.composite
+def scalar_pairs(draw):
+    """Two (atoms, weights) inputs over one pool of values, so that atoms
+    tie exactly, within the merge tolerance and as +0.0 / -0.0, inside
+    each input and across the two."""
+    pool = draw(st.lists(st.floats(-5.0, 5.0), min_size=1, max_size=4))
+    atom = st.one_of(
+        st.sampled_from([0.0, -0.0]),
+        st.sampled_from(pool),
+        st.builds(lambda a, k: a + k * 1e-13, st.sampled_from(pool + [0.0]), st.integers(-9, 9)),
+        st.floats(-5.0, 5.0),
+    )
+    pair = []
+    for _ in range(2):
+        n = draw(st.integers(1, 40))
+        atoms = np.array(draw(st.lists(atom, min_size=n, max_size=n)))
+        if draw(st.booleans()):
+            weights = np.full(n, 1.0 / n)
+        else:
+            counts = draw(st.lists(st.integers(0, 5), min_size=n, max_size=n).filter(any))
+            weights = np.array(counts, dtype=np.float64) / sum(counts)
+        pair.append((atoms, weights))
+    return pair
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestMatchesReference:
+    """The sorted fast paths give the reference bodies' bits exactly."""
+
+    @settings(derandomize=True, max_examples=400, deadline=None)
+    @given(scalar_pairs())
+    def test_scalar_dist_and_cramer(self, pair):
+        dists = []
+        for atoms, weights in pair:
+            dist = ScalarDist(atoms, weights)
+            ref_atoms, ref_weights = reference_scalar_dist(atoms, weights)
+            assert _same_bits(dist.atoms, ref_atoms)
+            assert _same_bits(dist.weights, ref_weights)
+            dists.append(dist)
+        p, q = dists
+        for a, b in ((p, q), (q, p), (p, p)):
+            assert _same_bits(cramer_distance(a, b), reference_cramer_distance(a, b))
+
+    def test_oracle_sized_inputs(self):
+        rng = rng_stream(4)
+        truth = rng.normal(size=10000).round(3)  # many exact ties
+        truth[:6] = [-0.0, 0.0, 0.0, -0.0, 1e-13, 0.0]  # a zero heads its group
+        p = ScalarDist(truth, np.full(truth.size, 1.0 / truth.size))
+        assert _same_bits(p.atoms, reference_scalar_dist(truth, np.full(truth.size, 1e-4))[0])
+        q = random_scalar_dist(rng, n_atoms=50)
+        assert _same_bits(cramer_distance(q, p), reference_cramer_distance(q, p))
 
 
 class TestMcOracle:

@@ -11,6 +11,7 @@ from mmdrl import (
     SupportMap,
     TabularMDP,
     categorical_td_run,
+    dsm_mdp,
     energy_kernel,
     ewp_td_run,
     make_schedule,
@@ -124,6 +125,13 @@ def _mdps():
     return [random_mdp(5, 1, 0.8, 0.5, rng_stream(3)), TabularMDP(rows, cumulants, 0.8)]
 
 
+def _multi_dim_mdps():
+    """A random d=2 MDP and a 3-state DSM MDP (d=3), where the cumulant
+    rows are gathered as rows rather than as scalars."""
+    rows = rng_stream(4).dirichlet(np.full(3, 0.5), size=3)
+    return [random_mdp(5, 2, 0.8, 0.5, rng_stream(3)), dsm_mdp(rows, 0.8)]
+
+
 def _fresh(mdp):
     """Copy of ``mdp`` whose sampler is built on first use."""
     return TabularMDP(mdp.transition, mdp.cumulants, mdp.gamma, mdp.r_max)
@@ -139,19 +147,19 @@ def _with_inline_rule(monkeypatch, fn):
 @pytest.mark.parametrize("which", [0, 1])
 class TestCallSitesMatchInlineRule:
     def test_rollout_returns(self, which):
-        mdp = _mdps()[which]
-        got = rollout_returns(mdp, 1, 40, 500, rng_stream(5))
-        # The body rollout_returns had with the rule inline.
-        cum_rows = np.cumsum(mdp.transition, axis=1)
-        rng = rng_stream(5)
-        states = np.full(500, 1, dtype=np.int64)
-        expected = np.zeros((500, mdp.dim))
-        discount = 1.0
-        for _ in range(40):
-            expected += discount * mdp.cumulants[states]
-            discount *= mdp.gamma
-            states = inline_rule(cum_rows, states, rng.random(500))
-        assert np.array_equal(got, expected)
+        for mdp in (_mdps()[which], _multi_dim_mdps()[which]):
+            got = rollout_returns(mdp, 1, 40, 500, rng_stream(5))
+            # The body rollout_returns had with the rule inline.
+            cum_rows = np.cumsum(mdp.transition, axis=1)
+            rng = rng_stream(5)
+            states = np.full(500, 1, dtype=np.int64)
+            expected = np.zeros((500, mdp.dim))
+            discount = 1.0
+            for _ in range(40):
+                expected += discount * mdp.cumulants[states]
+                discount *= mdp.gamma
+                states = inline_rule(cum_rows, states, rng.random(500))
+            assert np.array_equal(got, expected)
 
     def test_ewp_random_step(self, which):
         mdp = _mdps()[which]
