@@ -190,6 +190,7 @@ def run_seed(config: ExperimentConfig, seed: int) -> SeedResult:
     distances = list(series.values())[1]
     last = distances[-1] if len(distances) else math.nan
     summary["final_distance"] = last if math.isfinite(last) else None
+    summary["support_atoms"] = [measure.n_atoms for measure in estimate]
     wall = time.perf_counter() - start
     return SeedResult(seed, list(series), rows, estimate, wall, summary)
 

@@ -32,6 +32,8 @@ NEGATIVE_SQ_TOL = 1e-12
 
 # Entry budget for blockwise pairwise-distance accumulation.
 _BLOCK_ENTRIES = 2**22
+# Entry budget of the row slabs that fill one block (signed_energy_sum).
+_SLAB_ENTRIES = 2**16
 
 
 @dataclass(frozen=True)
@@ -169,9 +171,17 @@ def signed_energy_sum(atoms: np.ndarray, weights: np.ndarray, alpha: float) -> f
 
     Uses an exact O(n log n) prefix-sum evaluation for scalar atoms with
     alpha = 1; otherwise accumulates the pairwise matrix in row blocks of
-    at most ``_BLOCK_ENTRIES`` entries. Squared distances are summed one
-    coordinate at a time in place, so a block holds at most two
-    ``(rows, n)`` float arrays and no ``(rows, n, d)`` difference tensor.
+    at most ``_BLOCK_ENTRIES`` entries. Each block is one ``(rows, n)``
+    array of squared distances, summed one coordinate at a time and
+    filled in row slabs of about ``_SLAB_ENTRIES`` entries. A slab
+    computes the columns before the block and those from its own first
+    row onward; the columns from the block start to the slab start are
+    copied from the transpose of the rows already filled. The copy is
+    bitwise what computing would give, because (a - b)^2 = (b - a)^2
+    exactly and the coordinates are summed in the same order. The square
+    root and the power then run over the whole block, so they and the
+    ``weights @ dist @ weights`` product see the same bytes as a block
+    computed in full.
     """
     n, d = atoms.shape
     if n == 1:
@@ -184,17 +194,28 @@ def signed_energy_sum(atoms: np.ndarray, weights: np.ndarray, alpha: float) -> f
         prefix_wz = np.concatenate(([0.0], np.cumsum(w * z)[:-1]))
         return float(2.0 * np.sum(w * (z * prefix_w - prefix_wz)))
     block = max(1, _BLOCK_ENTRIES // n)
+    slab = max(1, _SLAB_ENTRIES // n)
+    cols = atoms.T
+    scratch = np.empty(min(slab, n) * n)
     total = 0.0
     for start in range(0, n, block):
         stop = min(start + block, n)
-        dist = None
-        for col in atoms.T:
-            dk = col[start:stop, None] - col[None, :]
-            dk *= dk
-            if dist is None:
-                dist = dk
-            else:
-                dist += dk
+        dist = np.empty((stop - start, n))
+        for top in range(start, stop, slab):
+            bottom = min(top + slab, stop)
+            rows = dist[top - start : bottom - start]
+            for lo, hi in ((0, start), (top, n)):
+                if lo == hi:
+                    continue
+                out = rows[:, lo:hi]
+                np.subtract(cols[0, top:bottom, None], cols[0, lo:hi], out=out)
+                out *= out
+                tmp = scratch[: out.size].reshape(out.shape)
+                for col in cols[1:]:
+                    np.subtract(col[top:bottom, None], col[lo:hi], out=tmp)
+                    tmp *= tmp
+                    out += tmp
+            rows[:, start:top] = dist[: top - start, top:bottom].T
         np.sqrt(dist, out=dist)
         if alpha != 1.0:
             dist **= alpha
@@ -207,16 +228,25 @@ def merge_close_atoms(atoms: np.ndarray, weights: np.ndarray, tol: float = MERGE
 
     Atoms are bucketed on a ``tol``-spaced lattice, which is how float
     pushforwards produce near-duplicates in practice. Returns the first
-    representative of each bucket and the summed weights.
+    representative of each bucket and the summed weights, buckets in
+    lexicographic order of their lattice keys (coordinate 0 first). One
+    stable ``np.lexsort`` of the keys gives that order and, within a
+    bucket, the original row order, so the representatives, the bucket
+    order and the ``np.add.at`` sums are those of
+    ``np.unique(keys, axis=0)``. ``atoms`` needs at least one row.
     """
-    # +0.0 normalises -0.0 so byte-wise row uniqueness treats them equal.
-    keys = np.round(atoms / tol) + 0.0
-    _, first, inverse = np.unique(
-        keys, axis=0, return_index=True, return_inverse=True
-    )
-    merged_w = np.zeros(first.shape[0])
-    np.add.at(merged_w, inverse.ravel(), weights)
-    return atoms[first], merged_w
+    # Keys compare as floats, so -0.0 and +0.0 fall in one bucket.
+    keys = np.round(atoms / tol)
+    order = np.lexsort(keys.T[::-1])
+    ranked = keys[order]
+    new = np.empty(order.shape[0], dtype=bool)
+    new[0] = True
+    np.any(ranked[1:] != ranked[:-1], axis=1, out=new[1:])
+    inverse = np.empty_like(order)
+    inverse[order] = np.cumsum(new) - 1
+    merged_w = np.zeros(np.count_nonzero(new))
+    np.add.at(merged_w, inverse, weights)
+    return atoms[order[new]], merged_w
 
 
 def _stack_difference(p, q):

@@ -105,8 +105,10 @@ class TabularMDP:
         return mdp
 
     def save(self, path) -> None:
+        # json.dumps runs the C encoder; json.dump always takes the pure-Python
+        # one. Both write the same bytes.
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json(), fh)
+            fh.write(json.dumps(self.to_json()))
 
     @classmethod
     def load(cls, path) -> "TabularMDP":

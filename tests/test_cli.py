@@ -391,7 +391,9 @@ class TestRunCommand:
         assert main(["run", "--config", config, "--out", str(tmp_path / "o")]) == 2
         assert key in capsys.readouterr().err
 
-    @pytest.mark.parametrize("m, dim, code", [(0, 1, 2), (1, 1, 2), (3, 2, 2), (2, 1, 0)])
+    @pytest.mark.parametrize(
+        "m, dim, code", [(0, 1, 2), (1, 1, 2), (3, 2, 2), (2, 1, 0), (5, 2, 0)]
+    )
     def test_grid_needs_two_points_per_axis(self, tmp_path, capsys, m, dim, code):
         config = dp_cat_config(
             tmp_path,
@@ -402,6 +404,11 @@ class TestRunCommand:
         assert main(["run", "--config", config, "--out", str(tmp_path / "o")]) == code
         if code == 2:
             assert f"needs at least {2**dim} atoms" in capsys.readouterr().err
+        else:
+            # A grid has round(m^(1/d)) points per axis: m=5 at d=2 runs on 4 atoms.
+            summary = json.loads((tmp_path / "o" / "summary.json").read_text())
+            realised = round(m ** (1 / dim)) ** dim
+            assert summary["per_seed"][0]["support_atoms"] == [realised, realised]
 
     def test_engine_error_exits_3(self, tmp_path, monkeypatch):
         import mmdrl.cli as cli_module

@@ -28,7 +28,11 @@ from mmdrl import (
 )
 from mmdrl.dp import point_init
 
-from util import random_probability_measure
+from util import (
+    random_probability_measure,
+    reference_merge_close_atoms,
+    reference_signed_energy_sum,
+)
 
 SPEC = energy_kernel(1.0)
 
@@ -310,6 +314,32 @@ class TestEwpRandomSolve:
         b = ewp_random_solve(mdp, config, SPEC)
         for x in range(3):
             np.testing.assert_array_equal(a.final[x].atoms, b.final[x].atoms)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("alpha", [1.0, 1.5])
+    def test_bitwise_equal_to_reference_kernels(self, monkeypatch, dim, alpha):
+        # The sup-MMD series and the backup gaps are the same bytes when the
+        # energy sum and the atom merge run through their reference bodies.
+        from mmdrl import kernels, measures
+
+        mdp = random_mdp(3, dim, 0.9, 1.0, rng_stream(22))
+        config = EwpConfig(m=64, iterations=8, seed=4)
+        spec = energy_kernel(alpha)
+
+        def solve():
+            return ewp_random_solve(
+                mdp, config, spec, rng=rng_stream(4, 2), track_backup_gap=True
+            )
+
+        shipped = solve()
+        monkeypatch.setattr(kernels, "signed_energy_sum", reference_signed_energy_sum)
+        monkeypatch.setattr(kernels, "merge_close_atoms", reference_merge_close_atoms)
+        monkeypatch.setattr(measures, "merge_close_atoms", reference_merge_close_atoms)
+        reference = solve()
+        assert np.array(shipped.distances).tobytes() == np.array(reference.distances).tobytes()
+        assert np.array(shipped.backup_gaps).tobytes() == np.array(reference.backup_gaps).tobytes()
+        for x in range(mdp.n_states):
+            assert shipped.final[x].atoms.tobytes() == reference.final[x].atoms.tobytes()
 
 
 class TestFixedPointQuality:

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mmdrl import (
     ConsistencyError,
@@ -18,7 +20,12 @@ from mmdrl import (
 )
 from mmdrl.kernels import merge_close_atoms, signed_energy_sum
 
-from util import random_probability_measure, random_signed_measure
+from util import (
+    random_probability_measure,
+    random_signed_measure,
+    reference_merge_close_atoms,
+    reference_signed_energy_sum,
+)
 
 
 class TestSemimetric:
@@ -250,8 +257,11 @@ class TestSignedEnergySumBlocks:
     def small_blocks(self, monkeypatch):
         from mmdrl import kernels as kernels_module
 
-        # 256 entries: 2 to 15 rows per block, several blocks per call.
+        # 256 entries: 2 to 15 rows per block, several blocks per call; 64
+        # entries: 1 to 3 rows per slab, so a block spans several slabs and
+        # copies a mirrored region.
         monkeypatch.setattr(kernels_module, "_BLOCK_ENTRIES", 256)
+        monkeypatch.setattr(kernels_module, "_SLAB_ENTRIES", 64)
 
     @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5])
     def test_bitwise_equal_at_d2(self, alpha):
@@ -288,3 +298,36 @@ class TestSignedEnergySumBlocks:
             ref = difference_tensor_energy_sum(atoms, w, alpha)
             got = signed_energy_sum(atoms, w, alpha)
             assert abs(got - ref) <= 1e-12 * abs(ref)
+            assert got == reference_signed_energy_sum(atoms, w, alpha)
+
+
+@st.composite
+def atom_rows(draw):
+    """(atoms, weights) at d = 1, 2 or 3 whose rows repeat exactly, differ by
+    less than the merge tolerance or only in the sign of a zero."""
+    d = draw(st.integers(1, 3))
+    pool = draw(st.lists(st.floats(-5.0, 5.0), min_size=1, max_size=3))
+    coord = st.one_of(
+        st.sampled_from([0.0, -0.0]),
+        st.sampled_from(pool),
+        st.builds(lambda a, k: a + k * 1e-13, st.sampled_from(pool + [0.0]), st.integers(-9, 9)),
+        st.floats(-5.0, 5.0),
+    )
+    row = st.lists(coord, min_size=d, max_size=d)
+    seen = draw(st.lists(row, min_size=1, max_size=5))
+    n = draw(st.integers(1, 40))
+    rows = draw(st.lists(st.one_of(st.sampled_from(seen), row), min_size=n, max_size=n))
+    weights = draw(st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n))
+    return np.array(rows, dtype=np.float64).reshape(n, d), np.array(weights)
+
+
+class TestMergeCloseAtoms:
+    @settings(derandomize=True, max_examples=400, deadline=None)
+    @given(atom_rows())
+    def test_matches_unique_reference(self, case):
+        atoms, weights = case
+        got_atoms, got_weights = merge_close_atoms(atoms, weights)
+        ref_atoms, ref_weights = reference_merge_close_atoms(atoms, weights)
+        assert got_atoms.shape == ref_atoms.shape
+        assert got_atoms.tobytes() == ref_atoms.tobytes()
+        assert got_weights.tobytes() == ref_weights.tobytes()

@@ -1,5 +1,7 @@
 """Tabular MDP model, random instances, sampling, and rollouts."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -73,6 +75,10 @@ class TestTabularMDP:
         np.testing.assert_array_equal(loaded.cumulants, mdp.cumulants)
         assert loaded.gamma == mdp.gamma
         assert loaded.r_max == mdp.r_max
+        # save writes through json.dumps; the bytes are json.dump's.
+        with open(tmp_path / "dump.json", "w", encoding="utf-8") as fh:
+            json.dump(mdp.to_json(), fh)
+        assert path.read_bytes() == (tmp_path / "dump.json").read_bytes()
 
 
 class TestRandomMdp:

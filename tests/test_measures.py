@@ -197,13 +197,20 @@ class TestReturnDistFn:
 
     def test_json_round_trip(self, tmp_path):
         eta = ReturnDistFn(
-            (DiscreteMeasure.point([0.0, 1.0]), DiscreteMeasure.point([2.0, 3.0]))
+            (
+                DiscreteMeasure.point([0.0, 1.0]),
+                DiscreteMeasure(np.array([[0.1, -1 / 3], [2.0, 3e-17]]), np.array([0.7, 0.3])),
+            )
         )
         path = tmp_path / "eta.json"
         eta.save(path)
         loaded = ReturnDistFn.load(path)
         assert loaded.n_states == 2
         np.testing.assert_array_equal(loaded[1].atoms, eta[1].atoms)
+        # save writes through json.dumps; the bytes are json.dump's.
+        with open(tmp_path / "dump.json", "w", encoding="utf-8") as fh:
+            json.dump(eta.to_json(), fh)
+        assert path.read_bytes() == (tmp_path / "dump.json").read_bytes()
 
     def test_replace(self):
         eta = ReturnDistFn((DiscreteMeasure.point([0.0]), DiscreteMeasure.point([1.0])))

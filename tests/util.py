@@ -4,6 +4,7 @@ import numpy as np
 
 from mmdrl import DiscreteMeasure
 from mmdrl.evaluation import _ATOM_MERGE
+from mmdrl.kernels import MERGE_TOL
 
 
 def random_signed_measure(rng, n_atoms, dim, spread=3.0):
@@ -58,3 +59,53 @@ def reference_cramer_distance(p, q):
     diff = _reference_cdf_at(p, breaks) - _reference_cdf_at(q, breaks)
     gaps = np.diff(breaks)
     return float(np.sqrt(np.sum(diff[:-1] ** 2 * gaps)))
+
+
+# Reference bodies of kernels.signed_energy_sum and kernels.merge_close_atoms
+# before the slab fill and the lexsort merge: each block computed in full,
+# one coordinate at a time, and buckets found by np.unique over rows.
+
+
+def reference_signed_energy_sum(atoms, weights, alpha):
+    """``signed_energy_sum`` with every block entry computed directly, in
+    blocks of the current ``kernels._BLOCK_ENTRIES``."""
+    from mmdrl import kernels
+
+    n, d = atoms.shape
+    if n == 1:
+        return 0.0
+    if d == 1 and alpha == 1.0:
+        order = np.argsort(atoms[:, 0], kind="stable")
+        z = atoms[order, 0]
+        w = weights[order]
+        prefix_w = np.concatenate(([0.0], np.cumsum(w)[:-1]))
+        prefix_wz = np.concatenate(([0.0], np.cumsum(w * z)[:-1]))
+        return float(2.0 * np.sum(w * (z * prefix_w - prefix_wz)))
+    block = max(1, kernels._BLOCK_ENTRIES // n)
+    total = 0.0
+    for start in range(0, n, block):
+        stop = min(start + block, n)
+        dist = None
+        for col in atoms.T:
+            dk = col[start:stop, None] - col[None, :]
+            dk *= dk
+            if dist is None:
+                dist = dk
+            else:
+                dist += dk
+        np.sqrt(dist, out=dist)
+        if alpha != 1.0:
+            dist **= alpha
+        total += float(weights[start:stop] @ dist @ weights)
+    return total
+
+
+def reference_merge_close_atoms(atoms, weights, tol=MERGE_TOL):
+    """``merge_close_atoms`` through ``np.unique(axis=0)``."""
+    keys = np.round(atoms / tol) + 0.0
+    _, first, inverse = np.unique(
+        keys, axis=0, return_index=True, return_inverse=True
+    )
+    merged_w = np.zeros(first.shape[0])
+    np.add.at(merged_w, inverse.ravel(), weights)
+    return atoms[first], merged_w
