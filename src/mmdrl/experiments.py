@@ -139,13 +139,17 @@ def _run_dp_ewp(config, seed, mdp, spec):
 def _run_td_cat(config, seed, mdp, spec):
     td = config["td"]
     support = build_support(config["support"], mdp, seed)
+    schedule = StepSchedule(**td["schedule"])
+    rng = rng_stream(seed, _STREAM_ALGO)
+    start = time.perf_counter()
+    reference = _td_reference_fn(td, mdp, support, spec)
+    reference_s = time.perf_counter() - start
     state, report = categorical_td_run(
-        mdp, support, spec, StepSchedule(**td["schedule"]), td["steps"],
-        rng_stream(seed, _STREAM_ALGO), state_sampler=td["state_sampler"],
-        reference=_td_reference_fn(td, mdp, support, spec),
+        mdp, support, spec, schedule, td["steps"], rng,
+        state_sampler=td["state_sampler"], reference=reference,
         report_interval=td["report_interval"],
     )
-    return _td_series(report), state.estimate, {"steps": state.step}
+    return _td_series(report), state.estimate, {"steps": state.step, "reference_s": reference_s}
 
 
 def _run_td_ewp(config, seed, mdp, spec):

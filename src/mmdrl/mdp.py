@@ -146,6 +146,112 @@ class _InverseCdf:
         return out
 
 
+# Steps drawn per call of ``_uniform_states``: enough to spread numpy's
+# overhead per call (about 0.03 us a step is left), few enough that the
+# temporaries stay a few KB; 4096 measured a higher peak RSS.
+_VISIT_BLOCK = 512
+
+
+def _uniform_states(rng: np.random.Generator, n: int, count: int):
+    """(states, uniforms) equal to what ``count`` alternating scalar calls
+    ``rng.integers(n)`` and ``rng.random()`` return; the generator ends
+    where those calls leave it.
+
+    Each ``random()`` takes one 64-bit word. ``integers(n)`` takes one
+    32-bit half: the low half of a fresh word, whose high half numpy
+    buffers (``has_uint32``/``uinteger`` in the state) for the next such
+    draw. So every third word, from word ``has_uint32``, feeds the
+    integers, and the rest are the uniforms. The uniforms are numpy's own
+    doubles of all the words; the integers follow Lemire's multiply-shift
+    on the halves: (r n) >> 32, rejecting r when the low 32 bits of r n
+    fall below (2^32 - n) mod n. On a rejection, which has probability
+    below n / 2^32, the generator is rewound to the start of the block,
+    re-advanced by the words of the draws before it, and numpy draws that
+    step itself.
+    """
+    bitgen = rng.bit_generator
+    if "has_uint32" not in bitgen.state:
+        raise InvalidInputError(
+            f"{type(bitgen).__name__} keeps no 32-bit buffer; use PCG64, "
+            "PCG64DXSM, Philox or SFC64"
+        )
+    if not 1 <= n <= 2**32:
+        raise InvalidInputError(f"need 1 <= n <= 2^32, got {n}")
+    if n == 1:  # integers(1) draws nothing
+        return np.zeros(count, dtype=np.int64), rng.random(count)
+    threshold = (2**32 - n) % n
+    states = np.empty(count, dtype=np.int64)
+    uniforms = np.empty(count)
+    done = 0
+    while done < count:
+        saved = bitgen.state
+        has = saved["has_uint32"]
+        k = count - done
+        # j steps take j words for their uniforms and (j + 1 - has) // 2
+        # fresh words for their integers.
+        n_words = k + (k + 1 - has) // 2
+        doubles = rng.random(n_words)
+        bitgen.state = saved
+        fresh_words = bitgen.random_raw(n_words)[has::3]
+        high = fresh_words >> 32
+        halves = np.empty(2 * fresh_words.size + has, dtype=np.uint64)
+        halves[has::2] = fresh_words - (high << 32)
+        halves[has + 1::2] = high
+        if has:
+            halves[0] = saved["uinteger"]
+        product = halves[:k] * n
+        draws = product >> 32
+        # The low 32 bits of each product, compared through an int64 view
+        # (exact, as they are below 2^32). uint64 `&` and `<` would run numpy
+        # loops that nothing else in a run uses, each paging in 64 KB more.
+        rejected = (product - (draws << 32)).view(np.int64) < threshold
+        j = int(rejected.argmax()) if rejected.any() else k
+        states[done:done + j] = draws[:j]
+        uniforms[done:done + j] = np.delete(doubles, np.s_[has::3])[:j]
+        # The buffer after j steps is full when j + has is odd, and holds
+        # the high half of the last fresh word (numpy leaves it stale).
+        fresh = (j + 1 - has) // 2
+        if j < k:
+            bitgen.state = saved
+            if j:
+                bitgen.random_raw(j + fresh)
+        state = bitgen.state
+        state["has_uint32"] = (j + has) % 2
+        if fresh:
+            state["uinteger"] = int(high[fresh - 1])
+        bitgen.state = state
+        if j < k:
+            states[done + j] = rng.integers(n)
+            uniforms[done + j] = rng.random()
+        done += j + 1
+    return states, uniforms
+
+
+def sample_visits(mdp: "TabularMDP", steps: int, rng: np.random.Generator,
+                  state_sampler: str = "uniform"):
+    """Iterator over ``steps`` visited (state, successor) pairs.
+
+    ``"uniform"`` draws each state with ``rng.integers(n_states)`` and its
+    successor from the following ``rng.random()``; ``"trajectory"`` draws
+    the first state the same way and then follows the chain, one
+    ``rng.random()`` per step. Draws are taken in blocks, and the pairs
+    and the generator's state are those of the scalar calls.
+    """
+    n = mdp.n_states
+    successors = mdp._successors
+    x = int(rng.integers(n)) if state_sampler == "trajectory" else 0
+    for start in range(0, steps, _VISIT_BLOCK):
+        count = min(_VISIT_BLOCK, steps - start)
+        if state_sampler == "uniform":
+            states, u = _uniform_states(rng, n, count)
+            yield from zip(states.tolist(), successors.many(states, u).tolist())
+            continue
+        for u in rng.random(count).tolist():
+            y = successors.one(x, u)
+            yield x, y
+            x = y
+
+
 @dataclass(frozen=True)
 class Transition:
     """One observed step: state, its cumulant vector, sampled next state."""

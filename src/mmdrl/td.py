@@ -24,7 +24,7 @@ from .measures import (
     pushforward,
     weights_on_support,
 )
-from .mdp import TabularMDP, Transition
+from .mdp import TabularMDP, Transition, sample_visits
 from .projections import (
     SignedProjector,
     SimplexProjector,
@@ -140,7 +140,8 @@ def _blend(old_w: np.ndarray, projected: np.ndarray, alpha: float) -> np.ndarray
     """(1 - alpha) old_w + alpha projected, renormalised to mass 1 when float
     drift exceeds ``MASS_DRIFT_TOL``."""
     new_w = (1.0 - alpha) * old_w + alpha * projected
-    drift = float(new_w.sum()) - 1.0
+    # np.add.reduce is ndarray.sum without its Python-level wrapper.
+    drift = float(np.add.reduce(new_w)) - 1.0
     if abs(drift) > MASS_DRIFT_TOL:
         new_w = new_w / (1.0 + drift)
     return new_w
@@ -169,17 +170,17 @@ def categorical_td_run(
         raise InvalidInputError("steps must be >= 0")
     if state_sampler not in ("uniform", "trajectory"):
         raise InvalidInputError(f"unknown state sampler {state_sampler!r}")
+    _check_report_interval(steps, report_interval)
     state = init if init is not None else init_td_state(mdp, support, spec)
     weights = [
         weights_on_support(state.estimate[x], support[x])
         for x in range(mdp.n_states)
     ]
-    visits = state.visit_counts.copy()
+    visits = state.visit_counts.tolist()
     projectors = state_projectors(SignedProjector, support, spec)
     # Per-(state, next-state) affine maps M w + b of the projected backup:
     # its atom set r(x) + gamma xi(x') is fixed, so each map is built once.
     maps = {}
-    next_state = mdp._successors.one
 
     ref_weights = None
     if reference is not None:
@@ -203,22 +204,18 @@ def categorical_td_run(
 
     report = TdReport()
     alphas_since_report = []
-    x = int(rng.integers(mdp.n_states)) if state_sampler == "trajectory" else 0
-    for t in range(1, steps + 1):
-        if state_sampler == "uniform":
-            x = int(rng.integers(mdp.n_states))
-        y = next_state(x, rng.random())
+    visited = sample_visits(mdp, steps, rng, state_sampler)
+    for t, key in enumerate(visited, 1):
+        x, y = key
         visits[x] += 1
-        alpha = schedule(int(visits[x]))
+        alpha = schedule(visits[x])
         alphas_since_report.append(alpha)
-        key = (x, y)
         if key not in maps:
             shifted = mdp.cumulants[x] + mdp.gamma * support[y]
             maps[key] = projectors[x].affine_map(shifted)
         m_map, b_map = maps[key]
-        weights[x] = _blend(weights[x], m_map @ weights[y] + b_map, alpha)
-        if state_sampler == "trajectory":
-            x = y
+        # dot and @ reach the same gemv; dot's call costs less.
+        weights[x] = _blend(weights[x], m_map.dot(weights[y]) + b_map, alpha)
         if t % report_interval == 0 or t == steps:
             report.steps.append(t)
             report.sup_mmd.append(_distance_to_reference())
@@ -228,7 +225,12 @@ def categorical_td_run(
     estimate = ReturnDistFn(
         tuple(DiscreteMeasure(support[x], weights[x]) for x in range(mdp.n_states))
     )
-    return TdState(estimate, visits, state.step + steps), report
+    return TdState(estimate, np.array(visits, dtype=np.int64), state.step + steps), report
+
+
+def _check_report_interval(steps: int, report_interval: int) -> None:
+    if steps > 0 and report_interval < 1:
+        raise InvalidInputError(f"report_interval must be >= 1, got {report_interval}")
 
 
 def ewp_mmd_sq_objective(theta: np.ndarray, targets: np.ndarray, alpha: float) -> float:
@@ -301,14 +303,14 @@ def ewp_td_run(
     """Run particle TD with per-state visit-count step sizes."""
     if steps < 0:
         raise InvalidInputError("steps must be >= 0")
+    _check_report_interval(steps, report_interval)
     if init is not None:
         particles = np.array(init, dtype=np.float64, copy=True)
     else:
         from .dp import ewp_init
 
         particles = np.stack([meas.atoms for meas in ewp_init(mdp, m)], axis=0)
-    visits = np.zeros(mdp.n_states, dtype=np.int64)
-    next_state = mdp._successors.one
+    visits = [0] * mdp.n_states
     slot_weights = np.full(m, 1.0 / m)
 
     def _distance_to_reference() -> float:
@@ -321,11 +323,9 @@ def ewp_td_run(
 
     report = TdReport()
     alphas_since_report = []
-    for t in range(1, steps + 1):
-        x = int(rng.integers(mdp.n_states))
-        y = next_state(x, rng.random())
+    for t, (x, y) in enumerate(sample_visits(mdp, steps, rng), 1):
         visits[x] += 1
-        alpha = schedule(int(visits[x]))
+        alpha = schedule(visits[x])
         alphas_since_report.append(alpha)
         theta = particles[x]
         targets = mdp.cumulants[x][None, :] + mdp.gamma * particles[y]

@@ -191,6 +191,9 @@ class TestRunCommand:
         series = (out / "series.csv").read_text().splitlines()
         assert series[0] == "seed,step,sup_mmd_to_reference,mean_step_size"
         assert len(series) == 4
+        # The signed-DP reference solve is timed on its own.
+        per_seed = json.loads((out / "summary.json").read_text())["per_seed"][0]
+        assert 0.0 < per_seed["reference_s"] < per_seed["wall_time_s"]
 
     def test_dsm_simplex_grid_converges(self, tmp_path):
         config = write_config(

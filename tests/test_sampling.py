@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import mmdrl.mdp as mdp_module
 from mmdrl import (
+    InvalidInputError,
     SupportMap,
     TabularMDP,
     categorical_td_run,
@@ -216,3 +217,46 @@ class TestCallSitesMatchInlineRule:
         particles, _ = run()
         ref_particles, _ = _with_inline_rule(monkeypatch, run)
         assert np.array_equal(particles, ref_particles)
+
+
+def _scalar_uniform_states(rng, n, count):
+    """What ``mdp._uniform_states`` reproduces: alternating scalar calls."""
+    states, uniforms = [], []
+    for _ in range(count):
+        states.append(int(rng.integers(n)))
+        uniforms.append(rng.random())
+    return np.array(states, dtype=np.int64), np.array(uniforms)
+
+
+class TestUniformStates:
+    # 3 * 2^30 and 2^31 + 1 reject a quarter and half of their draws, which
+    # exercises the rewind; 2^32 - 5 is the largest case below 2^32.
+    @pytest.mark.parametrize(
+        "bit_generator",
+        [np.random.PCG64, np.random.PCG64DXSM, np.random.Philox, np.random.SFC64],
+    )
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 3 * 2**30, 2**31 + 1, 2**32 - 5])
+    @pytest.mark.parametrize("buffered", [False, True])
+    def test_equals_scalar_calls(self, bit_generator, n, buffered):
+        for count in (1, 2, 9, mdp_module._VISIT_BLOCK + 3):
+            block, scalar = (np.random.Generator(bit_generator(31)) for _ in range(2))
+            if buffered:  # leave the high half of a word in the 32-bit buffer
+                block.integers(5)
+                scalar.integers(5)
+            assert block.bit_generator.state["has_uint32"] == buffered
+            states, uniforms = mdp_module._uniform_states(block, n, count)
+            expected_states, expected_uniforms = _scalar_uniform_states(scalar, n, count)
+            assert np.array_equal(states, expected_states)
+            assert np.array_equal(uniforms, expected_uniforms)
+            assert str(block.bit_generator.state) == str(scalar.bit_generator.state)
+            # The next draws match too, including the buffered half.
+            tails = [
+                [int(rng.integers(n)), rng.random(), int(rng.integers(9))]
+                for rng in (block, scalar)
+            ]
+            assert tails[0] == tails[1]
+
+    def test_mt19937_rejected(self):
+        rng = np.random.Generator(np.random.MT19937(0))
+        with pytest.raises(InvalidInputError, match="MT19937"):
+            mdp_module._uniform_states(rng, 3, 5)

@@ -1,5 +1,7 @@
 """Temporal-difference engines: signed categorical and particle variants."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -33,6 +35,8 @@ from mmdrl import (
 )
 from mmdrl.kernels import gram
 from mmdrl.td import TdState
+
+from util import reference_ewp_td_run
 
 SPEC = energy_kernel(1.0)
 
@@ -248,6 +252,21 @@ class TestCategoricalTdRun:
                 state_sampler="sweep",
             )
 
+    @pytest.mark.parametrize("report_interval", [0, -1])
+    def test_report_interval_below_one_rejected(self, report_interval):
+        mdp, support = small_setup(14)
+        with pytest.raises(InvalidInputError, match="report_interval"):
+            categorical_td_run(
+                mdp, support, SPEC, make_schedule(), 10, rng_stream(0),
+                report_interval=report_interval,
+            )
+        # With no steps there is nothing to report.
+        state, report = categorical_td_run(
+            mdp, support, SPEC, make_schedule(), 0, rng_stream(0),
+            report_interval=report_interval,
+        )
+        assert state.step == 0 and report.steps == []
+
     def test_report_csv(self, tmp_path):
         mdp, support = small_setup(15)
         _, report = categorical_td_run(
@@ -262,7 +281,8 @@ class TestCategoricalTdRun:
 
 
 def per_state_projector_td_run(
-    mdp, support, spec, schedule, steps, rng, state_sampler, reference
+    mdp, support, spec, schedule, steps, rng, state_sampler, reference,
+    report_interval=250,
 ):
     """categorical_td_run with one projector per state and no helper calls:
     the loop as it was before projectors were shared between states.
@@ -300,7 +320,7 @@ def per_state_projector_td_run(
         weights[x] = new_w
         if state_sampler == "trajectory":
             x = y
-        if t % 250 == 0 or t == steps:
+        if t % report_interval == 0 or t == steps:
             worst = 0.0
             for z in range(n):
                 delta = weights[z] - ref_weights[z]
@@ -310,30 +330,70 @@ def per_state_projector_td_run(
     return weights, visits, series
 
 
+def assert_run_equals_per_state_projector_loop(
+    mdp, support, steps, seed, sampler, report_interval=250, stream=0
+):
+    """categorical_td_run against ``per_state_projector_td_run`` on the same
+    generator: weights, visits, sup-MMD series and final generator state
+    equal."""
+    reference = categorical_dp_solve(
+        mdp, support, SPEC, tol=1e-10, max_iter=2000, projection="signed"
+    ).final
+    schedule = make_schedule()
+    rng, ref_rng = rng_stream(seed, stream), rng_stream(seed, stream)
+    state, report = categorical_td_run(
+        mdp, support, SPEC, schedule, steps, rng,
+        state_sampler=sampler, reference=reference, report_interval=report_interval,
+    )
+    weights, visits, series = per_state_projector_td_run(
+        mdp, support, SPEC, schedule, steps, ref_rng, sampler, reference,
+        report_interval,
+    )
+    for x in range(mdp.n_states):
+        assert np.array_equal(state.estimate[x].weights, weights[x])
+    assert np.array_equal(state.visit_counts, visits)
+    assert np.array_equal(np.array(report.sup_mmd), np.array(series))
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@pytest.fixture
+def small_blocks(monkeypatch):
+    """Draw visits 7 at a time, so that runs cross many blocks."""
+    import mmdrl.mdp as mdp_module
+
+    monkeypatch.setattr(mdp_module, "_VISIT_BLOCK", 7)
+
+
+def _shared_projector_case(kind):
+    mdp = random_mdp(3, 2, 0.8, 1.0, rng_stream(21))
+    if kind == "random":
+        return mdp, SupportMap.random(3, 2, 7, mdp.v_max, rng_stream(22))
+    return mdp, SupportMap.uniform_grid(3, 2, 9, mdp.v_max)
+
+
 class TestSharedProjectors:
     @pytest.mark.parametrize("kind", ["random", "grid"])
     @pytest.mark.parametrize("sampler", ["uniform", "trajectory"])
     def test_run_equals_per_state_projector_loop(self, kind, sampler):
-        mdp = random_mdp(3, 2, 0.8, 1.0, rng_stream(21))
-        if kind == "random":
-            support = SupportMap.random(3, 2, 7, mdp.v_max, rng_stream(22))
-        else:
-            support = SupportMap.uniform_grid(3, 2, 9, mdp.v_max)
-        reference = categorical_dp_solve(
-            mdp, support, SPEC, tol=1e-10, max_iter=1000, projection="signed"
-        ).final
-        schedule = make_schedule()
-        state, report = categorical_td_run(
-            mdp, support, SPEC, schedule, 1000, rng_stream(23),
-            state_sampler=sampler, reference=reference, report_interval=250,
+        mdp, support = _shared_projector_case(kind)
+        assert_run_equals_per_state_projector_loop(mdp, support, 1000, 23, sampler)
+
+    @pytest.mark.parametrize("kind", ["random", "grid"])
+    @pytest.mark.parametrize("sampler", ["uniform", "trajectory"])
+    def test_small_blocks_equal_per_state_projector_loop(self, small_blocks, kind, sampler):
+        mdp, support = _shared_projector_case(kind)
+        assert_run_equals_per_state_projector_loop(mdp, support, 1000, 23, sampler)
+
+    def test_td_cat_dsm_workload_seed(self):
+        # The td-cat-dsm benchmark workload's run for configured seed 0
+        # (algorithm stream 2): 50,000 uniform steps on dsm_3 over
+        # simplex-grid 10, crossing blocks of the default size.
+        root = Path(__file__).resolve().parents[1]
+        mdp = TabularMDP.load(root / "perfbench" / "mdps" / "dsm_3.json")
+        support = SupportMap.simplex_grid(3, 3, 10, scale=mdp.v_max)
+        assert_run_equals_per_state_projector_loop(
+            mdp, support, 50_000, 0, "uniform", report_interval=1000, stream=2
         )
-        weights, visits, series = per_state_projector_td_run(
-            mdp, support, SPEC, schedule, 1000, rng_stream(23), sampler, reference
-        )
-        for x in range(3):
-            assert np.array_equal(state.estimate[x].weights, weights[x])
-        assert np.array_equal(state.visit_counts, visits)
-        assert np.array_equal(np.array(report.sup_mmd), np.array(series))
 
     def test_init_equals_per_state_projection(self):
         from mmdrl import SimplexProjector, point_init
@@ -436,6 +496,30 @@ class TestEwpTd:
         assert particles.shape == (3, 8, 2)
         assert len(report.steps) == 4
         assert all(np.isfinite(a) for a in report.mean_step_size)
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_run_equals_scalar_draw_reference(self, small_blocks, dim):
+        mdp = random_mdp(4, dim, 0.8, 1.0, rng_stream(25))
+        rng, ref_rng = rng_stream(26), rng_stream(26)
+        particles, report = ewp_td_run(
+            mdp, 5, SPEC, make_schedule(), 600, rng, report_interval=100
+        )
+        ref_particles, ref_steps, ref_sizes = reference_ewp_td_run(
+            mdp, 5, SPEC, make_schedule(), 600, ref_rng, report_interval=100
+        )
+        assert np.array_equal(particles, ref_particles)
+        assert report.steps == ref_steps
+        assert report.mean_step_size == ref_sizes
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    @pytest.mark.parametrize("report_interval", [0, -3])
+    def test_report_interval_below_one_rejected(self, report_interval):
+        mdp = random_mdp(2, 1, 0.9, 1.0, rng_stream(22))
+        with pytest.raises(InvalidInputError, match="report_interval"):
+            ewp_td_run(
+                mdp, 4, SPEC, make_schedule(), 5, rng_stream(0),
+                report_interval=report_interval,
+            )
 
     def test_run_approaches_truth_on_self_loop(self):
         mdp = TabularMDP(np.eye(1), np.array([[0.5]]), 0.5, r_max=1.0)

@@ -109,3 +109,33 @@ def reference_merge_close_atoms(atoms, weights, tol=MERGE_TOL):
     merged_w = np.zeros(first.shape[0])
     np.add.at(merged_w, inverse.ravel(), weights)
     return atoms[first], merged_w
+
+
+# Reference body of td.ewp_td_run before visits were drawn in blocks: one
+# scalar rng.integers and one scalar rng.random per step.
+
+
+def reference_ewp_td_run(mdp, m, spec, schedule, steps, rng, report_interval=1000):
+    """``ewp_td_run`` (no reference, no init) with scalar draws; returns
+    (particles, report steps, mean step sizes)."""
+    from mmdrl.dp import ewp_init
+    from mmdrl.td import ewp_mmd_sq_gradient
+
+    particles = np.stack([meas.atoms for meas in ewp_init(mdp, m)], axis=0)
+    visits = np.zeros(mdp.n_states, dtype=np.int64)
+    report_steps, mean_step_size, alphas = [], [], []
+    for t in range(1, steps + 1):
+        x = int(rng.integers(mdp.n_states))
+        y = mdp._successors.one(x, rng.random())
+        visits[x] += 1
+        alpha = schedule(int(visits[x]))
+        alphas.append(alpha)
+        theta = particles[x]
+        targets = mdp.cumulants[x][None, :] + mdp.gamma * particles[y]
+        grad = ewp_mmd_sq_gradient(theta, targets, spec.alpha)
+        particles[x] = theta - alpha * grad
+        if t % report_interval == 0 or t == steps:
+            report_steps.append(t)
+            mean_step_size.append(float(np.mean(alphas)))
+            alphas = []
+    return particles, report_steps, mean_step_size
