@@ -1,7 +1,8 @@
 """Command-line entry points.
 
 Commands: run, cert-nonaffine, zeroshot-eval, gen-mdp, mesh-report.
-Exit codes: 0 success, 2 configuration error, 3 engine diagnostic error.
+Exit codes: 0 success, 2 configuration error, 3 engine diagnostic error
+(out of memory included).
 All CSV floats carry 17 significant digits.
 """
 
@@ -164,6 +165,9 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     except (SolverError, SupportBlowupError, ConsistencyError) as exc:
         print(f"engine error: {exc}", file=sys.stderr)
+        return EXIT_ENGINE
+    except MemoryError as exc:
+        print(f"engine error: out of memory: {exc}", file=sys.stderr)
         return EXIT_ENGINE
 
 

@@ -298,7 +298,8 @@ def _as_probability_fn(estimate: ReturnDistFn, spec: KernelSpec) -> ReturnDistFn
 
 def zeroshot_seed(config: ExperimentConfig, seed: int, estimate: ReturnDistFn | None = None):
     """Per-seed zero-shot evaluation rows (one per reward draw), plus the
-    wall seconds spent on the Monte Carlo oracle and on scoring the draws.
+    wall seconds spent on the Monte Carlo oracle and on scoring the draws,
+    each summed over states.
 
     The estimate comes from the configured source: solved in-run, loaded
     from a file (a ``{seed}`` placeholder in the path is substituted), or
@@ -316,29 +317,31 @@ def zeroshot_seed(config: ExperimentConfig, seed: int, estimate: ReturnDistFn | 
     reward_rng = rng_stream(seed, _STREAM_REWARDS)
     oracle_rng = rng_stream(seed, _STREAM_ORACLE)
     horizon = horizon_for_tail(mdp, zs["tail_tol"])
-    start = time.perf_counter()
-    oracle_samples = [
-        rollout_returns(mdp, x, horizon, zs["oracle_samples"], oracle_rng)
-        for x in range(mdp.n_states)
+    draws = [
+        _sample_reward_vector(reward_rng, mdp.dim, zs["nonnegative_orthant"])
+        for _ in range(zs["reward_draws"])
     ]
-    scoring_start = time.perf_counter()
-    rows = []
-    for draw in range(zs["reward_draws"]):
-        w = _sample_reward_vector(reward_rng, mdp.dim, zs["nonnegative_orthant"])
-        errors = []
-        for x in range(mdp.n_states):
+    # One state's rollouts are live at a time: drawn, scored against every
+    # reward vector, then dropped. oracle_rng is consumed in state order.
+    errors = [[] for _ in draws]
+    oracle_s = scoring_s = 0.0
+    for x in range(mdp.n_states):
+        start = time.perf_counter()
+        samples = rollout_returns(mdp, x, horizon, zs["oracle_samples"], oracle_rng)
+        scoring_start = time.perf_counter()
+        n = samples.shape[0]
+        for w, draw_errors in zip(draws, errors):
             predicted = zeroshot_scalar(probability_estimate[x], w)
-            truth_atoms = oracle_samples[x] @ w
-            n = truth_atoms.shape[0]
-            truth = ScalarDist(truth_atoms, np.full(n, 1.0 / n))
-            errors.append(cramer_distance(predicted, truth))
-        rows.append(
-            [str(seed), str(draw)]
-            + [_fmt(v) for v in w]
-            + [_fmt(float(np.mean(errors)))]
-        )
-    end = time.perf_counter()
-    return rows, scoring_start - start, end - scoring_start
+            truth = ScalarDist(samples @ w, np.full(n, 1.0 / n))
+            draw_errors.append(cramer_distance(predicted, truth))
+        del samples
+        oracle_s += scoring_start - start
+        scoring_s += time.perf_counter() - scoring_start
+    rows = [
+        [str(seed), str(draw)] + [_fmt(v) for v in w] + [_fmt(float(np.mean(e)))]
+        for draw, (w, e) in enumerate(zip(draws, errors))
+    ]
+    return rows, oracle_s, scoring_s
 
 
 def zeroshot_run(config: ExperimentConfig, out_dir) -> dict:

@@ -542,6 +542,22 @@ class TestZeroshotEval:
         )
         assert main(["zeroshot-eval", "--config", config, "--out", str(tmp_path / "o")]) == 2
 
+    def test_out_of_memory_exits_3(self, tmp_path, capsys):
+        # 10**14 rollouts (728 TiB of int64 states) fail inside malloc at
+        # once; no page of them is ever touched.
+        config = write_config(
+            tmp_path,
+            {
+                "algorithm": "dp-cat",
+                "mdp": {"kind": "random", "n_states": 2, "dim": 2, "gamma": 0.8},
+                "support": {"kind": "grid", "m": 9},
+                "seeds": [0],
+                "zeroshot": {"reward_draws": 1, "oracle_samples": 10**14},
+            },
+        )
+        assert main(["zeroshot-eval", "--config", config, "--out", str(tmp_path / "o")]) == 3
+        assert capsys.readouterr().err.startswith("engine error: out of memory")
+
     @pytest.mark.parametrize("name", ["not_json.json", "list.json", "no_measures.json"])
     def test_malformed_estimate_file_exits_2(self, tmp_path, name):
         write_malformed_files(tmp_path)

@@ -18,6 +18,8 @@ from mmdrl import (
 )
 from mmdrl.mdp import horizon_for_tail
 
+from util import reference_rollout_returns
+
 
 class TestRngStream:
     def test_same_pair_same_draws(self):
@@ -193,6 +195,18 @@ class TestRollouts:
         t = horizon_for_tail(mdp, 1e-4)
         tail = mdp.gamma**t * np.sqrt(mdp.dim) * mdp.r_max / (1 - mdp.gamma)
         assert tail <= 1e-4
+
+    @pytest.mark.parametrize("n", [1, 7, 10_000])
+    @pytest.mark.parametrize("n_states", [1, 2, 5])
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_bit_equal_to_reference(self, dim, n_states, n):
+        mdp = random_mdp(n_states, dim, 0.8, 0.5, rng_stream(dim, n_states))
+        state = n_states - 1
+        rng, ref_rng = rng_stream(21), rng_stream(21)
+        got = rollout_returns(mdp, state, 25, n, rng)
+        expected = reference_rollout_returns(mdp, state, 25, n, ref_rng)
+        assert got.tobytes() == expected.tobytes()
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
 
     def test_horizon_validated(self):
         mdp = random_mdp(2, 1, 0.9, 1.0, rng_stream(0))

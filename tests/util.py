@@ -139,3 +139,64 @@ def reference_ewp_td_run(mdp, m, spec, schedule, steps, rng, report_interval=100
             mean_step_size.append(float(np.mean(alphas)))
             alphas = []
     return particles, report_steps, mean_step_size
+
+
+# Reference bodies of mdp.rollout_returns and experiments.zeroshot_seed
+# before the zero-shot phase streamed one state at a time: each step scaled
+# the gathered rows, and every state's rollouts were drawn before scoring
+# the reward draws one after another.
+
+
+def reference_rollout_returns(mdp, state, horizon, n, rng):
+    """``rollout_returns`` scaling the gathered (n, d) rows at each step."""
+    successors = mdp._successors
+    states = np.full(n, state, dtype=np.int64)
+    total = np.zeros((n, mdp.dim))
+    discount = 1.0
+    for _ in range(horizon):
+        total += discount * mdp.cumulants.take(states, axis=0)
+        discount *= mdp.gamma
+        states = successors.many(states, rng.random(n))
+    return total
+
+
+def reference_zeroshot_seed(config, seed, estimate=None):
+    """Rows of ``zeroshot_seed`` with every state's rollouts held at once
+    and the reward vectors drawn and scored one at a time."""
+    from mmdrl import experiments as ex
+    from mmdrl.evaluation import ScalarDist, cramer_distance, zeroshot_scalar
+    from mmdrl.mdp import horizon_for_tail, rng_stream
+    from mmdrl.measures import ReturnDistFn
+
+    spec = ex.build_kernel(config)
+    mdp = ex.build_mdp(config["mdp"], seed)
+    zs = config["zeroshot"]
+    if estimate is None:
+        if zs["estimate"]["kind"] == "file":
+            estimate = ReturnDistFn.load(zs["estimate"]["path"].format(seed=seed))
+        else:
+            estimate = ex.run_seed(config, seed).estimate
+    probability_estimate = ex._as_probability_fn(estimate, spec)
+    reward_rng = rng_stream(seed, ex._STREAM_REWARDS)
+    oracle_rng = rng_stream(seed, ex._STREAM_ORACLE)
+    horizon = horizon_for_tail(mdp, zs["tail_tol"])
+    oracle_samples = [
+        reference_rollout_returns(mdp, x, horizon, zs["oracle_samples"], oracle_rng)
+        for x in range(mdp.n_states)
+    ]
+    rows = []
+    for draw in range(zs["reward_draws"]):
+        w = ex._sample_reward_vector(reward_rng, mdp.dim, zs["nonnegative_orthant"])
+        errors = []
+        for x in range(mdp.n_states):
+            predicted = zeroshot_scalar(probability_estimate[x], w)
+            truth_atoms = oracle_samples[x] @ w
+            n = truth_atoms.shape[0]
+            truth = ScalarDist(truth_atoms, np.full(n, 1.0 / n))
+            errors.append(cramer_distance(predicted, truth))
+        rows.append(
+            [str(seed), str(draw)]
+            + [ex._fmt(v) for v in w]
+            + [ex._fmt(float(np.mean(errors)))]
+        )
+    return rows
