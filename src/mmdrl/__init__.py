@@ -80,7 +80,6 @@ from .td import (
     TdReport,
     TdState,
     categorical_td_run,
-    categorical_td_step,
     ewp_mmd_sq_gradient,
     ewp_mmd_sq_objective,
     ewp_td_run,

@@ -50,6 +50,16 @@ def _within(value, bound) -> bool:
     )
 
 
+def _integer(value) -> int:
+    """A JSON integer, or a number with an integral value such as 1e4.
+    Booleans, strings and fractions raise rather than truncate."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"expected an integer, got {value!r}")
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
 def _flag(value) -> bool:
     if not isinstance(value, bool):
         raise TypeError(f"expected true or false, got {value!r}")
@@ -91,17 +101,17 @@ _PATH = (str, _REQUIRED, None)
 _GAMMA = (float, 0.9, "[0, 1)")
 _CONCENTRATION = (float, 1.0, "(0, inf)")
 # A grid needs 2^d atoms, two per axis: build_support checks m once d is known.
-_ATOMS = (int, 64, None)
+_ATOMS = (_integer, 64, None)
 _MDP = {"kind": {
     "random": {
-        "n_states": (int, 5, "[1, inf)"),
-        "dim": (int, 2, "[1, inf)"),
+        "n_states": (_integer, 5, "[1, inf)"),
+        "dim": (_integer, 2, "[1, inf)"),
         "gamma": _GAMMA,
         "dirichlet_concentration": _CONCENTRATION,
         "r_max": (float, 1.0, "[0, inf)"),
     },
     "dsm": {
-        "n_states": (int, 3, "[1, inf)"),
+        "n_states": (_integer, 3, "[1, inf)"),
         "gamma": _GAMMA,
         "dirichlet_concentration": _CONCENTRATION,
     },
@@ -114,21 +124,21 @@ _KERNEL = {
 _SUPPORT = {"kind": {
     "grid": {"m": _ATOMS},
     "random": {"m": _ATOMS},
-    "simplex-grid": {"resolution": (int, 10, "[1, inf)")},
+    "simplex-grid": {"resolution": (_integer, 10, "[1, inf)")},
     "file": {"path": _PATH},
 }}
 _DP = {
     "tol": (float, 1e-8, "(0, inf]"),
-    "max_iter": (int, 400, "[0, inf)"),
+    "max_iter": (_integer, 400, "[0, inf)"),
     "projection": (str, "simplex", ("simplex", "signed")),
 }
 _EWP = {
-    "particles": (int, 64, "[1, inf)"),
-    "iterations": (int, None, "[0, inf)"),
+    "particles": (_integer, 64, "[1, inf)"),
+    "iterations": (_integer, None, "[0, inf)"),
 }
 _TD = {
-    "steps": (int, 10000, "[0, inf)"),
-    "report_interval": (int, 1000, "[1, inf)"),
+    "steps": (_integer, 10000, "[0, inf)"),
+    "report_interval": (_integer, 1000, "[1, inf)"),
     "state_sampler": (str, "uniform", None),  # per algorithm, in _resolve_config
     "schedule": {
         "exponent": (float, 0.6, "(0.5, 1]"),
@@ -137,9 +147,9 @@ _TD = {
     "reference": (_td_reference, "signed-dp", None),
 }
 _ZEROSHOT = {
-    "reward_draws": (int, 10, "[1, inf)"),
+    "reward_draws": (_integer, 10, "[1, inf)"),
     "nonnegative_orthant": (_flag, False, None),
-    "oracle_samples": (int, 10000, "[1, inf)"),
+    "oracle_samples": (_integer, 10000, "[1, inf)"),
     "tail_tol": (float, 1e-3, "(0, inf]"),
     "estimate": {"kind": {"solve": {}, "file": {"path": (_seed_path, _REQUIRED, None)}}},
 }
@@ -151,7 +161,7 @@ _SECTIONS = {
     "dp-cat": {"support": _SUPPORT, "dp": _DP, "zeroshot": _ZEROSHOT},
     "dp-ewp": {"ewp": _EWP},
     "td-cat": {"support": _SUPPORT, "td": {**_TD, "particles": None}},
-    "td-ewp": {"td": {**_TD, "particles": (int, 64, "[1, inf)")}},
+    "td-ewp": {"td": {**_TD, "particles": (_integer, 64, "[1, inf)")}},
 }
 _TOP_LEVEL = ("format_version", "algorithm", "mdp", "kernel", "seeds", "support",
               "dp", "ewp", "td", "zeroshot")
@@ -220,7 +230,8 @@ def _resolve_config(raw: dict) -> ExperimentConfig:
     }
     seeds = raw.get("seeds", [0])
     _require(isinstance(seeds, list), "seeds must be a JSON list of integers")
-    seeds = resolved["seeds"] = [int(s) for s in seeds]
+    with malformed_as_invalid("seeds"):
+        seeds = resolved["seeds"] = [_integer(s) for s in seeds]
     _require(len(seeds) >= 1, "need at least one seed")
     _require(min(seeds) >= 0, "seeds must be nonnegative integers")
     _require(len(set(seeds)) == len(seeds), f"seeds must not repeat, got {seeds}")

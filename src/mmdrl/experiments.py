@@ -101,12 +101,21 @@ def build_support(sc: dict, mdp: TabularMDP, seed: int) -> SupportMap:
 
 def _td_reference_fn(td: dict, mdp, support, spec) -> ReturnDistFn | None:
     """What a TD run measures its distance to: the signed-DP fixed point on
-    its support, a saved estimate, or nothing."""
+    its support, a saved estimate (one measure per state, of the MDP's
+    dimension), or nothing."""
     if td["reference"] == "signed-dp":
         return categorical_dp_solve(
             mdp, support, spec, tol=1e-10, max_iter=2000, projection="signed"
         ).final
-    return None if td["reference"] is None else ReturnDistFn.load(td["reference"]["path"])
+    if td["reference"] is None:
+        return None
+    reference = ReturnDistFn.load(td["reference"]["path"])
+    if (reference.n_states, reference.dim) != (mdp.n_states, mdp.dim):
+        raise InvalidInputError(
+            f"td.reference holds {reference.n_states} measures of dimension "
+            f"{reference.dim}; the MDP has {mdp.n_states} states of dimension {mdp.dim}"
+        )
+    return reference
 
 
 def _dp_series(report: DpReport) -> dict:
@@ -149,7 +158,9 @@ def _run_td_cat(config, seed, mdp, spec):
         state_sampler=td["state_sampler"], reference=reference,
         report_interval=td["report_interval"],
     )
-    return _td_series(report), state.estimate, {"steps": state.step, "reference_s": reference_s}
+    summary = {"steps": state.step, "reference_s": reference_s,
+               "renormalizations": report.renormalizations}
+    return _td_series(report), state.estimate, summary
 
 
 def _run_td_ewp(config, seed, mdp, spec):

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 
@@ -34,6 +35,9 @@ from .projections import (
 
 # Weight-sum drift beyond which the mass-1 constraint is re-imposed.
 MASS_DRIFT_TOL = 1e-10
+# Most steps per drift check in categorical_td_run: a 17 KB row buffer at
+# n = 66 atoms, where 64 or 128 rows measured 0.15 MB more peak RSS.
+_CHECK_BLOCK = 32
 
 
 @dataclass(frozen=True)
@@ -81,6 +85,8 @@ class TdReport:
     steps: list = field(default_factory=list)
     sup_mmd: list = field(default_factory=list)
     mean_step_size: list = field(default_factory=list)
+    # Steps whose weight sum drifted beyond MASS_DRIFT_TOL (categorical TD).
+    renormalizations: int = 0
 
     def to_csv(self, path) -> None:
         with open(path, "w", encoding="utf-8", newline="") as fh:
@@ -111,42 +117,6 @@ def init_td_state(
     return TdState(ReturnDistFn(tuple(measures)), np.zeros(mdp.n_states, dtype=np.int64))
 
 
-def categorical_td_step(
-    state: TdState,
-    tr: Transition,
-    support: SupportMap,
-    spec: KernelSpec,
-    schedule: StepSchedule,
-    gamma: float,
-) -> TdState:
-    """Blend the visited state's signed weights toward the projected backup.
-
-    All other states are untouched; the updated weight vector stays in the
-    mass-1 affine set (renormalized if float drift exceeds the tolerance).
-    """
-    x = tr.state
-    visits = state.visit_counts.copy()
-    visits[x] += 1
-    alpha = schedule(int(visits[x]))
-    backup = stochastic_backup(state.estimate, tr, gamma)
-    projected = SignedProjector(support[x], spec).project(backup.atoms, backup.weights)
-    old_w = weights_on_support(state.estimate[x], support[x])
-    new_w = _blend(old_w, projected.weights, alpha)
-    estimate = state.estimate.replace(x, DiscreteMeasure(support[x], new_w))
-    return TdState(estimate, visits, state.step + 1)
-
-
-def _blend(old_w: np.ndarray, projected: np.ndarray, alpha: float) -> np.ndarray:
-    """(1 - alpha) old_w + alpha projected, renormalised to mass 1 when float
-    drift exceeds ``MASS_DRIFT_TOL``."""
-    new_w = (1.0 - alpha) * old_w + alpha * projected
-    # np.add.reduce is ndarray.sum without its Python-level wrapper.
-    drift = float(np.add.reduce(new_w)) - 1.0
-    if abs(drift) > MASS_DRIFT_TOL:
-        new_w = new_w / (1.0 + drift)
-    return new_w
-
-
 def categorical_td_run(
     mdp: TabularMDP,
     support: SupportMap,
@@ -165,6 +135,11 @@ def categorical_td_run(
     States are visited uniformly at random by default (``"trajectory"``
     follows the chain instead). Returns the final state and a report with
     sup-MMD to ``reference`` at every report interval.
+
+    The weight-sum drift is checked once per block of at most
+    ``_CHECK_BLOCK`` steps, ending at report steps. After renormalising a
+    step, the block's later steps are redone, so every result equals a
+    check after each step. ``report.renormalizations`` counts those steps.
     """
     if steps < 0:
         raise InvalidInputError("steps must be >= 0")
@@ -202,22 +177,71 @@ def categorical_td_run(
             for x in range(mdp.n_states)
         )
 
+    # Step i of a block writes row i of its state's (_CHECK_BLOCK, n) buffer.
+    sizes = [support[x].shape[0] for x in range(mdp.n_states)]
+    buffers = {n: np.zeros((_CHECK_BLOCK, n)) for n in sizes}
+    rows = [list(buffers[n]) for n in sizes]
+
+    def _blend_rows(keys, alphas, start):
+        """Steps ``start`` on: (1 - alpha) w_x + alpha (M w_y + b) into row i."""
+        for i, key, alpha in zip(range(start, len(keys)), keys[start:], alphas[start:]):
+            x, y = key
+            if key not in maps:
+                shifted = mdp.cumulants[x] + mdp.gamma * support[y]
+                maps[key] = projectors[x].affine_map(shifted)
+            m_map, b_map = maps[key]
+            # dot and @ reach the same gemv; dot's call costs less.
+            projected = m_map.dot(weights[y])
+            projected += b_map
+            projected *= alpha
+            row = rows[x][i]
+            np.multiply(weights[x], 1.0 - alpha, out=row)
+            row += projected
+            weights[x] = row
+
+    def _first_drift(keys, start):
+        """First step from ``start`` whose row sum drifts past the tolerance."""
+        drifted = [
+            start + i
+            for n, buf in buffers.items()
+            for i, total in enumerate(np.add.reduce(buf[start:len(keys)], axis=1).tolist())
+            # A row that a step of another support size used is stale.
+            if abs(total - 1.0) > MASS_DRIFT_TOL and sizes[keys[start + i][0]] == n
+        ]
+        return min(drifted, default=None)
+
     report = TdReport()
     alphas_since_report = []
     visited = sample_visits(mdp, steps, rng, state_sampler)
-    for t, key in enumerate(visited, 1):
-        x, y = key
-        visits[x] += 1
-        alpha = schedule(visits[x])
-        alphas_since_report.append(alpha)
-        if key not in maps:
-            shifted = mdp.cumulants[x] + mdp.gamma * support[y]
-            maps[key] = projectors[x].affine_map(shifted)
-        m_map, b_map = maps[key]
-        # dot and @ reach the same gemv; dot's call costs less.
-        weights[x] = _blend(weights[x], m_map.dot(weights[y]) + b_map, alpha)
-        if t % report_interval == 0 or t == steps:
-            report.steps.append(t)
+    done = 0
+    while done < steps:
+        # A block ends at the next report step at the latest.
+        count = min(_CHECK_BLOCK, report_interval - done % report_interval, steps - done)
+        keys = list(islice(visited, count))
+        for x, _ in keys:
+            visits[x] += 1
+            alphas_since_report.append(schedule(visits[x]))
+        alphas = alphas_since_report[-count:]
+        before = weights[:]
+        start = 0
+        _blend_rows(keys, alphas, start)
+        while (bad := _first_drift(keys, start)) is not None:
+            # Renormalise as a per-step check would, then redo the later steps.
+            row = rows[keys[bad][0]][bad]
+            drift = float(np.add.reduce(row)) - 1.0
+            np.divide(row, 1.0 + drift, out=row)
+            report.renormalizations += 1
+            weights[:] = before
+            for i in range(bad + 1):
+                weights[keys[i][0]] = rows[keys[i][0]][i]
+            start = bad + 1
+            _blend_rows(keys, alphas, start)
+        # The next block reuses the rows states still hold.
+        for x in {key[0] for key in keys}:
+            weights[x] = weights[x].copy()
+        done += count
+        if done % report_interval == 0 or done == steps:
+            report.steps.append(done)
             report.sup_mmd.append(_distance_to_reference())
             report.mean_step_size.append(float(np.mean(alphas_since_report)))
             alphas_since_report = []

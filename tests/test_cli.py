@@ -17,6 +17,37 @@ def write_config(tmp_path, payload, name="config.json"):
     return str(path)
 
 
+def point_masses(n_states, dim):
+    """Return-distribution JSON of ``n_states`` point masses at the origin."""
+    point = {"dim": dim, "atoms": [[0.0] * dim], "weights": [1.0]}
+    return {"n_states": n_states, "measures": [point] * n_states}
+
+
+# TD references that do not fit the 3-state, d = 3 DSM MDP.
+MISMATCHED_REFERENCES = [
+    {
+        "algorithm": "td-cat",
+        "mdp": {"kind": "dsm"},
+        "support": {"kind": "simplex-grid", "resolution": 2},
+        "td": {"steps": 10, "report_interval": 5, "reference": {"path": "reference_d2.json"}},
+    },
+    {
+        "algorithm": "td-cat",
+        "mdp": {"kind": "dsm"},
+        "support": {"kind": "simplex-grid", "resolution": 2},
+        "td": {"steps": 10, "report_interval": 5, "reference": {"path": "reference_2_states.json"}},
+    },
+    {
+        "algorithm": "td-ewp",
+        "mdp": {"kind": "dsm"},
+        "td": {
+            "steps": 10, "report_interval": 5, "particles": 2,
+            "reference": {"path": "reference_2_states.json"},
+        },
+    },
+]
+
+
 def write_malformed_files(tmp_path):
     """Input files that are not JSON, or JSON missing what a loader needs."""
     mdp = {"n_states": 1, "d": 1, "gamma": 0.5, "r_max": 1.0, "cumulants": [[0.5]]}
@@ -27,6 +58,8 @@ def write_malformed_files(tmp_path):
         "mdp_text_transition.json": json.dumps({**mdp, "transition": "abc"}),
         "mdp_nan_transition.json": json.dumps({**mdp, "transition": [[float("nan")]]}),
         "no_measures.json": json.dumps({"n_states": 5}),
+        "reference_d2.json": json.dumps(point_masses(3, 2)),
+        "reference_2_states.json": json.dumps(point_masses(2, 3)),
     }
     for name, text in files.items():
         (tmp_path / name).write_text(text)
@@ -195,6 +228,44 @@ class TestRunCommand:
         per_seed = json.loads((out / "summary.json").read_text())["per_seed"][0]
         assert 0.0 < per_seed["reference_s"] < per_seed["wall_time_s"]
 
+    @pytest.mark.parametrize("off_mass", [False, True])
+    def test_td_cat_summary_counts_renormalizations(self, tmp_path, monkeypatch, off_mass):
+        import mmdrl.experiments as experiments
+        from mmdrl import DiscreteMeasure, categorical_td_run, init_td_state
+        from mmdrl.td import TdState
+
+        def run_from_off_mass_init(mdp, support, spec, *args, **kwargs):
+            # Weights of mass 1 + 5e-10: blends at alpha = 0.5 drift by 2.5e-10.
+            state = init_td_state(mdp, support, spec)
+            init = TdState(
+                ReturnDistFn(tuple(
+                    DiscreteMeasure(m.atoms, m.weights * (1.0 + 5e-10))
+                    for m in state.estimate
+                )),
+                state.visit_counts,
+            )
+            return categorical_td_run(mdp, support, spec, *args, init=init, **kwargs)
+
+        if off_mass:
+            monkeypatch.setattr(experiments, "categorical_td_run", run_from_off_mass_init)
+        config = write_config(
+            tmp_path,
+            {
+                "algorithm": "td-cat",
+                "mdp": {"kind": "random", "n_states": 3, "dim": 2, "gamma": 0.8},
+                "support": {"kind": "grid", "m": 9},
+                "td": {"steps": 300, "report_interval": 100, "schedule": {"scale": 0.5}},
+                "seeds": [0],
+            },
+        )
+        out = tmp_path / "out"
+        assert main(["run", "--config", config, "--out", str(out)]) == 0
+        per_seed = json.loads((out / "summary.json").read_text())["per_seed"][0]
+        if off_mass:
+            assert per_seed["renormalizations"] > 0
+        else:
+            assert per_seed["renormalizations"] == 0
+
     def test_dsm_simplex_grid_converges(self, tmp_path):
         config = write_config(
             tmp_path,
@@ -342,6 +413,7 @@ class TestRunCommand:
             {"algorithm": "dp-cat", "mdp": {"r_max": float("nan")}},
             {"algorithm": "dp-cat", "seeds": [-1]},
             {"algorithm": "dp-cat", "dp": {"tol": float("nan")}},
+            *MISMATCHED_REFERENCES,
         ],
     )
     def test_malformed_values_never_exit_1(self, tmp_path, monkeypatch, payload):
@@ -350,6 +422,23 @@ class TestRunCommand:
         config = write_config(tmp_path, payload)
         code = main(["run", "--config", config, "--out", str(tmp_path / "o")])
         assert code in (2, 3)
+
+    @pytest.mark.parametrize("payload", MISMATCHED_REFERENCES)
+    def test_mismatched_reference_exits_2_before_any_step(
+        self, tmp_path, monkeypatch, capsys, payload
+    ):
+        import mmdrl.experiments as experiments
+
+        def no_run(*args, **kwargs):
+            raise AssertionError("the TD engine started")
+
+        write_malformed_files(tmp_path)
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(experiments, "categorical_td_run", no_run)
+        monkeypatch.setattr(experiments, "ewp_td_run", no_run)
+        config = write_config(tmp_path, payload)
+        assert main(["run", "--config", config, "--out", str(tmp_path / "o")]) == 2
+        assert "td.reference" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "payload, key",
@@ -381,6 +470,13 @@ class TestRunCommand:
                 },
                 "zeroshot.estimate.path",
             ),
+            ({"algorithm": "dp-cat", "seeds": [1.7]}, "seeds"),
+            ({"algorithm": "dp-cat", "seeds": [True]}, "seeds"),
+            ({"algorithm": "td-cat", "td": {"steps": 10.5}}, "td.steps"),
+            ({"algorithm": "td-cat", "td": {"steps": True}}, "td.steps"),
+            ({"algorithm": "td-cat", "td": {"steps": "12"}}, "td.steps"),
+            ({"algorithm": "dp-cat", "support": {"kind": "grid", "m": 4.5}}, "support.m"),
+            ({"algorithm": "dp-cat", "dp": {"max_iter": float("inf")}}, "dp.max_iter"),
         ],
     )
     def test_out_of_bounds_and_unknown_keys_exit_2(self, tmp_path, capsys, payload, key):

@@ -214,7 +214,7 @@ VALUES = {
             None,
             {},
             {"kind": "random", "n_states": 3, "dim": 1, "gamma": 0.8},
-            {"n_states": "4", "dim": 2.0, "gamma": "0.5", "dirichlet_concentration": 2, "r_max": 3},
+            {"n_states": 4.0, "dim": 2.0, "gamma": "0.5", "dirichlet_concentration": 2, "r_max": 3},
             {"n_states": 2, "dim": 1, "r_max": 0, "path": "ignored.json"},
             {"kind": "dsm", "n_states": 4, "gamma": 0.0, "dim": 7, "r_max": "x"},
             {"kind": "dsm"},
@@ -236,6 +236,8 @@ VALUES = {
             {"gamma": 1.5},
             {"dim": 0},
             {"n_state": 3},
+            {"n_states": "4"},
+            {"dim": 1.5},
         ],
     },
     "kernel": {
@@ -244,33 +246,41 @@ VALUES = {
         "tight": [{"reference_point": [NAN]}, {"alpha": 2.5}, {"alpha": 0}, {"refpoint": None}],
     },
     "seeds": {
-        "ok": [None, [0], [3, 1], ["2"]],
+        "ok": [None, [0], [3, 1], [2.0]],
         "bad": [[], [-1], 3, ["a"]],
-        "tight": [],
+        "tight": [["2"], [1.7], [True]],
     },
     "support": {
         "ok": [
             None,
             {},
             {"kind": "grid", "m": 9},
-            {"kind": "random", "m": "5", "resolution": 3},
+            {"kind": "random", "m": 5.0, "resolution": 3},
             {"kind": "simplex-grid", "resolution": 4, "m": 3},
             {"kind": "simplex-grid"},
             {"kind": "random"},
             {"kind": "file", "path": "s.json"},
         ],
         "bad": [{"kind": "file"}, {"kind": "hex"}, {"m": "many"}, [1]],
-        "tight": [{"kind": "simplex-grid", "resolution": 0}, {"kind": "grid", "size": 4}],
+        "tight": [
+            {"kind": "simplex-grid", "resolution": 0},
+            {"kind": "grid", "size": 4},
+            {"kind": "random", "m": "5"},
+            {"kind": "grid", "m": True},
+        ],
     },
     "dp": {
-        "ok": [None, {}, {"tol": 1e-4, "max_iter": 50, "projection": "signed"}, {"max_iter": "7"}, {"max_iter": 0}],
+        "ok": [None, {}, {"tol": 1e-4, "max_iter": 50, "projection": "signed"}, {"max_iter": 7.0}, {"max_iter": 0}],
         "bad": [{"projection": "affine"}, {"tol": None}, "dp"],
-        "tight": [{"max_iter": -1}, {"tol": 0}, {"tol": NAN}, {"tolerance": 1}],
+        "tight": [
+            {"max_iter": -1}, {"tol": 0}, {"tol": NAN}, {"tolerance": 1},
+            {"max_iter": "7"}, {"max_iter": 7.5},
+        ],
     },
     "ewp": {
-        "ok": [None, {}, {"particles": 8, "iterations": 3}, {"iterations": None}, {"iterations": "2"}],
+        "ok": [None, {}, {"particles": 8, "iterations": 3}, {"iterations": None}, {"iterations": 2.0}],
         "bad": [{"particles": "x"}, {"iterations": "x"}],
-        "tight": [{"particles": 0}, {"iterations": -1}, {"particle": 8}],
+        "tight": [{"particles": 0}, {"iterations": -1}, {"particle": 8}, {"iterations": "2"}],
     },
     "td": {
         "ok": [
@@ -296,6 +306,9 @@ VALUES = {
             {"schedule": {"rate": 1}},
             {"reference": {"path": "r.json", "kind": "file"}},
             {"step": 10},
+            {"steps": 10.5},
+            {"steps": "12"},
+            {"report_interval": True},
         ],
     },
     "zeroshot": {
@@ -318,6 +331,7 @@ VALUES = {
             {"nonnegative_orthant": "no"},
             {"nonnegative_orthant": 1},
             {"draws": 3},
+            {"reward_draws": 2.5},
         ],
     },
     "suport": {"ok": [None], "bad": [], "tight": [{"kind": "grid"}]},

@@ -1,9 +1,12 @@
 """Temporal-difference engines: signed categorical and particle variants."""
 
+import copy
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mmdrl import (
     DiscreteMeasure,
@@ -15,7 +18,6 @@ from mmdrl import (
     categorical,
     categorical_dp_solve,
     categorical_td_run,
-    categorical_td_step,
     dsm_mdp,
     energy_kernel,
     ewp_mmd_sq_gradient,
@@ -34,6 +36,7 @@ from mmdrl import (
     weights_on_support,
 )
 from mmdrl.kernels import gram
+from mmdrl.mdp import sample_visits
 from mmdrl.td import TdState
 
 from util import reference_ewp_td_run
@@ -98,43 +101,47 @@ def small_setup(seed=0, n_states=3, m=8):
     return mdp, support
 
 
+def one_step(mdp, support, schedule, rng, init=None):
+    """``categorical_td_run`` for one step: (state before, state after, the
+    visited (x, y) pair)."""
+    state = init if init is not None else init_td_state(mdp, support, SPEC)
+    x, y = next(sample_visits(mdp, 1, copy.deepcopy(rng)))
+    out, _ = categorical_td_run(mdp, support, SPEC, schedule, 1, rng, init=state)
+    return state, out, (x, y)
+
+
 class TestCategoricalTdStep:
     def test_full_step_equals_projected_backup(self):
         mdp, support = small_setup()
-        state = init_td_state(mdp, support, SPEC)
-        tr = Transition(1, mdp.cumulants[1], 2)
         schedule = make_schedule(0.6, 1.0)  # first visit: alpha = 1
-        out = categorical_td_step(state, tr, support, SPEC, schedule, mdp.gamma)
+        state, out, (x, y) = one_step(mdp, support, schedule, rng_stream(1))
+        tr = Transition(x, mdp.cumulants[x], y)
         backup = stochastic_backup(state.estimate, tr, mdp.gamma)
-        projected = project_signed(backup, support[1], SPEC)
+        projected = project_signed(backup, support[x], SPEC)
         np.testing.assert_allclose(
-            out.estimate[1].weights, projected.weights, atol=1e-9
+            out.estimate[x].weights, projected.weights, atol=1e-9
         )
 
     def test_vanishing_step_freezes_estimate(self):
         mdp, support = small_setup(1)
-        state = init_td_state(mdp, support, SPEC)
-        tr = Transition(0, mdp.cumulants[0], 1)
         schedule = make_schedule(0.6, 1e-12)
-        out = categorical_td_step(state, tr, support, SPEC, schedule, mdp.gamma)
+        state, out, (x, _) = one_step(mdp, support, schedule, rng_stream(2))
         np.testing.assert_allclose(
-            out.estimate[0].weights,
-            weights_on_support(state.estimate[0], support[0]),
+            out.estimate[x].weights,
+            weights_on_support(state.estimate[x], support[x]),
             atol=1e-11,
         )
 
     def test_other_states_untouched(self):
         mdp, support = small_setup(2)
-        state = init_td_state(mdp, support, SPEC)
-        tr = Transition(1, mdp.cumulants[1], 0)
         schedule = make_schedule(0.6, 1.0)
-        out = categorical_td_step(state, tr, support, SPEC, schedule, mdp.gamma)
-        for x in (0, 2):
+        state, out, (x, _) = one_step(mdp, support, schedule, rng_stream(3))
+        for z in set(range(3)) - {x}:
             np.testing.assert_array_equal(
-                out.estimate[x].weights, state.estimate[x].weights
+                out.estimate[z].weights, state.estimate[z].weights
             )
             np.testing.assert_array_equal(
-                out.estimate[x].atoms, state.estimate[x].atoms
+                out.estimate[z].atoms, state.estimate[z].atoms
             )
 
     def test_mass_stays_one(self):
@@ -143,20 +150,16 @@ class TestCategoricalTdStep:
         schedule = make_schedule(0.6, 1.0)
         rng = rng_stream(4)
         for _ in range(200):
-            x = int(rng.integers(3))
-            y = int(rng.choice(3, p=mdp.transition[x]))
-            tr = Transition(x, mdp.cumulants[x], y)
-            state = categorical_td_step(state, tr, support, SPEC, schedule, mdp.gamma)
+            _, state, (x, _) = one_step(mdp, support, schedule, rng, init=state)
             assert abs(state.estimate[x].mass - 1.0) <= 1e-10
 
     def test_visit_counts_drive_schedule(self):
         mdp, support = small_setup(5)
-        state = init_td_state(mdp, support, SPEC)
-        tr = Transition(0, mdp.cumulants[0], 0)
         schedule = make_schedule(0.6, 1.0)
-        out = categorical_td_step(state, tr, support, SPEC, schedule, mdp.gamma)
-        assert out.visit_counts[0] == 1
-        assert out.visit_counts[1] == 0
+        state, out, (x, _) = one_step(mdp, support, schedule, rng_stream(5))
+        expected = np.zeros(3, dtype=np.int64)
+        expected[x] = 1
+        assert np.array_equal(out.visit_counts, expected)
         assert out.step == state.step + 1
 
 
@@ -282,25 +285,31 @@ class TestCategoricalTdRun:
 
 def per_state_projector_td_run(
     mdp, support, spec, schedule, steps, rng, state_sampler, reference,
-    report_interval=250,
+    report_interval=250, init=None,
 ):
-    """categorical_td_run with one projector per state and no helper calls:
-    the loop as it was before projectors were shared between states.
-    Returns (weights, visits, sup-MMD series)."""
+    """categorical_td_run with one projector per state, no helper calls and
+    the mass drift checked at every step: the loop as it was before
+    projectors were shared between states. Returns (weights, visits,
+    sup-MMD series, mean step sizes, renormalised steps)."""
     from mmdrl import SignedProjector, SimplexProjector, point_init
     from mmdrl.td import MASS_DRIFT_TOL
 
     n = mdp.n_states
-    init = point_init(mdp)
-    weights = [
-        SimplexProjector(support[x], spec).project(init[x].atoms, init[x].weights).weights
-        for x in range(n)
-    ]
+    if init is None:
+        points = point_init(mdp)
+        weights = [
+            SimplexProjector(support[x], spec).project(points[x].atoms, points[x].weights).weights
+            for x in range(n)
+        ]
+        visits = np.zeros(n, dtype=np.int64)
+    else:
+        weights = [weights_on_support(init.estimate[x], support[x]) for x in range(n)]
+        visits = init.visit_counts.copy()
     projectors = [SignedProjector(support[x], spec) for x in range(n)]
     ref_weights = [weights_on_support(reference[x], support[x]) for x in range(n)]
     maps = {}
-    visits = np.zeros(n, dtype=np.int64)
-    series = []
+    series, mean_step_size, alphas = [], [], []
+    renormalizations = 0
     x = int(rng.integers(n)) if state_sampler == "trajectory" else 0
     for t in range(1, steps + 1):
         if state_sampler == "uniform":
@@ -308,6 +317,7 @@ def per_state_projector_td_run(
         y = mdp._successors.one(x, rng.random())
         visits[x] += 1
         alpha = schedule(int(visits[x]))
+        alphas.append(alpha)
         if (x, y) not in maps:
             shifted = mdp.cumulants[x] + mdp.gamma * support[y]
             maps[(x, y)] = projectors[x].affine_map(shifted)
@@ -317,6 +327,7 @@ def per_state_projector_td_run(
         drift = float(new_w.sum()) - 1.0
         if abs(drift) > MASS_DRIFT_TOL:
             new_w = new_w / (1.0 + drift)
+            renormalizations += 1
         weights[x] = new_w
         if state_sampler == "trajectory":
             x = y
@@ -327,33 +338,41 @@ def per_state_projector_td_run(
                 val = float(delta @ projectors[z].gram @ delta)
                 worst = max(worst, np.sqrt(max(val, 0.0)))
             series.append(worst)
-    return weights, visits, series
+            mean_step_size.append(float(np.mean(alphas)))
+            alphas = []
+    return weights, visits, series, mean_step_size, renormalizations
 
 
 def assert_run_equals_per_state_projector_loop(
-    mdp, support, steps, seed, sampler, report_interval=250, stream=0
+    mdp, support, steps, seed, sampler, report_interval=250, stream=0,
+    schedule=None, init=None,
 ):
     """categorical_td_run against ``per_state_projector_td_run`` on the same
-    generator: weights, visits, sup-MMD series and final generator state
-    equal."""
+    generator: weights, visits, sup-MMD series, mean step sizes, the count
+    of renormalised steps and the final generator state equal. Returns
+    that count."""
     reference = categorical_dp_solve(
         mdp, support, SPEC, tol=1e-10, max_iter=2000, projection="signed"
     ).final
-    schedule = make_schedule()
+    schedule = schedule or make_schedule()
     rng, ref_rng = rng_stream(seed, stream), rng_stream(seed, stream)
     state, report = categorical_td_run(
         mdp, support, SPEC, schedule, steps, rng,
         state_sampler=sampler, reference=reference, report_interval=report_interval,
+        init=init,
     )
-    weights, visits, series = per_state_projector_td_run(
+    weights, visits, series, sizes, renormalizations = per_state_projector_td_run(
         mdp, support, SPEC, schedule, steps, ref_rng, sampler, reference,
-        report_interval,
+        report_interval, init,
     )
     for x in range(mdp.n_states):
         assert np.array_equal(state.estimate[x].weights, weights[x])
     assert np.array_equal(state.visit_counts, visits)
     assert np.array_equal(np.array(report.sup_mmd), np.array(series))
+    assert report.mean_step_size == sizes
+    assert report.renormalizations == renormalizations
     assert rng.bit_generator.state == ref_rng.bit_generator.state
+    return renormalizations
 
 
 @pytest.fixture
@@ -364,25 +383,80 @@ def small_blocks(monkeypatch):
     monkeypatch.setattr(mdp_module, "_VISIT_BLOCK", 7)
 
 
-def _shared_projector_case(kind):
-    mdp = random_mdp(3, 2, 0.8, 1.0, rng_stream(21))
+@pytest.fixture
+def small_check_blocks(monkeypatch):
+    """Check the mass drift every 5 steps, so that runs cross many checks."""
+    import mmdrl.td as td_module
+
+    monkeypatch.setattr(td_module, "_CHECK_BLOCK", 5)
+
+
+def _shared_projector_case(kind, n_states=3):
+    mdp = random_mdp(n_states, 2, 0.8, 1.0, rng_stream(21))
     if kind == "random":
-        return mdp, SupportMap.random(3, 2, 7, mdp.v_max, rng_stream(22))
-    return mdp, SupportMap.uniform_grid(3, 2, 9, mdp.v_max)
+        return mdp, SupportMap.random(n_states, 2, 7, mdp.v_max, rng_stream(22))
+    if kind == "mixed":
+        # What a support file may hold: a different atom count per state.
+        rng = rng_stream(22)
+        return mdp, SupportMap(tuple(
+            rng.uniform(0.0, mdp.v_max, size=(5 + 2 * (x % 3), 2)) for x in range(n_states)
+        ))
+    return mdp, SupportMap.uniform_grid(n_states, 2, 9, mdp.v_max)
+
+
+def _off_mass_init(mdp, support, excess=5e-10):
+    """The usual initial state with every weight scaled by 1 + excess
+    (ReturnDistFn admits a mass within 1e-9 of 1)."""
+    state = init_td_state(mdp, support, SPEC)
+    return TdState(
+        ReturnDistFn(tuple(
+            DiscreteMeasure(m.atoms, m.weights * (1.0 + excess)) for m in state.estimate
+        )),
+        state.visit_counts,
+    )
 
 
 class TestSharedProjectors:
-    @pytest.mark.parametrize("kind", ["random", "grid"])
+    @pytest.mark.parametrize("kind", ["random", "grid", "mixed"])
     @pytest.mark.parametrize("sampler", ["uniform", "trajectory"])
     def test_run_equals_per_state_projector_loop(self, kind, sampler):
         mdp, support = _shared_projector_case(kind)
         assert_run_equals_per_state_projector_loop(mdp, support, 1000, 23, sampler)
 
-    @pytest.mark.parametrize("kind", ["random", "grid"])
+    @pytest.mark.parametrize("kind", ["random", "grid", "mixed"])
     @pytest.mark.parametrize("sampler", ["uniform", "trajectory"])
     def test_small_blocks_equal_per_state_projector_loop(self, small_blocks, kind, sampler):
         mdp, support = _shared_projector_case(kind)
         assert_run_equals_per_state_projector_loop(mdp, support, 1000, 23, sampler)
+
+    @pytest.mark.parametrize("kind", ["random", "grid", "mixed"])
+    @pytest.mark.parametrize("sampler", ["uniform", "trajectory"])
+    def test_small_check_blocks_equal_per_state_projector_loop(
+        self, small_blocks, small_check_blocks, kind, sampler
+    ):
+        # Report steps every 13 steps end checks early; visits come 7 at a time.
+        mdp, support = _shared_projector_case(kind)
+        assert_run_equals_per_state_projector_loop(
+            mdp, support, 1000, 23, sampler, report_interval=13
+        )
+
+    @pytest.mark.parametrize("kind", ["grid", "mixed"])
+    @pytest.mark.parametrize("check_block", [5, 128])
+    def test_renormalised_run_equals_per_state_projector_loop(
+        self, monkeypatch, kind, check_block
+    ):
+        # Weights of mass 1 + 5e-10 blended at alpha = 0.5 drift by 2.5e-10, so
+        # each state's first visit renormalises; 12 states spread those
+        # over several checks, and within one check where it is long.
+        import mmdrl.td as td_module
+
+        monkeypatch.setattr(td_module, "_CHECK_BLOCK", check_block)
+        mdp, support = _shared_projector_case(kind, n_states=12)
+        renormalizations = assert_run_equals_per_state_projector_loop(
+            mdp, support, 600, 23, "uniform", report_interval=13,
+            schedule=make_schedule(0.6, 0.5), init=_off_mass_init(mdp, support),
+        )
+        assert renormalizations >= 12
 
     def test_td_cat_dsm_workload_seed(self):
         # The td-cat-dsm benchmark workload's run for configured seed 0
@@ -410,6 +484,24 @@ class TestSharedProjectors:
                     init[x].atoms, init[x].weights
                 )
                 assert np.array_equal(state.estimate[x].weights, own.weights)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    n=st.integers(1, 300),
+    rows=st.integers(1, 130),
+    start=st.integers(0, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_row_reduce_equals_per_row_reduce(n, rows, start, seed):
+    # categorical_td_run checks a block's weight sums with one reduce over
+    # a slice of its buffer; each sum must equal the reduce of its row alone.
+    rng = rng_stream(seed)
+    buf = rng.uniform(-1.0, 2.0, size=(start + rows, n))
+    buf *= 10.0 ** rng.integers(-8, 9, size=buf.shape)
+    block = buf[start:]
+    sums = np.add.reduce(block, axis=1)
+    assert np.array_equal(sums, [np.add.reduce(row) for row in block])
 
 
 class TestEwpGradient:
