@@ -11,7 +11,9 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
+from pathlib import Path
 
 from .config import ExperimentConfig, load_config, resolve_config, resolve_mdp
 from .errors import (
@@ -87,6 +89,23 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_out(path: str, directory: bool = False) -> None:
+    """Fail on an unusable ``--out`` before any engine runs: a directory is
+    created, a file opened for appending (and removed again if it did not
+    exist). An ``OSError`` becomes a config error naming the flag."""
+    existed = os.path.lexists(path)
+    try:
+        if directory:
+            Path(path).mkdir(parents=True, exist_ok=True)
+        else:
+            with open(path, "a", encoding="utf-8"):
+                pass
+            if not existed:
+                os.remove(path)
+    except OSError as exc:
+        raise InvalidInputError(f"--out {path}: {exc}") from exc
+
+
 def _load_config(args) -> ExperimentConfig:
     """The config file, with ``--seed`` (if given) as its only seed."""
     config = load_config(args.config)
@@ -96,11 +115,15 @@ def _load_config(args) -> ExperimentConfig:
 
 
 def _cmd_run(args) -> int:
-    run_experiment(_load_config(args), args.out)
+    config = _load_config(args)
+    _check_out(args.out, directory=True)
+    run_experiment(config, args.out)
     return EXIT_OK
 
 
 def _cmd_cert(args) -> int:
+    if args.out:
+        _check_out(args.out)
     cert = nonaffinity_certificate(args.alpha)
     lines = ["xi_0,xi_1,projected_mixture,mixture_of_projections"]
     for atom, w1, w2 in zip(
@@ -117,7 +140,9 @@ def _cmd_cert(args) -> int:
 
 
 def _cmd_zeroshot(args) -> int:
-    zeroshot_run(_load_config(args), args.out)
+    config = _load_config(args)
+    _check_out(args.out, directory=True)
+    zeroshot_run(config, args.out)
     return EXIT_OK
 
 
@@ -127,12 +152,15 @@ def _cmd_gen_mdp(args) -> int:
         "dim": args.dim, "gamma": args.gamma, "r_max": args.r_max,
         "dirichlet_concentration": args.concentration,
     })
+    _check_out(args.out)
     build_mdp(section, args.seed).save(args.out)
     return EXIT_OK
 
 
 def _cmd_mesh(args) -> int:
     mdp = TabularMDP.load(args.mdp)
+    if args.out:
+        _check_out(args.out)
     support_cfg = {
         "kind": args.support_kind,
         "m": args.support_m,

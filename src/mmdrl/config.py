@@ -50,6 +50,17 @@ def _within(value, bound) -> bool:
     )
 
 
+def _real(value) -> float:
+    """A JSON number as a float. Booleans, strings and integers beyond the
+    float range raise rather than convert."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"expected a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"number out of the float range: {value!r}") from None
+
+
 def _integer(value) -> int:
     """A JSON integer, or a number with an integral value such as 1e4.
     Booleans, strings and fractions raise rather than truncate."""
@@ -69,7 +80,7 @@ def _flag(value) -> bool:
 def _point(value) -> list:
     if not isinstance(value, list):
         raise TypeError(f"expected a list, got {value!r}")
-    point = [float(v) for v in value]
+    point = [_real(v) for v in value]
     if not all(map(math.isfinite, point)):
         raise ValueError(f"expected finite numbers, got {value!r}")
     return point
@@ -98,8 +109,8 @@ def _td_reference(value):
 # default, and a key that any kind reads is known to all of them.
 _REQUIRED = object()
 _PATH = (str, _REQUIRED, None)
-_GAMMA = (float, 0.9, "[0, 1)")
-_CONCENTRATION = (float, 1.0, "(0, inf)")
+_GAMMA = (_real, 0.9, "[0, 1)")
+_CONCENTRATION = (_real, 1.0, "(0, inf)")
 # A grid needs 2^d atoms, two per axis: build_support checks m once d is known.
 _ATOMS = (_integer, 64, None)
 _MDP = {"kind": {
@@ -108,7 +119,7 @@ _MDP = {"kind": {
         "dim": (_integer, 2, "[1, inf)"),
         "gamma": _GAMMA,
         "dirichlet_concentration": _CONCENTRATION,
-        "r_max": (float, 1.0, "[0, inf)"),
+        "r_max": (_real, 1.0, "[0, inf)"),
     },
     "dsm": {
         "n_states": (_integer, 3, "[1, inf)"),
@@ -118,7 +129,7 @@ _MDP = {"kind": {
     "file": {"path": _PATH},
 }}
 _KERNEL = {
-    "alpha": (float, 1.0, "(0, 2)"),
+    "alpha": (_real, 1.0, "(0, 2)"),
     "reference_point": (_point, None, None),
 }
 _SUPPORT = {"kind": {
@@ -128,7 +139,7 @@ _SUPPORT = {"kind": {
     "file": {"path": _PATH},
 }}
 _DP = {
-    "tol": (float, 1e-8, "(0, inf]"),
+    "tol": (_real, 1e-8, "(0, inf]"),
     "max_iter": (_integer, 400, "[0, inf)"),
     "projection": (str, "simplex", ("simplex", "signed")),
 }
@@ -141,8 +152,8 @@ _TD = {
     "report_interval": (_integer, 1000, "[1, inf)"),
     "state_sampler": (str, "uniform", None),  # per algorithm, in _resolve_config
     "schedule": {
-        "exponent": (float, 0.6, "(0.5, 1]"),
-        "scale": (float, 1.0, "(0, inf)"),
+        "exponent": (_real, 0.6, "(0.5, 1]"),
+        "scale": (_real, 1.0, "(0, inf)"),
     },
     "reference": (_td_reference, "signed-dp", None),
 }
@@ -150,7 +161,7 @@ _ZEROSHOT = {
     "reward_draws": (_integer, 10, "[1, inf)"),
     "nonnegative_orthant": (_flag, False, None),
     "oracle_samples": (_integer, 10000, "[1, inf)"),
-    "tail_tol": (float, 1e-3, "(0, inf]"),
+    "tail_tol": (_real, 1e-3, "(0, inf]"),
     "estimate": {"kind": {"solve": {}, "file": {"path": (_seed_path, _REQUIRED, None)}}},
 }
 # The sections each algorithm reads besides mdp, kernel and seeds; each

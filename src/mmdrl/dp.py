@@ -17,12 +17,22 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import InvalidInputError, SupportBlowupError
-from .kernels import KernelSpec, cross_kernel, mmd
+from .kernels import (
+    MERGE_TOL,
+    NEGATIVE_SQ_TOL,
+    KernelSpec,
+    cross_kernel,
+    merge_close_atoms,
+    mmd,
+    signed_cross_sum,
+    signed_energy_sum,
+)
 from .measures import (
     DiscreteMeasure,
     ReturnDistFn,
@@ -53,8 +63,6 @@ class DpReport:
     wall_time_s: float
     final: ReturnDistFn
     converged: bool
-    backup_gaps: list = field(default_factory=list)
-    oracle_distance: float | None = None
 
     def contraction_ratios(self) -> list:
         out = []
@@ -123,14 +131,7 @@ def exact_bellman(
     return distributions pushed through z -> r(x) + gamma z. Refuses with
     ``SupportBlowupError`` when any state would exceed ``max_atoms``.
     """
-    if eta.n_states != mdp.n_states:
-        raise InvalidInputError(
-            f"{eta.n_states} state distributions for {mdp.n_states} states"
-        )
-    if eta.dim != mdp.dim:
-        raise InvalidInputError(
-            f"return dimension {eta.dim} does not match cumulant dimension {mdp.dim}"
-        )
+    eta.check_fits(mdp, "eta")
     out = []
     for x in range(mdp.n_states):
         row = mdp.transition[x]
@@ -325,20 +326,148 @@ def ewp_random_step(
     return ReturnDistFn(tuple(out))
 
 
+# Unit round-off of float64.
+_UNIT = np.finfo(np.float64).eps / 2
+
+
+class _Merged(NamedTuple):
+    """A measure's atoms and weights merged as ``mmd`` merges them, their
+    self-energy sum sum_ij w_i w_j rho(a_i, a_j), and the per-coordinate
+    lowest and highest atom."""
+
+    atoms: np.ndarray
+    weights: np.ndarray
+    energy: float
+    low: list
+    high: list
+
+
+def _merge(measure: DiscreteMeasure, alpha: float) -> _Merged:
+    atoms, weights = merge_close_atoms(measure.atoms, measure.weights)
+    return _Merged(
+        atoms,
+        weights,
+        signed_energy_sum(atoms, weights, alpha),
+        np.minimum.reduce(atoms).tolist(),
+        np.maximum.reduce(atoms).tolist(),
+    )
+
+
+def _screen(new: _Merged, old: _Merged, m: int, alpha: float) -> tuple:
+    """Screened squared MMD v = C - S_new / 2 - S_old / 2 of two merged
+    particle sets (C their cross sum, m the count of old particles), and a
+    bound delta with |v - J| <= delta, where J is what ``mmd_squared``
+    computes before it clamps: -1/2 times the energy sum of the merged
+    union, weighted w on new and -w' on old.
+
+    Write u for the unit round-off and g = N u / (1 - N u), the constant of
+    a sum of N terms, with N = 3 (n_new + n_old) + 2 m + c + 10 and
+    c = ceil(max(alpha, 1) (d + 3)) + 2. The weights are positive and sum
+    to 1 up to round-off, as particle weights do; W is a 1-norm of weights.
+
+    * A blockwise entry rho_ij is formed within relative error g_c: one
+      rounding per difference, square and coordinate sum, the square root
+      and pow's ulp. ``w_r @ dist @ w`` over an (r, n) block and the
+      running total add g_{r + n + blocks}. So a blockwise sum is within
+      g sum_ij |w_i w'_j| rho_ij <= g W W' D^alpha of its exact value, D
+      being the diagonal of the union's bounding box.
+    * On the scalar alpha = 1 routes each prefix sum is off by at most g
+      times its 1-norm, which puts a self sum within 2 g M and a cross sum
+      within 4 g M, M = sum_ij |w_i w'_j| (|z_i| + |z'_j|) <= 2 W W' max|z|.
+
+    With s = D^alpha, or s = 2 max|z| >= D on the scalar route, C, S_new
+    and S_old are within 4 g s, 2 g s and 2 g s, forming v adds at most
+    4 u s <= g s, and the union's sum (W = 2) is within 8 g s: 7 g s in v
+    and 4 g s in J.
+
+    The union that ``mmd`` merges has the buckets of both sets. A bucket
+    holding atoms of both keeps its new atom, and its weight is the new
+    weight minus the old raw weights added one at a time: within
+    g_{2m} (w_i + w'_j) of w_i - w'_j, 2 g in all, which moves the energy
+    sum by at most 2 g D^alpha (2 + 2) = 8 g s, 4 g s in J. The old atom
+    moves onto the new one. Keys round(x / tol) agree only where each
+    coordinate differs by at most tol + u (|x| + |y|), so it moves by at
+    most h = sqrt(d) (tol + 2 u max|x|), and a distance by at most 2 h.
+    With L = (2 h)^alpha for alpha <= 1 (Hoelder) and
+    alpha D^(alpha - 1) 2 h above (Lipschitz on [0, D]), the moves shift
+    the energy sum by at most 2 (old mass 1) (W = 2) L = 4 L, 2 L in J.
+
+    In all |v - J| <= 15 g s + 2 L. The bound returned, 16 g s + 3 L,
+    leaves room for rounding delta and the comparisons it enters. delta
+    is infinite where a bound could overflow: the union's partial sums
+    (up to 4 s) or the keys x / tol.
+    """
+    low = [min(x, y) for x, y in zip(new.low, old.low)]
+    high = [max(x, y) for x, y in zip(new.high, old.high)]
+    top = max(map(abs, low + high))
+    diameter = math.dist(low, high)
+    d = len(low)
+    cross = signed_cross_sum(new.atoms, new.weights, old.atoms, old.weights, alpha)
+    v = cross - 0.5 * new.energy - 0.5 * old.energy
+    c = math.ceil(max(alpha, 1.0) * (d + 3)) + 2
+    n = 3 * (len(new.weights) + len(old.weights)) + 2 * m + c + 10
+    g = n * _UNIT / (1.0 - n * _UNIT)
+    move = 2.0 * math.sqrt(d) * (MERGE_TOL + 2.0 * _UNIT * top)
+    try:
+        scale = 2.0 * top if d == 1 and alpha == 1.0 else diameter**alpha
+        if alpha <= 1.0:
+            shift = move**alpha
+        else:
+            shift = alpha * diameter ** (alpha - 1.0) * move
+    except OverflowError:
+        return v, math.inf
+    if not (math.isfinite(4.0 * scale) and math.isfinite(top / MERGE_TOL)):
+        return v, math.inf
+    return v, 16.0 * g * scale + 3.0 * shift
+
+
+def _sup_mmd(new_eta, eta, new_sets, old_sets, spec: KernelSpec) -> float:
+    """``max(mmd(new_eta[x], eta[x], spec) for x in states)``, bit for bit,
+    with ``mmd`` run only for the states the screen keeps.
+
+    A state is kept when its interval [v - delta, v + delta] reaches the
+    highest lower end, or reaches below -NEGATIVE_SQ_TOL, where ``mmd``
+    may raise ``ConsistencyError``. Kept states run in state order, so the
+    first to raise is the one that raised before. A state is dropped only
+    when its J lies below the J of the state with the highest lower end,
+    so its MMD is no larger. The maximum is then positive, as v + delta >
+    0 for particle sets: v is within 7 g s of an MMD^2 of two measures
+    whose masses differ by at most 2 g, which is at least -4 g s (see
+    ``_screen``). A positive maximum is one float in any order; a zero
+    one, whose sign is that of the first zero, is taken over every state
+    in order. A screen that is not finite keeps every state.
+    """
+    screens = [
+        _screen(new, old, eta[x].n_atoms, spec.alpha)
+        for x, (new, old) in enumerate(zip(new_sets, old_sets))
+    ]
+    states = range(len(screens))
+    if all(math.isfinite(v) and math.isfinite(delta) for v, delta in screens):
+        floor = max(v - delta for v, delta in screens)
+        states = [
+            x
+            for x, (v, delta) in enumerate(screens)
+            if v + delta >= floor or v - delta < -NEGATIVE_SQ_TOL
+        ]
+    return max(mmd(new_eta[x], eta[x], spec) for x in states)
+
+
 def ewp_random_solve(
     mdp: TabularMDP,
     config: EwpConfig,
     spec: KernelSpec,
     *,
     rng: np.random.Generator | None = None,
-    oracle: ReturnDistFn | None = None,
-    track_backup_gap: bool = False,
 ) -> DpReport:
     """Run the randomized particle DP for its configured iteration count.
 
-    When ``track_backup_gap`` is set, each iteration also records the
-    sup-MMD between the sampled update and the exact backup of its input,
-    i.e. the realized per-sweep approximation error.
+    The distance series is the sup-MMD between successive iterates, the
+    values of ``max(mmd(new[x], old[x], spec) for x in states)`` bit for
+    bit. Each state's merged particle set and self-energy sum are carried
+    from one sweep to the next, so a sweep merges and sums each new
+    iterate once and forms one cross sum per state. These screen the
+    states (``_sup_mmd``), and the exact ``mmd`` runs only for those that
+    can attain the maximum: usually one per sweep.
     """
     from .mdp import rng_stream
 
@@ -346,24 +475,13 @@ def ewp_random_solve(
     rng = rng if rng is not None else rng_stream(config.seed)
     iterations = config.resolved_iterations(mdp.gamma, spec.alpha)
     eta = ewp_init(mdp, config.m)
+    sets = [_merge(measure, spec.alpha) for measure in eta]
     distances = []
-    gaps = []
     for _ in range(iterations):
         new_eta = ewp_random_step(eta, mdp, config.m, rng)
-        distances.append(
-            max(mmd(new_eta[x], eta[x], spec) for x in range(mdp.n_states))
-        )
-        if track_backup_gap:
-            exact = exact_bellman(eta, mdp)
-            gaps.append(
-                max(mmd(new_eta[x], exact[x], spec) for x in range(mdp.n_states))
-            )
-        eta = new_eta
-    oracle_distance = None
-    if oracle is not None:
-        oracle_distance = max(
-            mmd(eta[x], oracle[x], spec) for x in range(mdp.n_states)
-        )
+        new_sets = [_merge(measure, spec.alpha) for measure in new_eta]
+        distances.append(_sup_mmd(new_eta, eta, new_sets, sets, spec))
+        eta, sets = new_eta, new_sets
     wall = time.perf_counter() - start_time
     return DpReport(
         distances=distances,
@@ -371,6 +489,4 @@ def ewp_random_solve(
         wall_time_s=wall,
         final=eta,
         converged=True,
-        backup_gaps=gaps,
-        oracle_distance=oracle_distance,
     )

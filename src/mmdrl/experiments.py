@@ -110,11 +110,7 @@ def _td_reference_fn(td: dict, mdp, support, spec) -> ReturnDistFn | None:
     if td["reference"] is None:
         return None
     reference = ReturnDistFn.load(td["reference"]["path"])
-    if (reference.n_states, reference.dim) != (mdp.n_states, mdp.dim):
-        raise InvalidInputError(
-            f"td.reference holds {reference.n_states} measures of dimension "
-            f"{reference.dim}; the MDP has {mdp.n_states} states of dimension {mdp.dim}"
-        )
+    reference.check_fits(mdp, "td.reference")
     return reference
 
 
@@ -314,7 +310,8 @@ def zeroshot_seed(config: ExperimentConfig, seed: int, estimate: ReturnDistFn | 
 
     The estimate comes from the configured source: solved in-run, loaded
     from a file (a ``{seed}`` placeholder in the path is substituted), or
-    passed in directly.
+    passed in directly. One of another state count or dimension than the
+    MDP raises ``InvalidInputError`` before any rollout.
     """
     spec = build_kernel(config)
     mdp = build_mdp(config["mdp"], seed)
@@ -324,6 +321,7 @@ def zeroshot_seed(config: ExperimentConfig, seed: int, estimate: ReturnDistFn | 
             estimate = ReturnDistFn.load(zs["estimate"]["path"].format(seed=seed))
         else:
             estimate = run_seed(config, seed).estimate
+    estimate.check_fits(mdp, "zeroshot.estimate")
     probability_estimate = _as_probability_fn(estimate, spec)
     reward_rng = rng_stream(seed, _STREAM_REWARDS)
     oracle_rng = rng_stream(seed, _STREAM_ORACLE)

@@ -166,6 +166,14 @@ def cross_kernel(left, right, spec: KernelSpec) -> np.ndarray:
     return 0.5 * (rho_a[:, None] + rho_b[None, :] - rho)
 
 
+def _prefix_sums(x: np.ndarray) -> np.ndarray:
+    """[0, x_0, x_0 + x_1, ...], summed in order as ``np.cumsum`` sums."""
+    out = np.empty(x.shape[0] + 1)
+    out[0] = 0.0
+    np.add.accumulate(x, out=out[1:])
+    return out
+
+
 def signed_energy_sum(atoms: np.ndarray, weights: np.ndarray, alpha: float) -> float:
     """sum_ij w_i w_j rho_alpha(a_i, a_j) for signed weights.
 
@@ -187,12 +195,12 @@ def signed_energy_sum(atoms: np.ndarray, weights: np.ndarray, alpha: float) -> f
     if n == 1:
         return 0.0
     if d == 1 and alpha == 1.0:
-        order = np.argsort(atoms[:, 0], kind="stable")
+        order = atoms[:, 0].argsort(kind="stable")
         z = atoms[order, 0]
         w = weights[order]
-        prefix_w = np.concatenate(([0.0], np.cumsum(w)[:-1]))
-        prefix_wz = np.concatenate(([0.0], np.cumsum(w * z)[:-1]))
-        return float(2.0 * np.sum(w * (z * prefix_w - prefix_wz)))
+        prefix_w = _prefix_sums(w)[:-1]
+        prefix_wz = _prefix_sums(w * z)[:-1]
+        return float(2.0 * np.add.reduce(w * (z * prefix_w - prefix_wz)))
     block = max(1, _BLOCK_ENTRIES // n)
     slab = max(1, _SLAB_ENTRIES // n)
     cols = atoms.T
@@ -223,6 +231,51 @@ def signed_energy_sum(atoms: np.ndarray, weights: np.ndarray, alpha: float) -> f
     return total
 
 
+def signed_cross_sum(
+    a: np.ndarray, wa: np.ndarray, b: np.ndarray, wb: np.ndarray, alpha: float
+) -> float:
+    """sum_ij wa_i wb_j rho_alpha(a_i, b_j) between two atom sets.
+
+    Scalar atoms with alpha = 1 take an exact O((n_a + n_b) log n_b)
+    route: with b sorted and k the count of b_j below a_i, the prefix
+    sums P of wb and Q of wb * b give sum_j wb_j |a_i - b_j| =
+    a_i (2 P_k - P_n) + Q_n - 2 Q_k. Otherwise the (n_a, n_b) matrix is
+    accumulated in row blocks of at most ``_BLOCK_ENTRIES`` entries, each
+    entry formed as ``signed_energy_sum`` forms it: squared differences
+    summed from coordinate 0 on, then the square root and the power.
+    """
+    d = a.shape[1]
+    if d == 1 and alpha == 1.0:
+        order = b[:, 0].argsort(kind="stable")
+        z = b[order, 0]
+        w = wb[order]
+        prefix_w = _prefix_sums(w)
+        prefix_wz = _prefix_sums(w * z)
+        k = z.searchsorted(a[:, 0])
+        below = 2.0 * prefix_w[k] - prefix_w[-1]
+        above = prefix_wz[-1] - 2.0 * prefix_wz[k]
+        return float(np.add.reduce(wa * (a[:, 0] * below + above)))
+    na, nb = a.shape[0], b.shape[0]
+    block = max(1, _BLOCK_ENTRIES // nb)
+    coords_a, coords_b = a.T, b.T
+    buffers = np.empty((2, min(block, na) * nb))
+    total = 0.0
+    for start in range(0, na, block):
+        stop = min(start + block, na)
+        dist, tmp = (buf[: (stop - start) * nb].reshape(stop - start, nb) for buf in buffers)
+        np.subtract(coords_a[0, start:stop, None], coords_b[0], out=dist)
+        dist *= dist
+        for col_a, col_b in zip(coords_a[1:], coords_b[1:]):
+            np.subtract(col_a[start:stop, None], col_b, out=tmp)
+            tmp *= tmp
+            dist += tmp
+        np.sqrt(dist, out=dist)
+        if alpha != 1.0:
+            dist **= alpha
+        total += float(wa[start:stop] @ dist @ wb)
+    return total
+
+
 def merge_close_atoms(atoms: np.ndarray, weights: np.ndarray, tol: float = MERGE_TOL):
     """Sum weights of atoms that coincide within ``tol`` componentwise.
 
@@ -236,15 +289,16 @@ def merge_close_atoms(atoms: np.ndarray, weights: np.ndarray, tol: float = MERGE
     ``np.unique(keys, axis=0)``. ``atoms`` needs at least one row.
     """
     # Keys compare as floats, so -0.0 and +0.0 fall in one bucket.
-    keys = np.round(atoms / tol)
+    keys = (atoms / tol).round()
     order = np.lexsort(keys.T[::-1])
     ranked = keys[order]
     new = np.empty(order.shape[0], dtype=bool)
     new[0] = True
-    np.any(ranked[1:] != ranked[:-1], axis=1, out=new[1:])
+    np.logical_or.reduce(ranked[1:] != ranked[:-1], axis=1, out=new[1:])
+    ranks = new.cumsum() - 1
     inverse = np.empty_like(order)
-    inverse[order] = np.cumsum(new) - 1
-    merged_w = np.zeros(np.count_nonzero(new))
+    inverse[order] = ranks
+    merged_w = np.zeros(ranks[-1] + 1)
     np.add.at(merged_w, inverse, weights)
     return atoms[order[new]], merged_w
 

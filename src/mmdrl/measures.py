@@ -188,6 +188,15 @@ class ReturnDistFn:
     def __iter__(self):
         return iter(self.measures)
 
+    def check_fits(self, mdp, what: str) -> None:
+        """Raise ``InvalidInputError``, naming ``what``, unless this holds
+        one measure per state of ``mdp``, of its cumulant dimension."""
+        if (self.n_states, self.dim) != (mdp.n_states, mdp.dim):
+            raise InvalidInputError(
+                f"{what} holds {self.n_states} measures of dimension {self.dim}; "
+                f"the MDP has {mdp.n_states} states of dimension {mdp.dim}"
+            )
+
     def replace(self, x: int, measure: DiscreteMeasure) -> "ReturnDistFn":
         updated = list(self.measures)
         updated[x] = measure

@@ -134,7 +134,9 @@ def categorical_td_run(
 
     States are visited uniformly at random by default (``"trajectory"``
     follows the chain instead). Returns the final state and a report with
-    sup-MMD to ``reference`` at every report interval.
+    sup-MMD to ``reference`` at every report interval; a reference of
+    another state count or dimension than the MDP raises
+    ``InvalidInputError`` before any step.
 
     The weight-sum drift is checked once per block of at most
     ``_CHECK_BLOCK`` steps, ending at report steps. After renormalising a
@@ -146,6 +148,8 @@ def categorical_td_run(
     if state_sampler not in ("uniform", "trajectory"):
         raise InvalidInputError(f"unknown state sampler {state_sampler!r}")
     _check_report_interval(steps, report_interval)
+    if reference is not None:
+        reference.check_fits(mdp, "reference")
     state = init if init is not None else init_td_state(mdp, support, spec)
     weights = [
         weights_on_support(state.estimate[x], support[x])
@@ -324,10 +328,13 @@ def ewp_td_run(
     report_interval: int = 1000,
     init: np.ndarray | None = None,
 ):
-    """Run particle TD with per-state visit-count step sizes."""
+    """Run particle TD with per-state visit-count step sizes; a
+    ``reference`` must fit the MDP as in ``categorical_td_run``."""
     if steps < 0:
         raise InvalidInputError("steps must be >= 0")
     _check_report_interval(steps, report_interval)
+    if reference is not None:
+        reference.check_fits(mdp, "reference")
     if init is not None:
         particles = np.array(init, dtype=np.float64, copy=True)
     else:

@@ -414,6 +414,35 @@ class TestRunCommand:
             {"algorithm": "dp-cat", "seeds": [-1]},
             {"algorithm": "dp-cat", "dp": {"tol": float("nan")}},
             *MISMATCHED_REFERENCES,
+            # Float fields take JSON numbers only; these used to run (exit 0).
+            pytest.param({"algorithm": "dp-cat", "dp": {"tol": True}}, id="dp-tol-true"),
+            pytest.param({"algorithm": "dp-ewp", "kernel": {"alpha": True}}, id="kernel-alpha-true"),
+            pytest.param({"algorithm": "dp-ewp", "kernel": {"alpha": "0.5"}}, id="kernel-alpha-string"),
+            pytest.param(
+                {"algorithm": "dp-ewp", "kernel": {"reference_point": [True, 0]}},
+                id="kernel-reference-point-true",
+            ),
+            pytest.param(
+                {"algorithm": "dp-ewp", "mdp": {"kind": "random", "gamma": "0.5"}},
+                id="mdp-gamma-string",
+            ),
+            pytest.param(
+                {"algorithm": "dp-ewp", "mdp": {"kind": "random", "r_max": False}},
+                id="mdp-r-max-false",
+            ),
+            pytest.param(
+                {"algorithm": "td-ewp", "td": {"steps": 10, "particles": 2,
+                                               "schedule": {"scale": True}}},
+                id="td-schedule-scale-true",
+            ),
+            pytest.param(
+                {"algorithm": "dp-ewp", "zeroshot": {"tail_tol": True}},
+                id="zeroshot-tail-tol-true",
+            ),
+            pytest.param(
+                {"algorithm": "dp-ewp", "mdp": {"kind": "random", "gamma": 10**400}},
+                id="mdp-gamma-beyond-float",
+            ),
         ],
     )
     def test_malformed_values_never_exit_1(self, tmp_path, monkeypatch, payload):
@@ -519,6 +548,59 @@ class TestRunCommand:
             lambda *a, **k: (_ for _ in ()).throw(SolverError("stalled", 1.0)),
         )
         assert main(["run", "--config", config, "--out", str(tmp_path / "o")]) == 3
+
+
+class TestOutPaths:
+    """An unusable ``--out`` is a config error naming the flag, found before
+    any engine runs; each of these exited 1 with an OSError traceback."""
+
+    @pytest.mark.parametrize(
+        "command, target",
+        [
+            pytest.param("run", "file", id="run-out-is-a-file"),
+            pytest.param("run", "under-file", id="run-out-under-a-file"),
+            pytest.param("zeroshot-eval", "file", id="zeroshot-eval-out-is-a-file"),
+            pytest.param("zeroshot-eval", "under-file", id="zeroshot-eval-out-under-a-file"),
+            pytest.param("mesh-report", "dir", id="mesh-report-out-is-a-directory"),
+            pytest.param("cert-nonaffine", "dir", id="cert-nonaffine-out-is-a-directory"),
+            pytest.param("gen-mdp", "dir", id="gen-mdp-out-is-a-directory"),
+            pytest.param("mesh-report", "under-file", id="mesh-report-out-under-a-file"),
+        ],
+    )
+    def test_unusable_out_exits_2(self, tmp_path, monkeypatch, capsys, command, target):
+        import mmdrl.cli as cli_module
+
+        def no_engine(*args, **kwargs):
+            raise AssertionError("an engine started")
+
+        for name in ("run_experiment", "zeroshot_run", "mesh_and_bound",
+                     "nonaffinity_certificate", "build_mdp"):
+            monkeypatch.setattr(cli_module, name, no_engine)
+        (tmp_path / "file").write_text("keep")
+        (tmp_path / "dir").mkdir()
+        out = {"file": "file", "dir": "dir", "under-file": "file/out"}[target]
+        config = dp_cat_config(tmp_path, seeds=[0], zeroshot={"reward_draws": 1})
+        mdp_path = tmp_path / "mdp.json"
+        random_mdp(2, 2, 0.8, 1.0, rng_stream(0)).save(mdp_path)
+        args = {
+            "run": ["--config", config],
+            "zeroshot-eval": ["--config", config],
+            "mesh-report": ["--mdp", str(mdp_path)],
+            "cert-nonaffine": [],
+            "gen-mdp": [],
+        }[command]
+        assert main([command, *args, "--out", str(tmp_path / out)]) == 2
+        assert "--out" in capsys.readouterr().err
+        assert (tmp_path / "file").read_text() == "keep"
+
+    def test_out_file_check_leaves_nothing_behind(self, tmp_path):
+        # The support is refused after --out was checked: no empty report.
+        mdp_path = tmp_path / "mdp.json"
+        random_mdp(2, 2, 0.8, 1.0, rng_stream(0)).save(mdp_path)
+        out = tmp_path / "report.json"
+        args = ["mesh-report", "--mdp", str(mdp_path), "--support-m", "1", "--out", str(out)]
+        assert main(args) == 2
+        assert not out.exists()
 
 
 class TestCertNonaffine:
@@ -653,6 +735,23 @@ class TestZeroshotEval:
         )
         assert main(["zeroshot-eval", "--config", config, "--out", str(tmp_path / "o")]) == 3
         assert capsys.readouterr().err.startswith("engine error: out of memory")
+
+    @pytest.mark.parametrize("n_states, dim", [(2, 2), (5, 1), (7, 2)])
+    def test_mismatched_estimate_exits_2(self, tmp_path, capsys, n_states, dim):
+        # A 2-measure estimate for the 5-state MDP exited 1 with an IndexError.
+        estimate = tmp_path / "estimate.json"
+        estimate.write_text(json.dumps(point_masses(n_states, dim)))
+        config = write_config(
+            tmp_path,
+            {
+                "algorithm": "dp-cat",
+                "mdp": {"kind": "random", "n_states": 5, "dim": 2, "gamma": 0.8},
+                "seeds": [0],
+                "zeroshot": {"reward_draws": 1, "estimate": {"kind": "file", "path": str(estimate)}},
+            },
+        )
+        assert main(["zeroshot-eval", "--config", config, "--out", str(tmp_path / "o")]) == 2
+        assert "zeroshot.estimate" in capsys.readouterr().err
 
     @pytest.mark.parametrize("name", ["not_json.json", "list.json", "no_measures.json"])
     def test_malformed_estimate_file_exits_2(self, tmp_path, name):

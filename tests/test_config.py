@@ -214,7 +214,7 @@ VALUES = {
             None,
             {},
             {"kind": "random", "n_states": 3, "dim": 1, "gamma": 0.8},
-            {"n_states": 4.0, "dim": 2.0, "gamma": "0.5", "dirichlet_concentration": 2, "r_max": 3},
+            {"n_states": 4.0, "dim": 2.0, "gamma": 0.5, "dirichlet_concentration": 2, "r_max": 3},
             {"n_states": 2, "dim": 1, "r_max": 0, "path": "ignored.json"},
             {"kind": "dsm", "n_states": 4, "gamma": 0.0, "dim": 7, "r_max": "x"},
             {"kind": "dsm"},
@@ -238,12 +238,18 @@ VALUES = {
             {"n_state": 3},
             {"n_states": "4"},
             {"dim": 1.5},
+            {"gamma": "0.5"},
+            {"r_max": True},
+            {"kind": "dsm", "dirichlet_concentration": "2"},
         ],
     },
     "kernel": {
-        "ok": [None, {}, {"alpha": 0.5, "reference_point": [1, "2"]}, {"reference_point": None}, {"alpha": "1.5"}],
+        "ok": [None, {}, {"alpha": 0.5, "reference_point": [1, 2.0]}, {"reference_point": None}, {"alpha": 1.5}],
         "bad": [{"reference_point": "abc"}, {"alpha": "x"}, []],
-        "tight": [{"reference_point": [NAN]}, {"alpha": 2.5}, {"alpha": 0}, {"refpoint": None}],
+        "tight": [
+            {"reference_point": [NAN]}, {"alpha": 2.5}, {"alpha": 0}, {"refpoint": None},
+            {"alpha": "1.5"}, {"alpha": True}, {"reference_point": [1, "2"]}, {"reference_point": [False]},
+        ],
     },
     "seeds": {
         "ok": [None, [0], [3, 1], [2.0]],
@@ -274,7 +280,7 @@ VALUES = {
         "bad": [{"projection": "affine"}, {"tol": None}, "dp"],
         "tight": [
             {"max_iter": -1}, {"tol": 0}, {"tol": NAN}, {"tolerance": 1},
-            {"max_iter": "7"}, {"max_iter": 7.5},
+            {"max_iter": "7"}, {"max_iter": 7.5}, {"tol": True}, {"tol": "1e-4"},
         ],
     },
     "ewp": {
@@ -309,6 +315,8 @@ VALUES = {
             {"steps": 10.5},
             {"steps": "12"},
             {"report_interval": True},
+            {"schedule": {"scale": True}},
+            {"schedule": {"exponent": "0.7"}},
         ],
     },
     "zeroshot": {
@@ -332,6 +340,8 @@ VALUES = {
             {"nonnegative_orthant": 1},
             {"draws": 3},
             {"reward_draws": 2.5},
+            {"tail_tol": True},
+            {"tail_tol": "0.01"},
         ],
     },
     "suport": {"ok": [None], "bad": [], "tight": [{"kind": "grid"}]},

@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mmdrl import (
+    ConsistencyError,
     DiscreteMeasure,
     EwpConfig,
     InvalidInputError,
@@ -29,8 +32,11 @@ from mmdrl import (
 from mmdrl.dp import point_init
 
 from util import (
+    oracle_distance,
     random_probability_measure,
+    reference_ewp_sweeps,
     reference_merge_close_atoms,
+    reference_signed_cross_sum,
     reference_signed_energy_sum,
 )
 
@@ -283,19 +289,18 @@ class TestEwpRandomSolve:
     def test_backup_gap_diagnostic(self):
         mdp = random_mdp(3, 1, 0.8, 1.0, rng_stream(18))
         config = EwpConfig(m=32, iterations=5, seed=1)
-        report = ewp_random_solve(
-            mdp, config, SPEC, rng=rng_stream(1, 2), track_backup_gap=True
-        )
-        assert len(report.backup_gaps) == 5
-        assert all(np.isfinite(g) for g in report.backup_gaps)
+        _, backup_gaps, _ = reference_ewp_sweeps(mdp, config, SPEC, rng_stream(1, 2))
+        assert len(backup_gaps) == 5
+        assert all(np.isfinite(g) for g in backup_gaps)
 
     def test_oracle_distance_reported(self):
         mdp = random_mdp(2, 1, 0.8, 1.0, rng_stream(19))
         oracle = point_init(mdp)
         config = EwpConfig(m=8, iterations=3, seed=2)
-        report = ewp_random_solve(mdp, config, SPEC, oracle=oracle)
-        assert report.oracle_distance is not None
-        assert np.isfinite(report.oracle_distance)
+        report = ewp_random_solve(mdp, config, SPEC)
+        distance = oracle_distance(report, oracle, SPEC)
+        assert distance is not None
+        assert np.isfinite(distance)
 
     def test_mean_consistency(self):
         mdp = random_mdp(4, 2, 0.9, 1.0, rng_stream(20))
@@ -319,27 +324,235 @@ class TestEwpRandomSolve:
     @pytest.mark.parametrize("alpha", [1.0, 1.5])
     def test_bitwise_equal_to_reference_kernels(self, monkeypatch, dim, alpha):
         # The sup-MMD series and the backup gaps are the same bytes when the
-        # energy sum and the atom merge run through their reference bodies.
-        from mmdrl import kernels, measures
+        # energy sum, the cross sum and the atom merge run through their
+        # reference bodies.
+        from mmdrl import dp, kernels, measures
 
         mdp = random_mdp(3, dim, 0.9, 1.0, rng_stream(22))
         config = EwpConfig(m=64, iterations=8, seed=4)
         spec = energy_kernel(alpha)
 
         def solve():
-            return ewp_random_solve(
-                mdp, config, spec, rng=rng_stream(4, 2), track_backup_gap=True
-            )
+            report = ewp_random_solve(mdp, config, spec, rng=rng_stream(4, 2))
+            _, gaps, _ = reference_ewp_sweeps(mdp, config, spec, rng_stream(4, 2))
+            return report, gaps
 
-        shipped = solve()
-        monkeypatch.setattr(kernels, "signed_energy_sum", reference_signed_energy_sum)
-        monkeypatch.setattr(kernels, "merge_close_atoms", reference_merge_close_atoms)
+        shipped, shipped_gaps = solve()
+        for module in (kernels, dp):
+            monkeypatch.setattr(module, "signed_energy_sum", reference_signed_energy_sum)
+            monkeypatch.setattr(module, "signed_cross_sum", reference_signed_cross_sum)
+            monkeypatch.setattr(module, "merge_close_atoms", reference_merge_close_atoms)
         monkeypatch.setattr(measures, "merge_close_atoms", reference_merge_close_atoms)
-        reference = solve()
+        reference, reference_gaps = solve()
         assert np.array(shipped.distances).tobytes() == np.array(reference.distances).tobytes()
-        assert np.array(shipped.backup_gaps).tobytes() == np.array(reference.backup_gaps).tobytes()
+        assert np.array(shipped_gaps).tobytes() == np.array(reference_gaps).tobytes()
         for x in range(mdp.n_states):
             assert shipped.final[x].atoms.tobytes() == reference.final[x].atoms.tobytes()
+
+
+@st.composite
+def particle_pairs(draw):
+    """Two sets of m particle rows (new, old) at d = 1, 2 or 3, up to 1e7
+    in size (r_max = 1e6 at gamma 0.9), whose rows repeat across the sets,
+    differ by less than the merge tolerance or by one ulp, or differ only
+    in the sign of a zero."""
+    d = draw(st.integers(1, 3))
+    scale = draw(st.sampled_from([1.0, 1e3, 1e7]))
+    pool = [scale * v for v in draw(st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=4))]
+    coord = st.one_of(
+        st.sampled_from([0.0, -0.0]),
+        st.sampled_from(pool),
+        st.builds(lambda a, k: a + k * 1e-13, st.sampled_from(pool), st.integers(-9, 9)),
+        st.builds(np.nextafter, st.sampled_from(pool), st.sampled_from([-np.inf, np.inf])),
+        st.floats(-1.0, 1.0).map(lambda v: scale * v),
+    )
+    row = st.lists(coord, min_size=d, max_size=d)
+    seen = draw(st.lists(row, min_size=1, max_size=6))
+    m = draw(st.integers(1, 40))
+    rows = st.lists(st.one_of(st.sampled_from(seen), row), min_size=m, max_size=m)
+    return tuple(np.array(draw(rows), dtype=np.float64).reshape(m, d) for _ in range(2))
+
+
+def cycle_mdp(n_states, cumulant, gamma):
+    """Deterministic cycle with one cumulant for every state: the
+    point-mass particles are the fixed point, so every sweep moves 0."""
+    return TabularMDP(
+        np.roll(np.eye(n_states), 1, axis=1), np.full((n_states, 2), cumulant), gamma
+    )
+
+
+class TestSupMmdScreen:
+    """The screened sup-MMD of ``ewp_random_solve`` against the loop over
+    every state's ``mmd``."""
+
+    @pytest.mark.parametrize("r_max", [1.0, 1e6])
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5])
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_series_equals_every_state_mmd(self, dim, alpha, r_max):
+        mdp = random_mdp(4, dim, 0.9, 1.0, rng_stream(30 + dim), r_max)
+        config = EwpConfig(m=32, iterations=6, seed=5)
+        spec = energy_kernel(alpha)
+        report = ewp_random_solve(mdp, config, spec, rng=rng_stream(5, 2))
+        distances, _, final = reference_ewp_sweeps(mdp, config, spec, rng_stream(5, 2))
+        assert np.array(report.distances).tobytes() == np.array(distances).tobytes()
+        for x in range(mdp.n_states):
+            assert report.final[x].atoms.tobytes() == final[x].atoms.tobytes()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("r_max", [1e150, 1e200, 1e250, 1e300])
+    @pytest.mark.parametrize("dim, alpha", [(1, 1.0), (1, 0.5), (2, 1.0), (2, 1.5)])
+    def test_series_equals_every_state_mmd_where_sums_overflow(self, dim, alpha, r_max):
+        # Squared distances, powers or merge keys overflow: distances read
+        # inf, nan or 0, and the screen must keep every state.
+        mdp = random_mdp(3, dim, 0.9, 1.0, rng_stream(3), r_max)
+        config = EwpConfig(m=8, iterations=3, seed=1)
+        spec = energy_kernel(alpha)
+        report = ewp_random_solve(mdp, config, spec, rng=rng_stream(1, 2))
+        distances, _, _ = reference_ewp_sweeps(mdp, config, spec, rng_stream(1, 2))
+        assert np.array(report.distances).tobytes() == np.array(distances).tobytes()
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5])
+    def test_one_exact_mmd_per_sweep(self, monkeypatch, alpha):
+        from mmdrl import dp
+
+        calls = []
+        monkeypatch.setattr(dp, "mmd", lambda p, q, spec: calls.append(1) or mmd(p, q, spec))
+        mdp = random_mdp(5, 2, 0.9, 1.0, rng_stream(7))
+        report = ewp_random_solve(
+            mdp, EwpConfig(m=64, seed=1), energy_kernel(alpha), rng=rng_stream(1, 2)
+        )
+        assert len(calls) == report.iterations > 0
+
+    @pytest.mark.parametrize("m", [2, 3, 7, 10, 16])
+    def test_every_state_at_distance_zero(self, m):
+        # The weights of m equal particles do not cancel exactly for some
+        # m, and then the distance reads -0.0: the series keeps its sign.
+        mdp = cycle_mdp(3, 0.25, 0.5)
+        config = EwpConfig(m=m, iterations=4, seed=0)
+        report = ewp_random_solve(mdp, config, SPEC, rng=rng_stream(0, 2))
+        distances, _, _ = reference_ewp_sweeps(mdp, config, SPEC, rng_stream(0, 2))
+        assert distances == [0.0] * 4
+        assert np.array(report.distances).tobytes() == np.array(distances).tobytes()
+
+    def test_signed_zero_of_the_first_state_wins(self):
+        from mmdrl.dp import _merge, _sup_mmd
+
+        def point(m):
+            return DiscreteMeasure(np.zeros((m, 1)), np.full(m, 1.0 / m))
+
+        # Two equal particles cancel to 0.0; three leave a remainder, and
+        # the distance reads -0.0.
+        assert [np.copysign(1.0, mmd(point(m), point(m), SPEC)) for m in (2, 3)] == [1.0, -1.0]
+        for order in ((2, 3), (3, 2), (3, 3, 2), (2, 2, 3)):
+            eta = ReturnDistFn(tuple(point(m) for m in order))
+            sets = [_merge(measure, 1.0) for measure in eta]
+            got = _sup_mmd(eta, eta, sets, sets, SPEC)
+            expected = max(mmd(eta[x], eta[x], SPEC) for x in range(len(order)))
+            assert np.copysign(1.0, got) == np.copysign(1.0, expected) == (1.0 if order[0] == 2 else -1.0)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_merge_keys_keep_every_state(self):
+        # Past 1.8e296 the keys x / tol are infinite, so mmd merges 1e300
+        # with 1e307 and state 0 reads 0 although its screened v is 1e307.
+        from mmdrl.dp import _merge, _sup_mmd
+
+        def particles(*atoms):
+            return DiscreteMeasure(np.array(atoms)[:, None], np.full(len(atoms), 1.0 / len(atoms)))
+
+        new_eta = ReturnDistFn((particles(1e300, 1e300), particles(0.0, 1.0)))
+        eta = ReturnDistFn((particles(1e307, 1e307), particles(0.5, 3.0)))
+        expected = max(mmd(new_eta[x], eta[x], SPEC) for x in range(2))
+        assert expected == mmd(new_eta[1], eta[1], SPEC) > 0.0
+        got = _sup_mmd(
+            new_eta, eta, [_merge(p, 1.0) for p in new_eta], [_merge(p, 1.0) for p in eta], SPEC
+        )
+        assert got == expected
+
+    def test_kept_states_run_in_order(self, monkeypatch):
+        from mmdrl import dp
+
+        # State 2 has the highest lower end and 4 reaches it; 1 and 3 reach
+        # below -NEGATIVE_SQ_TOL, where mmd may raise; 0 is dropped.
+        screens = {0: (0.5, 1e-3), 1: (-1.0, 1e-3), 2: (0.9, 1e-3), 3: (-2.0, 1e-3), 4: (0.3, 0.7)}
+        outcomes = {0: 0.1, 1: ConsistencyError("state 1"), 2: 0.95,
+                    3: ConsistencyError("state 3"), 4: 0.9}
+        calls = []
+
+        def fake_mmd(p, q, spec):
+            calls.append(int(p))
+            if isinstance(outcomes[p], Exception):
+                raise outcomes[p]
+            return outcomes[p]
+
+        class Particles(int):
+            n_atoms = 4
+
+        states = [Particles(x) for x in range(5)]
+        monkeypatch.setattr(dp, "_screen", lambda new, old, m, alpha: screens[new])
+        monkeypatch.setattr(dp, "mmd", fake_mmd)
+        with pytest.raises(ConsistencyError, match="state 1"):
+            dp._sup_mmd(states, states, states, states, SPEC)
+        assert calls == [1]
+        outcomes.update({1: 0.0, 3: 0.0})
+        calls.clear()
+        assert dp._sup_mmd(states, states, states, states, SPEC) == 0.95
+        assert calls == [1, 2, 3, 4]
+        # A screen that is not finite keeps every state.
+        screens[0] = (float("nan"), 1e-3)
+        calls.clear()
+        assert dp._sup_mmd(states, states, states, states, SPEC) == 0.95
+        assert calls == [0, 1, 2, 3, 4]
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5])
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_screen_bound_holds_on_sweeps_at_r_max_1e6(self, dim, alpha):
+        from mmdrl import kernels
+        from mmdrl.dp import _merge, _screen
+
+        mdp = random_mdp(4, dim, 0.9, 1.0, rng_stream(41), 1e6)
+        rng = rng_stream(42)
+        eta = ewp_init(mdp, 32)
+        for _ in range(5):
+            new_eta = ewp_random_step(eta, mdp, 32, rng)
+            for x in range(mdp.n_states):
+                v, delta = _screen(_merge(new_eta[x], alpha), _merge(eta[x], alpha), 32, alpha)
+                atoms, diff = kernels._stack_difference(new_eta[x], eta[x])
+                joint = -0.5 * kernels.signed_energy_sum(atoms, diff, alpha)
+                assert abs(v - joint) <= delta < 1e-5 * abs(joint)
+            eta = new_eta
+
+    def test_bound_covers_prefix_sum_cancellation(self):
+        # 2000 scalar particles spread over [0, 1e7]: the prefix sums cancel,
+        # and v and J differ by percents, far beyond the merge terms of delta.
+        from mmdrl import kernels
+        from mmdrl.dp import _merge, _screen
+
+        rng = np.random.default_rng(40)
+        m = 2000
+        atoms = rng.uniform(0.0, 1e7, size=(m, 1))
+        new = DiscreteMeasure(atoms, np.full(m, 1.0 / m))
+        old = DiscreteMeasure(atoms + rng.normal(size=(m, 1)) * 1e-2, np.full(m, 1.0 / m))
+        v, delta = _screen(_merge(new, 1.0), _merge(old, 1.0), m, 1.0)
+        atoms, diff = kernels._stack_difference(new, old)
+        joint = -0.5 * kernels.signed_energy_sum(atoms, diff, 1.0)
+        assert 1e-2 * joint < abs(v - joint) <= delta
+
+    @settings(derandomize=True, max_examples=400, deadline=None)
+    @given(particle_pairs(), st.sampled_from([0.5, 1.0, 1.5]))
+    def test_screen_bound_holds(self, case, alpha):
+        # |v - J| <= delta against what mmd_squared computes before it
+        # clamps, J = -1/2 sum of the merged union's energy.
+        from mmdrl import kernels
+        from mmdrl.dp import _merge, _screen
+
+        new_atoms, old_atoms = case
+        m = new_atoms.shape[0]
+        new = DiscreteMeasure(new_atoms, np.full(m, 1.0 / m))
+        old = DiscreteMeasure(old_atoms, np.full(m, 1.0 / m))
+        v, delta = _screen(_merge(new, alpha), _merge(old, alpha), m, alpha)
+        atoms, diff = kernels._stack_difference(new, old)
+        joint = -0.5 * kernels.signed_energy_sum(atoms, diff, alpha) if diff.any() else 0.0
+        assert abs(v - joint) <= delta
 
 
 class TestFixedPointQuality:

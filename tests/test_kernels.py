@@ -18,12 +18,13 @@ from mmdrl import (
     mmd_squared,
     semimetric_eval,
 )
-from mmdrl.kernels import merge_close_atoms, signed_energy_sum
+from mmdrl.kernels import merge_close_atoms, signed_cross_sum, signed_energy_sum
 
 from util import (
     random_probability_measure,
     random_signed_measure,
     reference_merge_close_atoms,
+    reference_signed_cross_sum,
     reference_signed_energy_sum,
 )
 
@@ -299,6 +300,77 @@ class TestSignedEnergySumBlocks:
             got = signed_energy_sum(atoms, w, alpha)
             assert abs(got - ref) <= 1e-12 * abs(ref)
             assert got == reference_signed_energy_sum(atoms, w, alpha)
+
+
+class TestSignedCrossSum:
+    @pytest.mark.parametrize("block_entries", [2**22, 256, 7])
+    @pytest.mark.parametrize("dim, alpha", [(1, 0.5), (1, 1.5), (2, 0.5), (2, 1.0), (2, 1.5), (3, 1.0)])
+    def test_bitwise_equal_to_dense_reference(self, monkeypatch, block_entries, dim, alpha):
+        from mmdrl import kernels as kernels_module
+
+        monkeypatch.setattr(kernels_module, "_BLOCK_ENTRIES", block_entries)
+        rng = np.random.default_rng(14)
+        for _ in range(20):
+            na, nb = (int(n) for n in rng.integers(1, 60, size=2))
+            a = rng.normal(size=(na, dim)) * rng.choice([1e-3, 1.0, 1e6])
+            b = rng.normal(size=(nb, dim))
+            wa, wb = rng.normal(size=na), rng.normal(size=nb)
+            got = signed_cross_sum(a, wa, b, wb, alpha)
+            assert got == reference_signed_cross_sum(a, wa, b, wb, alpha)
+
+    # Small integers and dyadic weights make every partial sum exact on both
+    # routes, so ties, -0.0 against 0.0 and repeated atoms must give the
+    # exact value.
+    @pytest.mark.parametrize(
+        "a, b",
+        [
+            ([0.0], [-0.0]),
+            ([-0.0, 0.0, 1.0], [0.0, -0.0, -1.0]),
+            ([2.0, 2.0, -3.0], [2.0, -3.0, 2.0, 5.0]),
+            ([1.0, 1.0, 1.0], [1.0]),
+            ([-4.0, 7.0, 0.0, 7.0], [7.0, -0.0, -4.0]),
+        ],
+    )
+    def test_scalar_route_exact_with_ties_and_signed_zeros(self, a, b):
+        rng = np.random.default_rng(15)
+        a, b = np.array(a)[:, None], np.array(b)[:, None]
+        for _ in range(10):
+            wa = rng.integers(-8, 9, size=a.shape[0]) / 8.0
+            wb = rng.integers(-8, 9, size=b.shape[0]) / 16.0
+            exact = sum(
+                float(x) * float(y) * abs(float(p) - float(q))
+                for x, p in zip(wa, a[:, 0])
+                for y, q in zip(wb, b[:, 0])
+            )
+            assert signed_cross_sum(a, wa, b, wb, 1.0) == exact
+            assert reference_signed_cross_sum(a, wa, b, wb, 1.0) == exact
+            assert signed_cross_sum(b, wb, a, wa, 1.0) == exact
+
+    def test_scalar_route_matches_dense(self):
+        rng = np.random.default_rng(16)
+        for _ in range(40):
+            na, nb = (int(n) for n in rng.integers(1, 80, size=2))
+            a = rng.choice(rng.normal(size=5), size=(na, 1)) + rng.normal(size=(na, 1)) * (rng.random() < 0.5)
+            b = np.concatenate([a[: nb // 2], rng.normal(size=(nb - nb // 2, 1))])
+            wa, wb = rng.normal(size=na), rng.normal(size=b.shape[0])
+            dense = reference_signed_cross_sum(a, wa, b, wb, 1.0)
+            scale = np.sum(np.abs(wa)) * np.sum(np.abs(wb)) * (np.max(np.abs(a)) + np.max(np.abs(b)))
+            assert abs(signed_cross_sum(a, wa, b, wb, 1.0) - dense) <= 1e-13 * scale
+
+    @pytest.mark.parametrize("dim, alpha", [(1, 1.0), (1, 0.5), (2, 1.0), (3, 1.5)])
+    def test_joint_energy_splits_into_self_and_cross(self, dim, alpha):
+        # S(a + b) = S(a) + S(b) + 2 C(a, b) for positive weights on both.
+        rng = np.random.default_rng(17)
+        for _ in range(10):
+            a, b = rng.normal(size=(23, dim)), rng.normal(size=(31, dim))
+            wa, wb = rng.uniform(0.1, 1.0, size=23), rng.uniform(0.1, 1.0, size=31)
+            joint = signed_energy_sum(np.concatenate([a, b]), np.concatenate([wa, wb]), alpha)
+            split = (
+                signed_energy_sum(a, wa, alpha)
+                + signed_energy_sum(b, wb, alpha)
+                + 2.0 * signed_cross_sum(a, wa, b, wb, alpha)
+            )
+            assert split == pytest.approx(joint, rel=1e-12)
 
 
 @st.composite

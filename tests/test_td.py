@@ -44,6 +44,11 @@ from util import reference_ewp_td_run
 SPEC = energy_kernel(1.0)
 
 
+def point_masses(n_states, dim):
+    """Point masses at the origin for ``n_states`` states in dimension ``dim``."""
+    return ReturnDistFn(tuple(DiscreteMeasure.point(np.zeros(dim)) for _ in range(n_states)))
+
+
 class TestSchedule:
     def test_first_visit_equals_scale(self):
         schedule = make_schedule(0.6, 0.5)
@@ -269,6 +274,18 @@ class TestCategoricalTdRun:
             report_interval=report_interval,
         )
         assert state.step == 0 and report.steps == []
+
+    @pytest.mark.parametrize("n_states, dim", [(2, 1), (3, 2), (4, 1)])
+    def test_mismatched_reference_rejected(self, n_states, dim):
+        # The 3-state d = 1 MDP of small_setup; before, a 2-state reference
+        # raised IndexError at the first report and a d = 2 one ValueError.
+        mdp, support = small_setup(14)
+        reference = point_masses(n_states, dim)
+        with pytest.raises(InvalidInputError, match="reference holds"):
+            categorical_td_run(
+                mdp, support, SPEC, make_schedule(), 10, rng_stream(0),
+                reference=reference, report_interval=5,
+            )
 
     def test_report_csv(self, tmp_path):
         mdp, support = small_setup(15)
@@ -611,6 +628,15 @@ class TestEwpTd:
             ewp_td_run(
                 mdp, 4, SPEC, make_schedule(), 5, rng_stream(0),
                 report_interval=report_interval,
+            )
+
+    @pytest.mark.parametrize("n_states, dim", [(1, 1), (2, 2), (3, 1)])
+    def test_mismatched_reference_rejected(self, n_states, dim):
+        mdp = random_mdp(2, 1, 0.9, 1.0, rng_stream(22))
+        with pytest.raises(InvalidInputError, match="reference holds"):
+            ewp_td_run(
+                mdp, 4, SPEC, make_schedule(), 10, rng_stream(0),
+                reference=point_masses(n_states, dim), report_interval=5,
             )
 
     def test_run_approaches_truth_on_self_loop(self):

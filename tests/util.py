@@ -100,6 +100,30 @@ def reference_signed_energy_sum(atoms, weights, alpha):
     return total
 
 
+def reference_signed_cross_sum(a, wa, b, wb, alpha):
+    """``signed_cross_sum`` with every entry computed directly, scalar atoms
+    included, in row blocks of the current ``kernels._BLOCK_ENTRIES``."""
+    from mmdrl import kernels
+
+    block = max(1, kernels._BLOCK_ENTRIES // b.shape[0])
+    total = 0.0
+    for start in range(0, a.shape[0], block):
+        stop = min(start + block, a.shape[0])
+        dist = None
+        for col_a, col_b in zip(a.T, b.T):
+            dk = col_a[start:stop, None] - col_b[None, :]
+            dk *= dk
+            if dist is None:
+                dist = dk
+            else:
+                dist += dk
+        np.sqrt(dist, out=dist)
+        if alpha != 1.0:
+            dist **= alpha
+        total += float(wa[start:stop] @ dist @ wb)
+    return total
+
+
 def reference_merge_close_atoms(atoms, weights, tol=MERGE_TOL):
     """``merge_close_atoms`` through ``np.unique(axis=0)``."""
     keys = np.round(atoms / tol) + 0.0
@@ -200,3 +224,34 @@ def reference_zeroshot_seed(config, seed, estimate=None):
             + [ex._fmt(float(np.mean(errors)))]
         )
     return rows
+
+
+# Particle-DP diagnostics that ewp_random_solve no longer computes, and its
+# distance series as the plain loop over every state's mmd.
+
+
+def reference_ewp_sweeps(mdp, config, spec, rng):
+    """Replay ``ewp_random_solve(mdp, config, spec, rng=rng)``'s sweeps.
+
+    Returns (distances, backup gaps, final iterate): per sweep
+    ``max(mmd(new[x], old[x], spec) for x in states)`` and the sup-MMD
+    between the sampled update and the exact backup of its input (the
+    realised per-sweep approximation error)."""
+    from mmdrl import ewp_init, ewp_random_step, exact_bellman, mmd
+
+    eta = ewp_init(mdp, config.m)
+    distances, gaps = [], []
+    for _ in range(config.resolved_iterations(mdp.gamma, spec.alpha)):
+        new_eta = ewp_random_step(eta, mdp, config.m, rng)
+        distances.append(max(mmd(new_eta[x], eta[x], spec) for x in range(mdp.n_states)))
+        exact = exact_bellman(eta, mdp)
+        gaps.append(max(mmd(new_eta[x], exact[x], spec) for x in range(mdp.n_states)))
+        eta = new_eta
+    return distances, gaps, eta
+
+
+def oracle_distance(report, oracle, spec):
+    """Worst-state MMD between a DP report's final iterate and an oracle."""
+    from mmdrl import mmd
+
+    return max(mmd(report.final[x], oracle[x], spec) for x in range(oracle.n_states))
