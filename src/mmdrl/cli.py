@@ -2,7 +2,7 @@
 
 Commands: run, cert-nonaffine, zeroshot-eval, gen-mdp, mesh-report.
 Exit codes: 0 success, 2 configuration error, 3 engine diagnostic error
-(out of memory included).
+(out of memory, and a failed write of an output, included).
 All CSV floats carry 17 significant digits.
 """
 
@@ -188,7 +188,7 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (InvalidInputError, FileNotFoundError) as exc:
+    except InvalidInputError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (SolverError, SupportBlowupError, ConsistencyError) as exc:
@@ -196,6 +196,11 @@ def main(argv=None) -> int:
         return EXIT_ENGINE
     except MemoryError as exc:
         print(f"engine error: out of memory: {exc}", file=sys.stderr)
+        return EXIT_ENGINE
+    except OSError as exc:
+        # Inputs are read, and --out checked, as config errors before this;
+        # what is left is a failed write, such as a full disk.
+        print(f"output error: {exc}", file=sys.stderr)
         return EXIT_ENGINE
 
 

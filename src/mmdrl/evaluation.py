@@ -8,6 +8,7 @@ calculators for categorical supports.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -35,26 +36,44 @@ class ScalarDist:
         weights = np.asarray(self.weights, dtype=np.float64).ravel()
         if atoms.shape != weights.shape or atoms.size < 1:
             raise InvalidInputError("scalar distribution needs matching atoms/weights")
-        if np.min(weights) < -_WEIGHT_TOL:
+        low = np.min(weights)
+        if low < -_WEIGHT_TOL:
             raise InvalidInputError("scalar distributions take probability weights")
         if abs(float(np.sum(weights)) - 1.0) > 1e-9:
             raise InvalidInputError(
                 f"scalar distribution mass must be 1, got {np.sum(weights)}"
             )
-        if np.all(weights == weights[0]) and np.all(atoms != 0.0):
-            # No tie order changes a sum of equal weights; a zero's sign would move.
-            atoms = np.sort(atoms)
+        # No tie order changes a sum of equal weights; a zero's sign would
+        # move. (A NaN weight fails low == max, as it fails w == w[0].)
+        plain = low == np.max(weights)
+        if plain:
+            ordered = np.sort(atoms)
+            zero = bisect.bisect_left(ordered, 0.0)
+            plain = zero == ordered.size or ordered[zero] != 0.0
+        if plain:
+            atoms = ordered
         else:
             order = np.argsort(atoms, kind="stable")
             atoms, weights = atoms[order], weights[order]
-        # Merge atoms equal within the tolerance (they arrive sorted).
-        keys = np.round(atoms / _ATOM_MERGE) + 0.0
-        boundaries = np.concatenate(([True], np.diff(keys) > 0))
-        idx = np.nonzero(boundaries)[0]
-        merged_atoms = atoms[idx]
-        merged_weights = np.add.reduceat(weights, idx)
-        merged_weights = np.maximum(merged_weights, 0.0)
-        merged_weights = merged_weights / np.sum(merged_weights)
+        # Merge atoms equal within the tolerance (they arrive sorted): an
+        # atom starts a new one where its key exceeds the key before, which
+        # is where np.diff(keys) > 0 (a -0.0 key included). rint is what
+        # np.round does at 0 decimals.
+        keys = np.divide(atoms, _ATOM_MERGE)
+        np.rint(keys, out=keys)
+        starts = np.empty(atoms.size, dtype=bool)
+        starts[0] = True
+        np.greater(keys[1:], keys[:-1], out=starts[1:])
+        del keys
+        if np.count_nonzero(starts) == atoms.size:
+            # Nothing merges: reduceat over single atoms would copy them.
+            merged_atoms, merged_weights = atoms, np.maximum(weights, 0.0)
+        else:
+            idx = np.flatnonzero(starts)
+            merged_atoms = atoms[idx]
+            merged_weights = np.add.reduceat(weights, idx)
+            np.maximum(merged_weights, 0.0, out=merged_weights)
+        merged_weights /= np.sum(merged_weights)
         merged_atoms.flags.writeable = False
         merged_weights.flags.writeable = False
         object.__setattr__(self, "atoms", merged_atoms)
@@ -121,24 +140,45 @@ def cramer_distance(p: ScalarDist, q: ScalarDist) -> float:
     """L2 norm of the CDF difference, integrated exactly.
 
     Both CDFs are piecewise constant, so the integral is a finite sum over
-    the merged breakpoints. One stable merge of both atom arrays gives
-    them: at the last copy of each value, the running count of each
-    side's atoms is that side's ``searchsorted(atoms, value, "right")``.
+    the merged breakpoints: every atom of ``q``, and each atom of ``p``
+    that no atom of ``q`` equals (a lone atom). Atoms are sorted and
+    distinct, so a stable merge of both arrays, ``p``'s first, ranks each
+    atom of ``p`` after the k atoms of ``q`` below it; a lone atom with i
+    lone atoms before it is breakpoint k + i. The breakpoints, the CDF
+    values and their differences are those read off the merge itself,
+    element by element, so the sum has the same bits.
     """
-    # Each merged-length temporary is dropped once read: with a 10,000-atom
-    # oracle truth, the arrays live here set the zero-shot phase's peak heap.
-    both = np.concatenate([p.atoms, q.atoms])
-    order = np.argsort(both, kind="stable")
-    merged = both[order]
-    del both
-    last = np.append(merged[1:] != merged[:-1], True)
-    count_p = np.cumsum(order < p.n_atoms)[last]
+    a, b = p.atoms, q.atoms
+    order = np.argsort(np.concatenate([a, b]), kind="stable")
+    below = np.flatnonzero(order < a.size) - np.arange(a.size)
     del order
-    gaps = np.diff(merged[last])
-    del merged
-    count_q = np.flatnonzero(last) + 1 - count_p
-    diff = np.concatenate(([0.0], p.cdf()))[count_p] - np.concatenate(([0.0], q.cdf()))[count_q]
-    return float(np.sqrt(np.sum(diff[:-1] ** 2 * gaps)))
+    # Past q's largest atom, clip compares with that atom, which is smaller.
+    lone = b.take(below, mode="clip") != a
+    place = below[lone]
+    at = place + np.arange(place.size)
+    size = b.size + place.size
+    from_q = np.ones(size, dtype=bool)
+    from_q[at] = False
+    # Each merged-length array is dropped once read: with a 10,000-atom
+    # oracle truth, the arrays live here set the zero-shot phase's peak heap.
+    p_cdf, q_cdf = p.cdf(), q.cdf()
+    # At the atoms of q, p's CDF holds each value over a run of them.
+    at_q = np.repeat(np.concatenate(([0.0], p_cdf)), np.diff(below, prepend=0, append=b.size))
+    at_q -= q_cdf
+    diff = np.empty(size)
+    diff[from_q] = at_q
+    del at_q
+    diff[at] = p_cdf[lone] - np.where(place > 0, q_cdf.take(place - 1, mode="clip"), 0.0)
+    del q_cdf
+    breaks = np.empty(size)
+    breaks[from_q] = b
+    breaks[at] = a[lone]
+    del from_q
+    gaps = np.diff(breaks)
+    del breaks
+    terms = np.square(diff[:-1], out=diff[:-1])
+    terms *= gaps
+    return float(np.sqrt(np.sum(terms)))
 
 
 def mc_oracle(

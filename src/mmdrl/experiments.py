@@ -51,52 +51,77 @@ def _fmt(value: float) -> str:
     return f"{value:.17g}"
 
 
+def _check_extent(what: str, points, dim: int) -> None:
+    """Raise ``InvalidInputError``, naming ``what``, when ``points`` reach
+    so far from 0 that squared distances among them could overflow.
+
+    Coordinates of magnitude at most E are at most 2E apart, so every
+    squared distance is at most dim (2E)^2. Where that is finite, so is
+    every merge key E / 1e-12. Every file and config value that brings
+    points into a run (the MDP's v_max, support, reference point, TD
+    reference and zero-shot estimate) passes this check.
+    """
+    extent = float(np.max(np.abs(points)))
+    if not math.isfinite(dim * (2.0 * extent) * (2.0 * extent)):
+        raise InvalidInputError(
+            f"{what} reaches {extent:.6g}: squared distances between such "
+            f"points overflow in {dim} dimension(s)"
+        )
+
+
 def build_kernel(config: ExperimentConfig) -> KernelSpec:
     kc = config["kernel"]
     ref = kc["reference_point"]
-    return KernelSpec(
-        SemimetricSpec(kc["alpha"]),
-        None if ref is None else np.asarray(ref, dtype=np.float64),
-    )
+    if ref is not None:
+        ref = np.asarray(ref, dtype=np.float64)
+        _check_extent("kernel.reference_point", ref, ref.size)
+    return KernelSpec(SemimetricSpec(kc["alpha"]), ref)
 
 
 def build_mdp(mc: dict, seed: int) -> TabularMDP:
-    """The MDP a resolved ``mdp`` config section describes."""
+    """The MDP a resolved ``mdp`` config section describes; returns lie in
+    [0, v_max]^d, which ``_check_extent`` bounds."""
     if mc["kind"] == "file":
-        return TabularMDP.load(mc["path"])
-    rng = rng_stream(seed, _STREAM_MDP)
-    if mc["kind"] == "dsm":
+        mdp = TabularMDP.load(mc["path"])
+    elif mc["kind"] == "dsm":
+        rng = rng_stream(seed, _STREAM_MDP)
         rows = rng.dirichlet(
             np.full(mc["n_states"], mc["dirichlet_concentration"]),
             size=mc["n_states"],
         )
-        return dsm_mdp(rows, mc["gamma"])
-    return random_mdp(
-        mc["n_states"],
-        mc["dim"],
-        mc["gamma"],
-        mc["dirichlet_concentration"],
-        rng,
-        mc["r_max"],
-    )
+        mdp = dsm_mdp(rows, mc["gamma"])
+    else:
+        mdp = random_mdp(
+            mc["n_states"],
+            mc["dim"],
+            mc["gamma"],
+            mc["dirichlet_concentration"],
+            rng_stream(seed, _STREAM_MDP),
+            mc["r_max"],
+        )
+    _check_extent("mdp v_max", mdp.v_max, mdp.dim)
+    return mdp
 
 
 def build_support(sc: dict, mdp: TabularMDP, seed: int) -> SupportMap:
     """The support map a resolved ``support`` config section describes."""
     if sc["kind"] == "grid":
-        return SupportMap.uniform_grid(mdp.n_states, mdp.dim, sc["m"], mdp.v_max)
-    if sc["kind"] == "random":
+        support = SupportMap.uniform_grid(mdp.n_states, mdp.dim, sc["m"], mdp.v_max)
+    elif sc["kind"] == "random":
         rng = rng_stream(seed, _STREAM_SUPPORT)
-        return SupportMap.random(mdp.n_states, mdp.dim, sc["m"], mdp.v_max, rng)
-    if sc["kind"] == "simplex-grid":
-        return SupportMap.simplex_grid(
+        support = SupportMap.random(mdp.n_states, mdp.dim, sc["m"], mdp.v_max, rng)
+    elif sc["kind"] == "simplex-grid":
+        support = SupportMap.simplex_grid(
             mdp.n_states, mdp.dim, sc["resolution"], scale=mdp.v_max
         )
-    payload = read_json(sc["path"], "support file")
-    with malformed_as_invalid("support file"):
-        return SupportMap(
-            tuple(np.asarray(a, dtype=np.float64) for a in payload["atoms"])
-        )
+    else:
+        payload = read_json(sc["path"], "support file")
+        with malformed_as_invalid("support file"):
+            support = SupportMap(
+                tuple(np.asarray(a, dtype=np.float64) for a in payload["atoms"])
+            )
+    _check_extent("support", np.concatenate(support.atoms), support.dim)
+    return support
 
 
 def _td_reference_fn(td: dict, mdp, support, spec) -> ReturnDistFn | None:
@@ -111,6 +136,7 @@ def _td_reference_fn(td: dict, mdp, support, spec) -> ReturnDistFn | None:
         return None
     reference = ReturnDistFn.load(td["reference"]["path"])
     reference.check_fits(mdp, "td.reference")
+    _check_extent("td.reference", np.concatenate([m.atoms for m in reference]), mdp.dim)
     return reference
 
 
@@ -322,6 +348,7 @@ def zeroshot_seed(config: ExperimentConfig, seed: int, estimate: ReturnDistFn | 
         else:
             estimate = run_seed(config, seed).estimate
     estimate.check_fits(mdp, "zeroshot.estimate")
+    _check_extent("zeroshot.estimate", np.concatenate([m.atoms for m in estimate]), mdp.dim)
     probability_estimate = _as_probability_fn(estimate, spec)
     reward_rng = rng_stream(seed, _STREAM_REWARDS)
     oracle_rng = rng_stream(seed, _STREAM_ORACLE)

@@ -259,6 +259,8 @@ class SupportMap:
                 arr = arr[:, None]
             if arr.shape[0] < 1:
                 raise InvalidInputError(f"state {x} has an empty support")
+            if not np.all(np.isfinite(arr)):
+                raise InvalidInputError(f"support atoms at state {x} must be finite")
             _check_distinct(arr, x)
             arr.flags.writeable = False
             per_state.append(arr)

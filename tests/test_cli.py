@@ -17,9 +17,10 @@ def write_config(tmp_path, payload, name="config.json"):
     return str(path)
 
 
-def point_masses(n_states, dim):
-    """Return-distribution JSON of ``n_states`` point masses at the origin."""
-    point = {"dim": dim, "atoms": [[0.0] * dim], "weights": [1.0]}
+def point_masses(n_states, dim, at=0.0):
+    """Return-distribution JSON of ``n_states`` point masses at ``at`` in
+    every coordinate."""
+    point = {"dim": dim, "atoms": [[at] * dim], "weights": [1.0]}
     return {"n_states": n_states, "measures": [point] * n_states}
 
 
@@ -60,6 +61,9 @@ def write_malformed_files(tmp_path):
         "no_measures.json": json.dumps({"n_states": 5}),
         "reference_d2.json": json.dumps(point_masses(3, 2)),
         "reference_2_states.json": json.dumps(point_masses(2, 3)),
+        "reference_1e308.json": json.dumps(point_masses(3, 3, -1e308)),
+        "estimate_1e308.json": json.dumps(point_masses(2, 1, 1e308)),
+        "support_nan.json": json.dumps({"atoms": [[0.0, float("nan"), 1.0], [0.0, 1.0]]}),
     }
     for name, text in files.items():
         (tmp_path / name).write_text(text)
@@ -443,14 +447,58 @@ class TestRunCommand:
                 {"algorithm": "dp-ewp", "mdp": {"kind": "random", "gamma": 10**400}},
                 id="mdp-gamma-beyond-float",
             ),
+            # Exited 3 (a singular simplex system) before SupportMap
+            # checked that its atoms are finite.
+            pytest.param(
+                {"algorithm": "dp-cat", "mdp": {"kind": "random", "n_states": 2, "dim": 1},
+                 "support": {"kind": "file", "path": "support_nan.json"}},
+                id="support-nan-atom",
+            ),
+            # Points whose squared distances overflow; each used to exit 0
+            # (nan or 0 distances) or 3.
+            pytest.param(
+                {"algorithm": "dp-ewp", "mdp": {"kind": "random", "n_states": 2, "dim": 1},
+                 "ewp": {"particles": 4},
+                 "zeroshot": {"oracle_samples": 10,
+                              "estimate": {"kind": "file", "path": "estimate_1e308.json"}}},
+                id="estimate-atoms-1e308",
+            ),
+            pytest.param(
+                {"algorithm": "td-cat", "mdp": {"kind": "dsm"},
+                 "support": {"kind": "simplex-grid", "resolution": 2},
+                 "td": {"steps": 10, "report_interval": 5,
+                        "reference": {"path": "reference_1e308.json"}}},
+                id="reference-atoms-minus-1e308",
+            ),
+            pytest.param(
+                {"algorithm": "dp-ewp", "mdp": {"kind": "random", "n_states": 3, "dim": 2,
+                                                "r_max": 1e200},
+                 "ewp": {"particles": 8, "iterations": 3}},
+                id="dp-ewp-r-max-1e200",
+            ),
+            pytest.param(
+                {"algorithm": "dp-ewp", "mdp": {"kind": "random", "n_states": 3, "dim": 1,
+                                                "r_max": 1e300},
+                 "ewp": {"particles": 8, "iterations": 3}},
+                id="dp-ewp-r-max-1e300",
+            ),
+            pytest.param(
+                {"algorithm": "dp-cat", "mdp": {"kind": "random", "n_states": 2, "dim": 1},
+                 "kernel": {"reference_point": [1e200]}},
+                id="kernel-reference-point-1e200",
+            ),
         ],
     )
     def test_malformed_values_never_exit_1(self, tmp_path, monkeypatch, payload):
+        # Every payload is a fault in the inputs, so a config error (2).
+        # A payload that run does not read goes on to zeroshot-eval.
         write_malformed_files(tmp_path)
         monkeypatch.chdir(tmp_path)
         config = write_config(tmp_path, payload)
         code = main(["run", "--config", config, "--out", str(tmp_path / "o")])
-        assert code in (2, 3)
+        if code == 0 and "zeroshot" in payload:
+            code = main(["zeroshot-eval", "--config", config, "--out", str(tmp_path / "z")])
+        assert code == 2
 
     @pytest.mark.parametrize("payload", MISMATCHED_REFERENCES)
     def test_mismatched_reference_exits_2_before_any_step(
@@ -548,6 +596,34 @@ class TestRunCommand:
             lambda *a, **k: (_ for _ in ()).throw(SolverError("stalled", 1.0)),
         )
         assert main(["run", "--config", config, "--out", str(tmp_path / "o")]) == 3
+
+
+class TestWriteFailure:
+    """A write that fails after the engines ran (a full disk) is reported
+    in one line with exit 3; it used to end in an OSError traceback."""
+
+    @pytest.mark.parametrize("command", ["run", "zeroshot-eval"])
+    @pytest.mark.parametrize("writer", ["_write_csv", "json.dump"])
+    def test_failed_write_exits_3(self, tmp_path, monkeypatch, capsys, command, writer):
+        import errno
+
+        import mmdrl.experiments as experiments
+
+        def full_disk(*args, **kwargs):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        config = write_config(tmp_path, {
+            "algorithm": "dp-ewp",
+            "mdp": {"kind": "random", "n_states": 2, "dim": 1},
+            "ewp": {"particles": 4},
+            "zeroshot": {"oracle_samples": 10},
+            "seeds": [0],
+        })
+        target = experiments.json if writer == "json.dump" else experiments
+        monkeypatch.setattr(target, writer.split(".")[-1], full_disk)
+        assert main([command, "--config", config, "--out", str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err
+        assert err.splitlines() == ["output error: [Errno 28] No space left on device"]
 
 
 class TestOutPaths:

@@ -32,7 +32,9 @@ from mmdrl.measures import mixture
 from util import (
     random_probability_measure,
     reference_cramer_distance,
+    reference_merged_cramer_distance,
     reference_scalar_dist,
+    reference_sorted_scalar_dist,
 )
 
 SPEC = energy_kernel(1.0)
@@ -223,6 +225,56 @@ class TestMatchesReference:
         assert _same_bits(p.atoms, reference_scalar_dist(truth, np.full(truth.size, 1e-4))[0])
         q = random_scalar_dist(rng, n_atoms=50)
         assert _same_bits(cramer_distance(q, p), reference_cramer_distance(q, p))
+
+
+class TestMatchesMergeReference:
+    """ScalarDist and cramer_distance give the bits of the bodies they
+    replaced: plain-sorted atoms, np.round keys and one stable merge."""
+
+    @settings(derandomize=True, max_examples=400, deadline=None)
+    @given(scalar_pairs())
+    def test_scalar_dist_and_cramer(self, pair):
+        dists = []
+        for atoms, weights in pair:
+            dist = ScalarDist(atoms, weights)
+            ref_atoms, ref_weights = reference_sorted_scalar_dist(atoms, weights)
+            assert _same_bits(dist.atoms, ref_atoms)
+            assert _same_bits(dist.weights, ref_weights)
+            dists.append(dist)
+        p, q = dists
+        for a, b in ((p, q), (q, p), (p, p)):
+            assert _same_bits(cramer_distance(a, b), reference_merged_cramer_distance(a, b))
+
+    @pytest.mark.parametrize("case", ["ties", "zeros", "duplicates", "predicted-on-truth"])
+    def test_oracle_sized_cases(self, case):
+        rng = rng_stream(9)
+        truth = rng.normal(size=10000)
+        predicted = rng.normal(size=64)
+        weights = rng.random(64)
+        if case == "ties":  # within the merge tolerance, inside the truth
+            truth[1::2] = truth[::2] + rng.integers(-4, 5, size=5000) * 1e-13
+        elif case == "zeros":  # exact zeros of both signs on both sides
+            truth[:40] = np.where(np.arange(40) % 2, 0.0, -0.0)
+            predicted[:3] = [0.0, -0.0, 1e-13]
+        elif case == "duplicates":  # repeated atoms, equal weights
+            truth = np.repeat(truth[:2500], 4)
+            predicted = np.repeat(predicted[:16], 4)
+            weights = np.ones(64)
+        else:  # every other predicted atom is a truth atom
+            predicted[::2] = rng.choice(truth, size=32, replace=False)
+            predicted[1] = truth.max()
+            predicted[3] = truth.min()
+        truth_weights = np.full(truth.size, 1.0 / truth.size)
+        weights = weights / weights.sum()
+        q = ScalarDist(truth, truth_weights)
+        p = ScalarDist(predicted, weights)
+        for dist, atoms, w in ((q, truth, truth_weights), (p, predicted, weights)):
+            ref_atoms, ref_weights = reference_sorted_scalar_dist(atoms, w)
+            assert _same_bits(dist.atoms, ref_atoms)
+            assert _same_bits(dist.weights, ref_weights)
+        for a, b in ((p, q), (q, p), (q, q)):
+            assert _same_bits(cramer_distance(a, b), reference_merged_cramer_distance(a, b))
+            assert _same_bits(cramer_distance(a, b), reference_cramer_distance(a, b))
 
 
 class TestMcOracle:

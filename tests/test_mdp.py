@@ -212,3 +212,10 @@ class TestRollouts:
         mdp = random_mdp(2, 1, 0.9, 1.0, rng_stream(0))
         with pytest.raises(InvalidInputError):
             rollout_return(mdp, 0, 0, rng_stream(0))
+
+    @pytest.mark.parametrize("state", [-1, 2])
+    def test_rollouts_from_unknown_state_rejected(self, state):
+        # The row gathers wrap indices, so the state is checked up front.
+        mdp = random_mdp(2, 1, 0.9, 1.0, rng_stream(0))
+        with pytest.raises(InvalidInputError, match="out of range"):
+            rollout_returns(mdp, state, 3, 4, rng_stream(0))

@@ -22,6 +22,8 @@ from mmdrl import (
 )
 from mmdrl.dp import ewp_init, ewp_random_step
 
+from util import reference_rollout_returns
+
 
 def inline_rule(cum_rows, states, u):
     """The successor rule each call site used to inline: the number of
@@ -110,6 +112,102 @@ class TestSamplerMatchesInlineRule:
         assert np.all(u[:2] > np.cumsum(transition[0])[-1])
         np.testing.assert_array_equal(mdp._successors.many(0, u), [1, 1, 0, 0])
         assert [mdp._successors.one(0, float(v)) for v in u] == [1, 1, 0, 0]
+
+
+def _guide_rows(n, rng):
+    """Stochastic rows for the guide-table tests, one kind per row in turn:
+    Dirichlet rows, rows with zero-probability columns (repeated entries,
+    so buckets holding several equal entries), rows whose small
+    probabilities put several distinct entries in one bucket, and rows
+    summing to 1 +- 4e-10 (entries at or above 1, a last entry below it)."""
+    rows = []
+    for x in range(n):
+        kind = x % 5
+        if kind == 0:
+            row = rng.dirichlet(np.full(n, 0.5))
+        elif kind == 1:
+            counts = rng.integers(0, 3, size=n) * (rng.random(n) < 0.3)
+            counts[rng.integers(n)] += 1
+            row = counts * (1.0 / counts.sum())
+        elif kind == 2:
+            row = np.full(n, 1e-7)
+            row[rng.integers(n)] += 1.0 - n * 1e-7
+        else:
+            row = rng.dirichlet(np.ones(n))
+            if n > 1:
+                row[-1] = 0.0 if kind == 3 else row[-1]
+                row /= row.sum()
+                row[0] += 4e-10 if kind == 3 else -4e-10
+        rows.append(row)
+    return np.array(rows)
+
+
+def _edge_draws(sampler, cum_row):
+    """Draws on every bucket edge q/K (q = 0..K, so u = 1 too) and just
+    below it, on every cumulative entry and one ulp either side of it,
+    and a few uniform draws."""
+    size = sampler._size
+    edges = np.arange(size + 1) / size
+    entries = cum_row[cum_row < 1.0 + 1.0 / size]
+    return np.concatenate([
+        edges, np.nextafter(edges[1:], 0.0), entries,
+        np.nextafter(entries, -np.inf), np.nextafter(entries, np.inf),
+        rng_stream(0).random(64),
+    ])
+
+
+class TestGuideTable:
+    """The guide table gives the inline rule's successor for every draw in
+    [0, 1], and for the round-off above 1 that bucket K covers."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 17, 64, 100, 128])
+    def test_every_bucket_edge_and_entry(self, n):
+        rng = np.random.default_rng(n)
+        transition = _guide_rows(n, rng)
+        mdp = TabularMDP(transition, np.zeros((n, 1)), 0.5)
+        sampler = mdp._successors
+        cum_rows = np.cumsum(mdp.transition, axis=1)
+        assert sampler._size >= 16 * n
+        for x in range(n):
+            u = _edge_draws(sampler, cum_rows[x])
+            expected = inline_rule(cum_rows, np.full(u.size, x), u)
+            np.testing.assert_array_equal(sampler.many(x, u), expected)
+            states = np.full(u.size, x)
+            np.testing.assert_array_equal(sampler.many(states, u, out=states), expected)
+            assert [sampler.one(x, v) for v in u[::7].tolist()] == expected[::7].tolist()
+
+    def test_crowded_buckets_are_resolved(self):
+        # Rows with repeated entries and with entries closer than 1/K both
+        # need the bisection path.
+        rng = np.random.default_rng(7)
+        transition = _guide_rows(40, rng)
+        mdp = TabularMDP(transition, np.zeros((40, 1)), 0.5)
+        sampler = mdp._successors
+        assert sampler._entries is not None and len(sampler._steps) >= 2
+        cum_rows = np.cumsum(mdp.transition, axis=1)
+        states = rng.integers(0, 40, size=20000)
+        u = rng.random(20000)
+        u[::2] = cum_rows[states[::2], rng.integers(0, 39, size=10000)]
+        buckets = states * (sampler._size + 1) + (u * sampler._size).astype(np.int64)
+        assert np.count_nonzero(sampler._base[buckets] < 0) > 1000
+        np.testing.assert_array_equal(sampler.many(states, u), inline_rule(cum_rows, states, u))
+
+    def test_table_is_quadratic_in_states(self):
+        # Two float64/int64 tables of n (K + 1) entries with 16 n <= K < 32 n.
+        for n in (3, 5, 100):
+            sampler = random_mdp(n, 1, 0.9, 1.0, rng_stream(n))._successors
+            assert 16 * n <= sampler._size < 32 * n
+            assert sampler._base.nbytes + sampler._edge.nbytes == 16 * n * (sampler._size + 1)
+
+    def test_rollout_at_100_states_matches_references(self, monkeypatch):
+        mdp = random_mdp(100, 2, 0.9, 1.0, rng_stream(3))
+        got = rollout_returns(mdp, 7, 30, 3000, rng_stream(5))
+        expected = reference_rollout_returns(mdp, 7, 30, 3000, rng_stream(5))
+        assert got.tobytes() == expected.tobytes()
+        inline = _with_inline_rule(
+            monkeypatch, lambda: reference_rollout_returns(_fresh(mdp), 7, 30, 3000, rng_stream(5))
+        )
+        assert got.tobytes() == inline.tobytes()
 
 
 def _mdps():

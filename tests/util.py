@@ -61,6 +61,47 @@ def reference_cramer_distance(p, q):
     return float(np.sqrt(np.sum(diff[:-1] ** 2 * gaps)))
 
 
+# Reference bodies of evaluation.ScalarDist and evaluation.cramer_distance
+# before the lean passes: a plain sort for equal weights and nonzero atoms,
+# merge keys through np.round(...) + 0.0 and np.diff, and breakpoints read
+# off one stable merge of both atom arrays.
+
+
+def reference_sorted_scalar_dist(atoms, weights):
+    """(atoms, weights) of ``ScalarDist(atoms, weights)`` with the plain
+    sort; validation left out."""
+    atoms = np.asarray(atoms, dtype=np.float64).ravel()
+    weights = np.asarray(weights, dtype=np.float64).ravel()
+    if np.all(weights == weights[0]) and np.all(atoms != 0.0):
+        atoms = np.sort(atoms)
+    else:
+        order = np.argsort(atoms, kind="stable")
+        atoms, weights = atoms[order], weights[order]
+    keys = np.round(atoms / _ATOM_MERGE) + 0.0
+    boundaries = np.concatenate(([True], np.diff(keys) > 0))
+    idx = np.nonzero(boundaries)[0]
+    merged_atoms = atoms[idx]
+    merged_weights = np.add.reduceat(weights, idx)
+    merged_weights = np.maximum(merged_weights, 0.0)
+    merged_weights = merged_weights / np.sum(merged_weights)
+    return merged_atoms, merged_weights
+
+
+def reference_merged_cramer_distance(p, q):
+    """``cramer_distance(p, q)`` read off one stable merge: at the last
+    copy of each value, each side's running count is its searchsorted
+    "right" count."""
+    both = np.concatenate([p.atoms, q.atoms])
+    order = np.argsort(both, kind="stable")
+    merged = both[order]
+    last = np.append(merged[1:] != merged[:-1], True)
+    count_p = np.cumsum(order < p.n_atoms)[last]
+    gaps = np.diff(merged[last])
+    count_q = np.flatnonzero(last) + 1 - count_p
+    diff = np.concatenate(([0.0], p.cdf()))[count_p] - np.concatenate(([0.0], q.cdf()))[count_q]
+    return float(np.sqrt(np.sum(diff[:-1] ** 2 * gaps)))
+
+
 # Reference bodies of kernels.signed_energy_sum and kernels.merge_close_atoms
 # before the slab fill and the lexsort merge: each block computed in full,
 # one coordinate at a time, and buckets found by np.unique over rows.
