@@ -12,7 +12,6 @@ from .dp import (
     DpReport,
     EwpConfig,
     categorical_dp_solve,
-    categorical_dp_step,
     ewp_init,
     ewp_random_solve,
     ewp_random_step,
@@ -29,7 +28,6 @@ from .evaluation import (
     MeshReport,
     ScalarDist,
     cramer_distance,
-    mc_oracle,
     mc_oracle_fn,
     mesh_and_bound,
     mmd_u_statistic,
@@ -59,13 +57,10 @@ from .measures import (
 )
 from .mdp import (
     TabularMDP,
-    Transition,
     dsm_mdp,
     random_mdp,
     rng_stream,
-    rollout_return,
     rollout_returns,
-    sample_transition,
     successor_feature_means,
 )
 from .projections import (
@@ -83,10 +78,7 @@ from .td import (
     ewp_mmd_sq_gradient,
     ewp_mmd_sq_objective,
     ewp_td_run,
-    ewp_td_step,
     init_td_state,
-    make_schedule,
-    stochastic_backup,
 )
 
 __version__ = "0.1.0"

@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InvalidInputError, SupportBlowupError
+from .errors import InvalidInputError, SupportBlowupError, checked_array
 from .kernels import (
     MERGE_TOL,
     NEGATIVE_SQ_TOL,
@@ -40,7 +40,6 @@ from .measures import (
     categorical,
     mixture,
     pushforward,
-    weights_on_support,
 )
 from .mdp import TabularMDP
 from .projections import (
@@ -69,13 +68,6 @@ class DpReport:
         for prev, cur in zip(self.distances, self.distances[1:]):
             out.append(cur / prev if prev > 0 else 0.0)
         return out
-
-    def to_csv(self, path) -> None:
-        """Series CSV with columns iteration, sup_mmd."""
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write("iteration,sup_mmd\r\n")
-            for i, dist in enumerate(self.distances, start=1):
-                fh.write(f"{i},{dist:.17g}\r\n")
 
 
 @dataclass(frozen=True)
@@ -205,21 +197,20 @@ class CategoricalEngine:
             out.append(q)
         return out
 
-    def step_weights(self, weights: list, warm: bool = True) -> list:
+    def step_weights(self, weights: list) -> list:
         qs = self.linear_terms(weights)
         if self.shared_support:
             q_rows = np.stack(qs, axis=0)
             if self.projection == "simplex":
-                starts = np.stack(weights, axis=0) if warm else None
                 rows, _, _ = solve_simplex_qp_batch(
-                    self.projectors[0].gram, q_rows, starts
+                    self.projectors[0].gram, q_rows, np.stack(weights, axis=0)
                 )
             else:
                 proj = self.projectors[0]
                 rows = q_rows @ proj._s.T + proj.offset[None, :]
             return [rows[x] for x in range(self.mdp.n_states)]
         return [
-            self.projectors[x].solve_linear(qs[x], weights[x] if warm else None).weights
+            self.projectors[x].solve_linear(qs[x], weights[x]).weights
             for x in range(self.mdp.n_states)
         ]
 
@@ -238,19 +229,6 @@ class CategoricalEngine:
         return categorical(self.support, weights)
 
 
-def categorical_dp_step(
-    eta: ReturnDistFn,
-    mdp: TabularMDP,
-    support: SupportMap,
-    spec: KernelSpec,
-    projection: str = "simplex",
-) -> ReturnDistFn:
-    """One projected categorical backup of ``eta`` (which must live on the support)."""
-    engine = CategoricalEngine(mdp, support, spec, projection)
-    weights = [weights_on_support(eta[x], support[x]) for x in range(mdp.n_states)]
-    return engine.to_return_dist(engine.step_weights(weights, warm=False))
-
-
 def categorical_dp_solve(
     mdp: TabularMDP,
     support: SupportMap,
@@ -263,13 +241,24 @@ def categorical_dp_solve(
     """Iterate the projected backup until successive iterates are ``tol``-close.
 
     The report's distance series is the successive-iterate sup-MMD, whose
-    ratios empirically form the contraction-rate series.
+    ratios empirically form the contraction-rate series. ``init_weights``
+    replaces the point-mass start: one finite vector per state's support.
     """
     if not tol > 0:
         raise InvalidInputError(f"tolerance must be positive, got {tol}")
     start_time = time.perf_counter()
     engine = CategoricalEngine(mdp, support, spec, projection)
-    weights = init_weights if init_weights is not None else engine.init_weights()
+    if init_weights is None:
+        weights = engine.init_weights()
+    elif len(init_weights) != mdp.n_states:
+        raise InvalidInputError(
+            f"init_weights holds {len(init_weights)} vectors, expected {mdp.n_states}"
+        )
+    else:
+        weights = [
+            checked_array(w, (support[x].shape[0],), f"init_weights[{x}]")
+            for x, w in enumerate(init_weights)
+        ]
     distances = []
     converged = False
     iterations = 0

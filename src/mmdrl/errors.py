@@ -1,8 +1,10 @@
-"""Exception types shared across the toolkit, and the input-file readers
-that map malformed files onto ``InvalidInputError``."""
+"""Exception types shared across the toolkit, and the input readers and
+checks that map malformed files and arrays onto ``InvalidInputError``."""
 
 import json
 from contextlib import contextmanager
+
+import numpy as np
 
 
 class InvalidInputError(ValueError):
@@ -49,3 +51,14 @@ def read_json(path, what: str):
             return json.load(fh)
     except (OSError, ValueError) as exc:
         raise InvalidInputError(f"cannot read {what} {path}: {exc}") from exc
+
+
+def checked_array(value, shape: tuple, what: str) -> np.ndarray:
+    """``value`` as a finite float64 array of ``shape``, else ``InvalidInputError``."""
+    with malformed_as_invalid(what):
+        array = np.asarray(value, dtype=np.float64)
+    if array.shape != shape:
+        raise InvalidInputError(f"{what} has shape {array.shape}, expected {shape}")
+    if not np.all(np.isfinite(array)):
+        raise InvalidInputError(f"{what} holds non-finite entries")
+    return array

@@ -86,13 +86,6 @@ class ScalarDist:
     def cdf(self) -> np.ndarray:
         return np.cumsum(self.weights)
 
-    def to_csv(self, path) -> None:
-        cdf = self.cdf()
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write("atom,weight,cdf\r\n")
-            for a, w, c in zip(self.atoms, self.weights, cdf):
-                fh.write(f"{a:.17g},{w:.17g},{c:.17g}\r\n")
-
     def to_measure(self) -> DiscreteMeasure:
         return DiscreteMeasure(self.atoms[:, None], self.weights)
 
@@ -181,34 +174,21 @@ def cramer_distance(p: ScalarDist, q: ScalarDist) -> float:
     return float(np.sqrt(np.sum(terms)))
 
 
-def mc_oracle(
-    mdp: TabularMDP,
-    state: int,
-    n_samples: int,
-    tail_tol: float,
-    rng: np.random.Generator,
-) -> DiscreteMeasure:
-    """Empirical measure of truncated rollout returns from ``state``.
-
-    The horizon is chosen so the truncation tail bound falls below
-    ``tail_tol``.
-    """
-    if n_samples < 1:
-        raise InvalidInputError("need at least one rollout")
-    horizon = horizon_for_tail(mdp, tail_tol)
-    return empirical(rollout_returns(mdp, state, horizon, n_samples, rng))
-
-
 def mc_oracle_fn(
     mdp: TabularMDP,
     n_samples: int,
     tail_tol: float,
     rng: np.random.Generator,
 ) -> ReturnDistFn:
-    """Per-state Monte Carlo ground truth."""
+    """Per-state Monte Carlo ground truth: ``n_samples`` rollout returns
+    from each state in turn, truncated where the tail bound falls below
+    ``tail_tol``."""
+    if n_samples < 1:
+        raise InvalidInputError("need at least one rollout")
+    horizon = horizon_for_tail(mdp, tail_tol)
     return ReturnDistFn(
         tuple(
-            mc_oracle(mdp, x, n_samples, tail_tol, rng)
+            empirical(rollout_returns(mdp, x, horizon, n_samples, rng))
             for x in range(mdp.n_states)
         )
     )

@@ -357,8 +357,8 @@ def zeroshot_seed(config: ExperimentConfig, seed: int, estimate: ReturnDistFn | 
         _sample_reward_vector(reward_rng, mdp.dim, zs["nonnegative_orthant"])
         for _ in range(zs["reward_draws"])
     ]
-    # One state's rollouts are live at a time: drawn, scored against every
-    # reward vector, then dropped. oracle_rng is consumed in state order.
+    # One state's rollouts and one draw's truth are live at a time, each
+    # dropped once scored. oracle_rng is consumed in state order.
     errors = [[] for _ in draws]
     oracle_s = scoring_s = 0.0
     for x in range(mdp.n_states):
@@ -370,6 +370,7 @@ def zeroshot_seed(config: ExperimentConfig, seed: int, estimate: ReturnDistFn | 
             predicted = zeroshot_scalar(probability_estimate[x], w)
             truth = ScalarDist(samples @ w, np.full(n, 1.0 / n))
             draw_errors.append(cramer_distance(predicted, truth))
+            del truth
         del samples
         oracle_s += scoring_start - start
         scoring_s += time.perf_counter() - scoring_start

@@ -311,15 +311,6 @@ def sample_visits(mdp: "TabularMDP", steps: int, rng: np.random.Generator,
             x = y
 
 
-@dataclass(frozen=True)
-class Transition:
-    """One observed step: state, its cumulant vector, sampled next state."""
-
-    state: int
-    reward: np.ndarray
-    next_state: int
-
-
 def random_mdp(
     n_states: int,
     d: int,
@@ -350,14 +341,6 @@ def dsm_mdp(transition, gamma: float) -> TabularMDP:
     return TabularMDP(p, (1.0 - gamma) * np.eye(n), gamma, r_max=1.0 - gamma)
 
 
-def sample_transition(mdp: TabularMDP, state: int, rng: np.random.Generator) -> Transition:
-    """Draw one transition from ``state``; the reward is deterministic."""
-    if not 0 <= state < mdp.n_states:
-        raise InvalidInputError(f"state {state} out of range")
-    nxt = int(rng.choice(mdp.n_states, p=mdp.transition[state]))
-    return Transition(state, mdp.cumulants[state], nxt)
-
-
 def horizon_for_tail(mdp: TabularMDP, tail_tol: float) -> int:
     """Smallest horizon whose truncation error bound is below ``tail_tol``.
 
@@ -371,20 +354,6 @@ def horizon_for_tail(mdp: TabularMDP, tail_tol: float) -> int:
         return 1
     t = math.log(tail_tol / bound0) / math.log(mdp.gamma)
     return max(1, int(math.ceil(t)))
-
-
-def rollout_return(mdp: TabularMDP, state: int, horizon: int, rng: np.random.Generator) -> np.ndarray:
-    """Truncated discounted cumulant sum along one sampled trajectory."""
-    if horizon < 1:
-        raise InvalidInputError("horizon must be >= 1")
-    total = np.zeros(mdp.dim)
-    x = state
-    discount = 1.0
-    for _ in range(horizon):
-        total += discount * mdp.cumulants[x]
-        discount *= mdp.gamma
-        x = int(rng.choice(mdp.n_states, p=mdp.transition[x]))
-    return total
 
 
 def rollout_returns(

@@ -223,8 +223,8 @@ class SimplexProjector:
     def solve_linear(self, q: np.ndarray, start=None) -> ProjectionResult:
         return solve_simplex_qp(self.gram, q, start)
 
-    def project(self, target_atoms, target_weights, start=None) -> ProjectionResult:
-        return self.solve_linear(self.linear_term(target_atoms, target_weights), start)
+    def project(self, target_atoms, target_weights) -> ProjectionResult:
+        return self.solve_linear(self.linear_term(target_atoms, target_weights))
 
 
 class SignedProjector:
@@ -273,7 +273,7 @@ class SignedProjector:
     def solve_linear(self, q: np.ndarray, start=None) -> ProjectionResult:
         return ProjectionResult(self._s @ q + self.offset, 0.0, 1)
 
-    def project(self, target_atoms, target_weights, start=None) -> ProjectionResult:
+    def project(self, target_atoms, target_weights) -> ProjectionResult:
         q = cross_kernel(self.atoms, target_atoms, self.spec) @ target_weights
         return self.solve_linear(q)
 
@@ -283,11 +283,9 @@ class SignedProjector:
         return m, self.offset
 
 
-def project_simplex(
-    target: DiscreteMeasure, support, spec: KernelSpec, *, start: np.ndarray | None = None
-) -> DiscreteMeasure:
+def project_simplex(target: DiscreteMeasure, support, spec: KernelSpec) -> DiscreteMeasure:
     """MMD projection of ``target`` onto probability weights over ``support``."""
-    return _project(SimplexProjector, target, support, spec, start)
+    return _project(SimplexProjector, target, support, spec)
 
 
 def project_signed(target: DiscreteMeasure, support, spec: KernelSpec) -> DiscreteMeasure:
@@ -295,11 +293,11 @@ def project_signed(target: DiscreteMeasure, support, spec: KernelSpec) -> Discre
     return _project(SignedProjector, target, support, spec)
 
 
-def _project(kind, target: DiscreteMeasure, support, spec: KernelSpec, start=None):
+def _project(kind, target: DiscreteMeasure, support, spec: KernelSpec):
     projector = kind(support, spec)
     if abs(target.mass - 1.0) > 1e-9:
         raise InvalidInputError(f"projection target must have mass 1, got {target.mass}")
-    result = projector.project(target.atoms, target.weights, start)
+    result = projector.project(target.atoms, target.weights)
     return DiscreteMeasure(projector.atoms, result.weights)
 
 

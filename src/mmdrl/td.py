@@ -16,16 +16,15 @@ from itertools import islice
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, checked_array
 from .kernels import KernelSpec, mmd, signed_energy_sum
 from .measures import (
     DiscreteMeasure,
     ReturnDistFn,
     SupportMap,
-    pushforward,
     weights_on_support,
 )
-from .mdp import TabularMDP, Transition, sample_visits
+from .mdp import TabularMDP, sample_visits
 from .projections import (
     SignedProjector,
     SimplexProjector,
@@ -65,10 +64,6 @@ class StepSchedule:
         return self.scale * visit ** (-self.exponent)
 
 
-def make_schedule(exponent: float = 0.6, scale: float = 1.0) -> StepSchedule:
-    return StepSchedule(exponent, scale)
-
-
 @dataclass(frozen=True)
 class TdState:
     """Estimate plus the bookkeeping the asynchronous schedule needs."""
@@ -87,18 +82,6 @@ class TdReport:
     mean_step_size: list = field(default_factory=list)
     # Steps whose weight sum drifted beyond MASS_DRIFT_TOL (categorical TD).
     renormalizations: int = 0
-
-    def to_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write("step,sup_mmd_to_reference,mean_step_size\r\n")
-            for s, d, a in zip(self.steps, self.sup_mmd, self.mean_step_size):
-                fh.write(f"{s},{d:.17g},{a:.17g}\r\n")
-
-
-def stochastic_backup(eta: ReturnDistFn, tr: Transition, gamma: float) -> DiscreteMeasure:
-    """Sampled one-step backup: the next state's estimate pushed through
-    z -> reward + gamma z."""
-    return pushforward(eta[tr.next_state], tr.reward, gamma)
 
 
 def init_td_state(
@@ -134,8 +117,8 @@ def categorical_td_run(
 
     States are visited uniformly at random by default (``"trajectory"``
     follows the chain instead). Returns the final state and a report with
-    sup-MMD to ``reference`` at every report interval; a reference of
-    another state count or dimension than the MDP raises
+    sup-MMD to ``reference`` at every report interval; a reference or
+    ``init`` of another state count or dimension than the MDP raises
     ``InvalidInputError`` before any step.
 
     The weight-sum drift is checked once per block of at most
@@ -143,13 +126,12 @@ def categorical_td_run(
     step, the block's later steps are redone, so every result equals a
     check after each step. ``report.renormalizations`` counts those steps.
     """
-    if steps < 0:
-        raise InvalidInputError("steps must be >= 0")
     if state_sampler not in ("uniform", "trajectory"):
         raise InvalidInputError(f"unknown state sampler {state_sampler!r}")
-    _check_report_interval(steps, report_interval)
-    if reference is not None:
-        reference.check_fits(mdp, "reference")
+    _check_run(mdp, steps, report_interval, reference)
+    if init is not None:
+        init.estimate.check_fits(mdp, "init")
+        checked_array(init.visit_counts, (mdp.n_states,), "init visit counts")
     state = init if init is not None else init_td_state(mdp, support, spec)
     weights = [
         weights_on_support(state.estimate[x], support[x])
@@ -256,9 +238,13 @@ def categorical_td_run(
     return TdState(estimate, np.array(visits, dtype=np.int64), state.step + steps), report
 
 
-def _check_report_interval(steps: int, report_interval: int) -> None:
+def _check_run(mdp: TabularMDP, steps: int, report_interval: int, reference) -> None:
+    if steps < 0:
+        raise InvalidInputError("steps must be >= 0")
     if steps > 0 and report_interval < 1:
         raise InvalidInputError(f"report_interval must be >= 1, got {report_interval}")
+    if reference is not None:
+        reference.check_fits(mdp, "reference")
 
 
 def ewp_mmd_sq_objective(theta: np.ndarray, targets: np.ndarray, alpha: float) -> float:
@@ -292,30 +278,6 @@ def ewp_mmd_sq_gradient(theta: np.ndarray, targets: np.ndarray, alpha: float) ->
     return cross - within
 
 
-def ewp_td_step(
-    particles: np.ndarray,
-    tr: Transition,
-    spec: KernelSpec,
-    learn_rate: float,
-    gamma: float,
-) -> np.ndarray:
-    """One particle TD update at the visited state.
-
-    The target particle set reward + gamma * particles(next state) is held
-    fixed (no gradient flows through it); the visited state's particles
-    take one gradient step on the squared MMD to that target.
-    """
-    particles = np.asarray(particles, dtype=np.float64)
-    if particles.ndim != 3:
-        raise InvalidInputError("particles must have shape (n_states, m, d)")
-    theta = particles[tr.state]
-    targets = tr.reward[None, :] + gamma * particles[tr.next_state]
-    grad = ewp_mmd_sq_gradient(theta, targets, spec.alpha)
-    out = particles.copy()
-    out[tr.state] = theta - learn_rate * grad
-    return out
-
-
 def ewp_td_run(
     mdp: TabularMDP,
     m: int,
@@ -328,15 +290,11 @@ def ewp_td_run(
     report_interval: int = 1000,
     init: np.ndarray | None = None,
 ):
-    """Run particle TD with per-state visit-count step sizes; a
-    ``reference`` must fit the MDP as in ``categorical_td_run``."""
-    if steps < 0:
-        raise InvalidInputError("steps must be >= 0")
-    _check_report_interval(steps, report_interval)
-    if reference is not None:
-        reference.check_fits(mdp, "reference")
+    """Run particle TD with per-state visit-count step sizes; ``reference``
+    and the finite (S, m, d) ``init`` particles must fit the MDP."""
+    _check_run(mdp, steps, report_interval, reference)
     if init is not None:
-        particles = np.array(init, dtype=np.float64, copy=True)
+        particles = checked_array(init, (mdp.n_states, m, mdp.dim), "init").copy()
     else:
         from .dp import ewp_init
 

@@ -17,6 +17,7 @@ from mmdrl import (
     EwpConfig,
     ReturnDistFn,
     ScalarDist,
+    StepSchedule,
     SupportMap,
     categorical_dp_solve,
     categorical_td_run,
@@ -27,7 +28,6 @@ from mmdrl import (
     ewp_mmd_sq_objective,
     ewp_random_solve,
     exact_bellman,
-    make_schedule,
     mmd,
     mmd_squared,
     project_signed,
@@ -300,7 +300,7 @@ def test_criterion_08_categorical_td_convergence():
             mdp,
             support,
             SPEC,
-            make_schedule(0.6, 1.0),
+            StepSchedule(0.6, 1.0),
             200_000,
             rng_stream(7, 2),
             reference=reference,

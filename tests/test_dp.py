@@ -16,7 +16,6 @@ from mmdrl import (
     TabularMDP,
     categorical,
     categorical_dp_solve,
-    categorical_dp_step,
     dsm_mdp,
     energy_kernel,
     ewp_init,
@@ -28,6 +27,7 @@ from mmdrl import (
     rng_stream,
     successor_feature_means,
     sup_mmd,
+    weights_on_support,
 )
 from mmdrl.dp import point_init
 
@@ -113,13 +113,22 @@ class TestExactBellman:
             exact_bellman(eta, mdp)
 
 
+def dp_step(eta, mdp, support):
+    """One projected categorical backup of ``eta``, which lives on the
+    support: ``categorical_dp_solve`` for one sweep from its weights."""
+    weights = [weights_on_support(eta[x], support[x]) for x in range(mdp.n_states)]
+    return categorical_dp_solve(
+        mdp, support, SPEC, max_iter=1, init_weights=weights
+    ).final
+
+
 class TestCategoricalDpStep:
     def test_on_grid_self_loop_matches_exact(self):
         # Support closed under the backup map: projection is the identity.
         mdp = self_loop_mdp([0.5], 0.5)
         support = SupportMap.constant(np.array([[0.0], [0.5], [1.0]]), 1)
         eta = categorical(support, [np.array([0.0, 0.0, 1.0])])
-        out = categorical_dp_step(eta, mdp, support, SPEC)
+        out = dp_step(eta, mdp, support)
         exact = exact_bellman(eta, mdp)
         assert mmd(out[0], exact[0], SPEC) <= 1e-7
 
@@ -127,7 +136,7 @@ class TestCategoricalDpStep:
         mdp = random_mdp(3, 1, 0.8, 1.0, rng_stream(4))
         support = SupportMap.uniform_grid(3, 1, 12, mdp.v_max)
         report = categorical_dp_solve(mdp, support, SPEC, tol=1e-10, max_iter=600)
-        stepped = categorical_dp_step(report.final, mdp, support, SPEC)
+        stepped = dp_step(report.final, mdp, support)
         assert sup_mmd(stepped, report.final, SPEC) <= 1e-7
 
     def test_composed_contraction(self):
@@ -139,20 +148,11 @@ class TestCategoricalDpStep:
             w2 = [rng.dirichlet(np.ones(9)) for _ in range(3)]
             eta1, eta2 = categorical(support, w1), categorical(support, w2)
             lhs = sup_mmd(
-                categorical_dp_step(eta1, mdp, support, SPEC),
-                categorical_dp_step(eta2, mdp, support, SPEC),
+                dp_step(eta1, mdp, support),
+                dp_step(eta2, mdp, support),
                 SPEC,
             )
             assert lhs <= 0.8**0.5 * sup_mmd(eta1, eta2, SPEC) + 1e-7
-
-    def test_requires_supported_input(self):
-        mdp = random_mdp(2, 1, 0.8, 1.0, rng_stream(6))
-        support = SupportMap.uniform_grid(2, 1, 8, mdp.v_max)
-        off_support = ReturnDistFn(
-            (DiscreteMeasure.point([0.123]), DiscreteMeasure.point([0.456]))
-        )
-        with pytest.raises(InvalidInputError):
-            categorical_dp_step(off_support, mdp, support, SPEC)
 
 
 class TestCategoricalDpSolve:
@@ -207,21 +207,44 @@ class TestCategoricalDpSolve:
         for x in range(3):
             assert abs(report.final[x].mass - 1.0) <= 1e-9
 
-    def test_report_csv(self, tmp_path):
-        mdp = random_mdp(2, 1, 0.8, 1.0, rng_stream(11))
-        support = SupportMap.uniform_grid(2, 1, 8, mdp.v_max)
-        report = categorical_dp_solve(mdp, support, SPEC, tol=1e-6, max_iter=100)
-        path = tmp_path / "report.csv"
-        report.to_csv(path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "iteration,sup_mmd"
-        assert len(lines) == report.iterations + 1
-
     def test_tolerance_validated(self):
         mdp = random_mdp(2, 1, 0.8, 1.0, rng_stream(12))
         support = SupportMap.uniform_grid(2, 1, 4, mdp.v_max)
         with pytest.raises(InvalidInputError):
             categorical_dp_solve(mdp, support, SPEC, tol=0.0)
+
+    @pytest.mark.parametrize("projection", ["simplex", "signed"])
+    @pytest.mark.parametrize(
+        "case, match",
+        [
+            ("two-of-three", "holds 2 vectors, expected 3"),
+            ("four-of-three", "holds 4 vectors, expected 3"),
+            ("short-vector", r"init_weights\[1\] has shape \(3,\), expected \(4,\)"),
+            ("matrix", r"init_weights\[0\] has shape \(4, 1\), expected \(4,\)"),
+            ("nan", r"init_weights\[2\] holds non-finite entries"),
+        ],
+        ids=["two-of-three", "four-of-three", "short-vector", "matrix", "nan"],
+    )
+    def test_init_weights_checked(self, projection, case, match):
+        # Unchecked, the sweep would index past too few vectors, drop extra
+        # ones, fail in a matmul on a wrong length and solve on a NaN.
+        mdp = random_mdp(3, 1, 0.8, 1.0, rng_stream(12))
+        support = SupportMap.uniform_grid(3, 1, 4, mdp.v_max)
+        weights = [np.full(4, 0.25) for _ in range(3)]
+        if case == "two-of-three":
+            weights = weights[:2]
+        elif case == "four-of-three":
+            weights.append(np.full(4, 0.25))
+        elif case == "short-vector":
+            weights[1] = np.full(3, 1 / 3)
+        elif case == "matrix":
+            weights[0] = np.full((4, 1), 0.25)
+        else:
+            weights[2][1] = np.nan
+        with pytest.raises(InvalidInputError, match=match):
+            categorical_dp_solve(
+                mdp, support, SPEC, max_iter=1, init_weights=weights, projection=projection
+            )
 
 
 class TestEwpRandomStep:

@@ -14,7 +14,6 @@ from mmdrl import (
     TabularMDP,
     cramer_distance,
     energy_kernel,
-    mc_oracle,
     mc_oracle_fn,
     mesh_and_bound,
     mmd,
@@ -60,15 +59,6 @@ class TestScalarDist:
     def test_signed_rejected(self):
         with pytest.raises(InvalidInputError):
             ScalarDist([0.0, 1.0], [1.5, -0.5])
-
-    def test_csv_export(self, tmp_path):
-        dist = ScalarDist([0.0, 1.0], [0.25, 0.75])
-        path = tmp_path / "dist.csv"
-        dist.to_csv(path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "atom,weight,cdf"
-        assert len(lines) == 3
-        assert lines[2].split(",")[2] == "1"
 
 
 class TestSupMmd:
@@ -280,19 +270,19 @@ class TestMatchesMergeReference:
 class TestMcOracle:
     def test_self_loop_concentrates(self):
         mdp = TabularMDP(np.eye(1), np.array([[0.5]]), 0.5, r_max=1.0)
-        oracle = mc_oracle(mdp, 0, 50, 1e-6, rng_stream(4))
+        oracle = mc_oracle_fn(mdp, 50, 1e-6, rng_stream(4))[0]
         np.testing.assert_allclose(oracle.atoms, 1.0, atol=1e-6)
 
     def test_single_sample(self):
         mdp = random_mdp(2, 1, 0.9, 1.0, rng_stream(5))
-        oracle = mc_oracle(mdp, 0, 1, 1e-3, rng_stream(6))
+        oracle = mc_oracle_fn(mdp, 1, 1e-3, rng_stream(6))[0]
         assert oracle.n_atoms == 1
 
     def test_two_sample_stability(self):
         mdp = random_mdp(4, 1, 0.9, 1.0, rng_stream(7))
         n = 10_000
-        a = mc_oracle(mdp, 0, n, 1e-3, rng_stream(8))
-        b = mc_oracle(mdp, 0, n, 1e-3, rng_stream(9))
+        a = mc_oracle_fn(mdp, n, 1e-3, rng_stream(8))[0]
+        b = mc_oracle_fn(mdp, n, 1e-3, rng_stream(9))[0]
         # Scale of the sampling noise: mean within-sample semimetric over n.
         rho_bar = float(
             np.mean(pairwise_semimetric(a.atoms[:500], a.atoms[:500], SPEC.semimetric))
@@ -303,7 +293,7 @@ class TestMcOracle:
     def test_mean_matches_analytic(self):
         mdp = random_mdp(4, 2, 0.9, 1.0, rng_stream(10))
         n = 100_000
-        oracle = mc_oracle(mdp, 2, n, 1e-4, rng_stream(11))
+        oracle = mc_oracle_fn(mdp, n, 1e-4, rng_stream(11))[2]
         expected = successor_feature_means(mdp)[2]
         se = oracle.atoms.std(axis=0, ddof=1) / np.sqrt(n)
         np.testing.assert_array_less(

@@ -11,12 +11,10 @@ from mmdrl import (
     dsm_mdp,
     random_mdp,
     rng_stream,
-    rollout_return,
     rollout_returns,
-    sample_transition,
     successor_feature_means,
 )
-from mmdrl.mdp import horizon_for_tail
+from mmdrl.mdp import horizon_for_tail, sample_visits
 
 from util import reference_rollout_returns
 
@@ -116,8 +114,8 @@ class TestDsmMdp:
         mdp = dsm_mdp(np.array([[1.0]]), 0.5)
         assert mdp.cumulants[0, 0] == pytest.approx(0.5)
         # Geometric series: the lone return is exactly 1.
-        ret = rollout_return(mdp, 0, 60, rng_stream(0))
-        assert ret[0] == pytest.approx(1.0, abs=1e-9)
+        returns = rollout_returns(mdp, 0, 60, 5, rng_stream(0))
+        np.testing.assert_allclose(returns[:, 0], 1.0, rtol=0, atol=1e-9)
 
     def test_rejects_non_stochastic(self):
         with pytest.raises(InvalidInputError):
@@ -132,50 +130,43 @@ class TestDsmMdp:
 
 
 class TestSampleTransition:
+    """Successor draws of ``sample_visits(..., "uniform")``, given the state."""
+
     def test_deterministic_row(self):
         transition = np.array([[0.0, 1.0], [0.0, 1.0]])
         mdp = TabularMDP(transition, np.zeros((2, 1)), 0.9)
-        rng = rng_stream(0)
-        for _ in range(20):
-            assert sample_transition(mdp, 0, rng).next_state == 1
-
-    def test_reward_is_cumulant_row(self):
-        mdp = random_mdp(3, 2, 0.9, 1.0, rng_stream(1))
-        tr = sample_transition(mdp, 2, rng_stream(2))
-        np.testing.assert_array_equal(tr.reward, mdp.cumulants[2])
+        visits = list(sample_visits(mdp, 40, rng_stream(0), "uniform"))
+        assert {x for x, _ in visits} == {0, 1}
+        assert all(y == 1 for _, y in visits)
 
     def test_frequencies_match_row(self):
+        # About 100,000 of the visits are to state 1.
         mdp = random_mdp(4, 1, 0.9, 1.0, rng_stream(5))
-        rng = rng_stream(6)
         counts = np.zeros(4)
-        n = 100_000
-        for _ in range(n):
-            counts[sample_transition(mdp, 1, rng).next_state] += 1
-        np.testing.assert_allclose(counts / n, mdp.transition[1], atol=0.01)
-
-    def test_state_range_checked(self):
-        mdp = random_mdp(2, 1, 0.9, 1.0, rng_stream(0))
-        with pytest.raises(InvalidInputError):
-            sample_transition(mdp, 5, rng_stream(0))
+        for x, y in sample_visits(mdp, 400_000, rng_stream(6), "uniform"):
+            if x == 1:
+                counts[y] += 1
+        assert counts.sum() > 99_000
+        np.testing.assert_allclose(counts / counts.sum(), mdp.transition[1], atol=0.01)
 
 
 class TestRollouts:
     def test_horizon_one_returns_cumulant(self):
         mdp = random_mdp(3, 2, 0.9, 1.0, rng_stream(0))
-        ret = rollout_return(mdp, 1, 1, rng_stream(1))
-        np.testing.assert_array_equal(ret, mdp.cumulants[1])
+        returns = rollout_returns(mdp, 1, 1, 5, rng_stream(1))
+        np.testing.assert_array_equal(returns, np.tile(mdp.cumulants[1], (5, 1)))
 
     def test_self_loop_geometric_series(self):
         mdp = TabularMDP(np.array([[1.0]]), np.array([[0.7]]), 0.5)
-        ret = rollout_return(mdp, 0, 60, rng_stream(0))
-        assert ret[0] == pytest.approx(2 * 0.7, abs=1e-9)
+        returns = rollout_returns(mdp, 0, 60, 5, rng_stream(0))
+        np.testing.assert_allclose(returns[:, 0], 2 * 0.7, rtol=0, atol=1e-9)
 
     def test_two_state_cycle(self):
         # Alternating rewards 1, 0 with gamma = 1/2 give 1/(1-1/4) = 4/3.
         transition = np.array([[0.0, 1.0], [1.0, 0.0]])
         mdp = TabularMDP(transition, np.array([[1.0], [0.0]]), 0.5)
-        ret = rollout_return(mdp, 0, 80, rng_stream(0))
-        assert ret[0] == pytest.approx(4.0 / 3.0, abs=1e-9)
+        returns = rollout_returns(mdp, 0, 80, 5, rng_stream(0))
+        np.testing.assert_allclose(returns[:, 0], 4.0 / 3.0, rtol=0, atol=1e-9)
 
     def test_vectorized_matches_analytic_mean(self):
         mdp = random_mdp(5, 2, 0.9, 1.0, rng_stream(10))
@@ -211,7 +202,7 @@ class TestRollouts:
     def test_horizon_validated(self):
         mdp = random_mdp(2, 1, 0.9, 1.0, rng_stream(0))
         with pytest.raises(InvalidInputError):
-            rollout_return(mdp, 0, 0, rng_stream(0))
+            rollout_returns(mdp, 0, 0, 1, rng_stream(0))
 
     @pytest.mark.parametrize("state", [-1, 2])
     def test_rollouts_from_unknown_state_rejected(self, state):

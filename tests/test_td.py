@@ -13,8 +13,8 @@ from mmdrl import (
     InvalidInputError,
     ReturnDistFn,
     SupportMap,
+    StepSchedule,
     TabularMDP,
-    Transition,
     categorical,
     categorical_dp_solve,
     categorical_td_run,
@@ -23,15 +23,13 @@ from mmdrl import (
     ewp_mmd_sq_gradient,
     ewp_mmd_sq_objective,
     ewp_td_run,
-    ewp_td_step,
     init_td_state,
-    make_schedule,
     mmd,
     mmd_squared,
     project_signed,
+    pushforward,
     random_mdp,
     rng_stream,
-    stochastic_backup,
     sup_mmd,
     weights_on_support,
 )
@@ -51,40 +49,41 @@ def point_masses(n_states, dim):
 
 class TestSchedule:
     def test_first_visit_equals_scale(self):
-        schedule = make_schedule(0.6, 0.5)
+        schedule = StepSchedule(0.6, 0.5)
         assert schedule(1) == pytest.approx(0.5)
 
     def test_power_of_two_value(self):
         # 32^(-3/5) = 2^(-3) exactly.
-        schedule = make_schedule(0.6, 1.0)
+        schedule = StepSchedule(0.6, 1.0)
         assert schedule(32) == pytest.approx(0.125, abs=1e-15)
 
     @pytest.mark.parametrize("exponent", [0.4, 0.5, 1.2, 0.0])
     def test_square_summability_enforced(self, exponent):
         with pytest.raises(InvalidInputError):
-            make_schedule(exponent)
+            StepSchedule(exponent)
 
     def test_boundary_exponent_allowed(self):
-        assert make_schedule(1.0)(10) == pytest.approx(0.1)
+        assert StepSchedule(1.0)(10) == pytest.approx(0.1)
 
     def test_visits_start_at_one(self):
         with pytest.raises(InvalidInputError):
-            make_schedule()(0)
+            StepSchedule()(0)
 
 
 class TestStochasticBackup:
+    """The sampled one-step backup of a transition x -> y: the estimate at
+    y pushed through z -> r(x) + gamma z."""
+
     def test_point_mass_pushforward(self):
         eta = ReturnDistFn((DiscreteMeasure.point([0.0]),))
-        tr = Transition(0, np.array([1.0]), 0)
-        out = stochastic_backup(eta, tr, 0.5)
+        out = pushforward(eta[0], np.array([1.0]), 0.5)
         np.testing.assert_allclose(out.atoms, [[1.0]])
 
     def test_zero_discount_gives_reward(self):
         eta = ReturnDistFn(
             (DiscreteMeasure(np.array([[3.0], [7.0]]), np.array([0.5, 0.5])),)
         )
-        tr = Transition(0, np.array([2.0]), 0)
-        out = stochastic_backup(eta, tr, 0.0)
+        out = pushforward(eta[0], np.array([2.0]), 0.0)
         np.testing.assert_allclose(np.unique(out.atoms), [2.0])
 
     def test_mixture_atomwise(self):
@@ -94,8 +93,7 @@ class TestStochasticBackup:
                 DiscreteMeasure(np.array([[0.0], [2.0]]), np.array([0.25, 0.75])),
             )
         )
-        tr = Transition(0, np.array([1.0]), 1)
-        out = stochastic_backup(eta, tr, 0.5)
+        out = pushforward(eta[1], np.array([1.0]), 0.5)
         np.testing.assert_allclose(out.atoms, [[1.0], [2.0]])
         np.testing.assert_allclose(out.weights, [0.25, 0.75])
 
@@ -118,10 +116,9 @@ def one_step(mdp, support, schedule, rng, init=None):
 class TestCategoricalTdStep:
     def test_full_step_equals_projected_backup(self):
         mdp, support = small_setup()
-        schedule = make_schedule(0.6, 1.0)  # first visit: alpha = 1
+        schedule = StepSchedule(0.6, 1.0)  # first visit: alpha = 1
         state, out, (x, y) = one_step(mdp, support, schedule, rng_stream(1))
-        tr = Transition(x, mdp.cumulants[x], y)
-        backup = stochastic_backup(state.estimate, tr, mdp.gamma)
+        backup = pushforward(state.estimate[y], mdp.cumulants[x], mdp.gamma)
         projected = project_signed(backup, support[x], SPEC)
         np.testing.assert_allclose(
             out.estimate[x].weights, projected.weights, atol=1e-9
@@ -129,7 +126,7 @@ class TestCategoricalTdStep:
 
     def test_vanishing_step_freezes_estimate(self):
         mdp, support = small_setup(1)
-        schedule = make_schedule(0.6, 1e-12)
+        schedule = StepSchedule(0.6, 1e-12)
         state, out, (x, _) = one_step(mdp, support, schedule, rng_stream(2))
         np.testing.assert_allclose(
             out.estimate[x].weights,
@@ -139,7 +136,7 @@ class TestCategoricalTdStep:
 
     def test_other_states_untouched(self):
         mdp, support = small_setup(2)
-        schedule = make_schedule(0.6, 1.0)
+        schedule = StepSchedule(0.6, 1.0)
         state, out, (x, _) = one_step(mdp, support, schedule, rng_stream(3))
         for z in set(range(3)) - {x}:
             np.testing.assert_array_equal(
@@ -152,7 +149,7 @@ class TestCategoricalTdStep:
     def test_mass_stays_one(self):
         mdp, support = small_setup(3)
         state = init_td_state(mdp, support, SPEC)
-        schedule = make_schedule(0.6, 1.0)
+        schedule = StepSchedule(0.6, 1.0)
         rng = rng_stream(4)
         for _ in range(200):
             _, state, (x, _) = one_step(mdp, support, schedule, rng, init=state)
@@ -160,7 +157,7 @@ class TestCategoricalTdStep:
 
     def test_visit_counts_drive_schedule(self):
         mdp, support = small_setup(5)
-        schedule = make_schedule(0.6, 1.0)
+        schedule = StepSchedule(0.6, 1.0)
         state, out, (x, _) = one_step(mdp, support, schedule, rng_stream(5))
         expected = np.zeros(3, dtype=np.int64)
         expected[x] = 1
@@ -172,7 +169,7 @@ class TestCategoricalTdRun:
     def test_zero_steps_returns_initialization(self):
         mdp, support = small_setup(6)
         state, report = categorical_td_run(
-            mdp, support, SPEC, make_schedule(), 0, rng_stream(0)
+            mdp, support, SPEC, StepSchedule(), 0, rng_stream(0)
         )
         init = init_td_state(mdp, support, SPEC)
         assert sup_mmd(state.estimate, init.estimate, SPEC) <= 1e-12
@@ -184,7 +181,7 @@ class TestCategoricalTdRun:
         mdp = TabularMDP(np.eye(1), np.array([[0.5]]), 0.5, r_max=1.0)
         support = SupportMap.constant(np.array([[0.0], [0.5], [1.0]]), 1)
         state, _ = categorical_td_run(
-            mdp, support, SPEC, make_schedule(), 10_000, rng_stream(7)
+            mdp, support, SPEC, StepSchedule(), 10_000, rng_stream(7)
         )
         target = categorical(support, [np.array([0.0, 0.0, 1.0])])
         assert sup_mmd(state.estimate, target, SPEC) <= 1e-3
@@ -200,7 +197,7 @@ class TestCategoricalTdRun:
             mdp,
             support,
             SPEC,
-            make_schedule(),
+            StepSchedule(),
             20_000,
             rng_stream(9),
             reference=reference,
@@ -224,8 +221,7 @@ class TestCategoricalTdRun:
         samples = np.empty((reps, support[x].shape[0]))
         for i in range(reps):
             y = int(rng.choice(3, p=mdp.transition[x]))
-            tr = Transition(x, mdp.cumulants[x], y)
-            backup = stochastic_backup(eta, tr, mdp.gamma)
+            backup = pushforward(eta[y], mdp.cumulants[x], mdp.gamma)
             samples[i] = project_signed(backup, support[x], SPEC).weights
         mean_w = samples.mean(axis=0)
         from mmdrl import exact_bellman
@@ -245,7 +241,7 @@ class TestCategoricalTdRun:
             mdp,
             support,
             SPEC,
-            make_schedule(),
+            StepSchedule(),
             500,
             rng_stream(13),
             state_sampler="trajectory",
@@ -256,7 +252,7 @@ class TestCategoricalTdRun:
         mdp, support = small_setup(14)
         with pytest.raises(InvalidInputError):
             categorical_td_run(
-                mdp, support, SPEC, make_schedule(), 10, rng_stream(0),
+                mdp, support, SPEC, StepSchedule(), 10, rng_stream(0),
                 state_sampler="sweep",
             )
 
@@ -265,12 +261,12 @@ class TestCategoricalTdRun:
         mdp, support = small_setup(14)
         with pytest.raises(InvalidInputError, match="report_interval"):
             categorical_td_run(
-                mdp, support, SPEC, make_schedule(), 10, rng_stream(0),
+                mdp, support, SPEC, StepSchedule(), 10, rng_stream(0),
                 report_interval=report_interval,
             )
         # With no steps there is nothing to report.
         state, report = categorical_td_run(
-            mdp, support, SPEC, make_schedule(), 0, rng_stream(0),
+            mdp, support, SPEC, StepSchedule(), 0, rng_stream(0),
             report_interval=report_interval,
         )
         assert state.step == 0 and report.steps == []
@@ -283,21 +279,28 @@ class TestCategoricalTdRun:
         reference = point_masses(n_states, dim)
         with pytest.raises(InvalidInputError, match="reference holds"):
             categorical_td_run(
-                mdp, support, SPEC, make_schedule(), 10, rng_stream(0),
+                mdp, support, SPEC, StepSchedule(), 10, rng_stream(0),
                 reference=reference, report_interval=5,
             )
 
-    def test_report_csv(self, tmp_path):
-        mdp, support = small_setup(15)
-        _, report = categorical_td_run(
-            mdp, support, SPEC, make_schedule(), 300, rng_stream(16),
-            report_interval=100,
-        )
-        path = tmp_path / "td.csv"
-        report.to_csv(path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "step,sup_mmd_to_reference,mean_step_size"
-        assert len(lines) == 4
+    @pytest.mark.parametrize("n_states, dim", [(2, 1), (4, 1), (3, 2)])
+    def test_mismatched_init_rejected(self, n_states, dim):
+        # Unchecked, an init for 2 of the 3 states fails on an index.
+        mdp, support = small_setup(14)
+        init = TdState(point_masses(n_states, dim), np.zeros(n_states, dtype=np.int64))
+        with pytest.raises(InvalidInputError, match="init holds"):
+            categorical_td_run(
+                mdp, support, SPEC, StepSchedule(), 10, rng_stream(0), init=init
+            )
+
+    def test_mismatched_init_visit_counts_rejected(self):
+        mdp, support = small_setup(14)
+        state = init_td_state(mdp, support, SPEC)
+        init = TdState(state.estimate, np.zeros(2, dtype=np.int64))
+        with pytest.raises(InvalidInputError, match="init visit counts"):
+            categorical_td_run(
+                mdp, support, SPEC, StepSchedule(), 10, rng_stream(0), init=init
+            )
 
 
 def per_state_projector_td_run(
@@ -371,7 +374,7 @@ def assert_run_equals_per_state_projector_loop(
     reference = categorical_dp_solve(
         mdp, support, SPEC, tol=1e-10, max_iter=2000, projection="signed"
     ).final
-    schedule = schedule or make_schedule()
+    schedule = schedule or StepSchedule()
     rng, ref_rng = rng_stream(seed, stream), rng_stream(seed, stream)
     state, report = categorical_td_run(
         mdp, support, SPEC, schedule, steps, rng,
@@ -471,7 +474,7 @@ class TestSharedProjectors:
         mdp, support = _shared_projector_case(kind, n_states=12)
         renormalizations = assert_run_equals_per_state_projector_loop(
             mdp, support, 600, 23, "uniform", report_interval=13,
-            schedule=make_schedule(0.6, 0.5), init=_off_mass_init(mdp, support),
+            schedule=StepSchedule(0.6, 0.5), init=_off_mass_init(mdp, support),
         )
         assert renormalizations >= 12
 
@@ -578,28 +581,68 @@ class TestEwpGradient:
             assert after <= before
 
 
+def ewp_one_step(mdp, particles, learn_rate, rng):
+    """``ewp_td_run`` for one step at step size ``learn_rate`` (a first
+    visit): (particles after, the visited (x, y) pair)."""
+    x, y = next(sample_visits(mdp, 1, copy.deepcopy(rng)))
+    out, _ = ewp_td_run(
+        mdp, particles.shape[1], SPEC, StepSchedule(0.6, learn_rate), 1, rng,
+        init=particles,
+    )
+    return out, (x, y)
+
+
 class TestEwpTd:
     def test_step_updates_only_visited_state(self):
         mdp = random_mdp(3, 2, 0.9, 1.0, rng_stream(20))
         particles = rng_stream(21).uniform(0, 5, size=(3, 4, 2))
-        tr = Transition(1, mdp.cumulants[1], 2)
-        out = ewp_td_step(particles, tr, SPEC, 0.1, mdp.gamma)
-        np.testing.assert_array_equal(out[0], particles[0])
-        np.testing.assert_array_equal(out[2], particles[2])
-        assert not np.array_equal(out[1], particles[1])
+        out, (x, y) = ewp_one_step(mdp, particles, 0.1, rng_stream(22))
+        for z in set(range(3)) - {x}:
+            np.testing.assert_array_equal(out[z], particles[z])
+        # One gradient step of the squared MMD to r(x) + gamma * particles[y].
+        targets = mdp.cumulants[x] + mdp.gamma * particles[y]
+        grad = ewp_mmd_sq_gradient(particles[x], targets, SPEC.alpha)
+        np.testing.assert_array_equal(out[x], particles[x] - 0.1 * grad)
+        assert not np.array_equal(out[x], particles[x])
 
     def test_stationary_at_coincident_target(self):
         # Self-loop at the true return: target equals current particles.
         mdp = TabularMDP(np.eye(1), np.array([[0.5]]), 0.5, r_max=1.0)
         particles = np.full((1, 3, 1), 1.0)
-        tr = Transition(0, mdp.cumulants[0], 0)
-        out = ewp_td_step(particles, tr, SPEC, 0.5, mdp.gamma)
+        out, _ = ewp_one_step(mdp, particles, 0.5, rng_stream(0))
         np.testing.assert_allclose(out, particles, atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "shape, match",
+        [
+            ((3, 4), r"has shape \(3, 4\), expected \(3, 4, 2\)"),
+            ((2, 4, 2), r"has shape \(2, 4, 2\), expected \(3, 4, 2\)"),
+            ((3, 4, 1), r"has shape \(3, 4, 1\), expected \(3, 4, 2\)"),
+            ((3, 5, 2), r"has shape \(3, 5, 2\), expected \(3, 4, 2\)"),
+        ],
+        ids=["no-dimension-axis", "two-of-three-states", "dimension-1", "five-particles"],
+    )
+    def test_misshapen_init_rejected(self, shape, match):
+        # Unchecked, a wrong state count or dimension fails inside a step,
+        # and 5 particles for m = 4 would run as if m were 5.
+        mdp = random_mdp(3, 2, 0.9, 1.0, rng_stream(20))
+        with pytest.raises(InvalidInputError, match="init " + match):
+            ewp_td_run(
+                mdp, 4, SPEC, StepSchedule(), 10, rng_stream(0), init=np.ones(shape)
+            )
+
+    def test_non_finite_init_rejected(self):
+        # Unchecked, a NaN particle would spread through every step.
+        mdp = random_mdp(3, 2, 0.9, 1.0, rng_stream(20))
+        init = np.ones((3, 4, 2))
+        init[1, 2, 0] = np.nan
+        with pytest.raises(InvalidInputError, match="init holds non-finite entries"):
+            ewp_td_run(mdp, 4, SPEC, StepSchedule(), 10, rng_stream(0), init=init)
 
     def test_run_reports_and_preserves_shape(self):
         mdp = random_mdp(3, 2, 0.9, 1.0, rng_stream(22))
         particles, report = ewp_td_run(
-            mdp, 8, SPEC, make_schedule(), 2000, rng_stream(23),
+            mdp, 8, SPEC, StepSchedule(), 2000, rng_stream(23),
             report_interval=500,
         )
         assert particles.shape == (3, 8, 2)
@@ -611,10 +654,10 @@ class TestEwpTd:
         mdp = random_mdp(4, dim, 0.8, 1.0, rng_stream(25))
         rng, ref_rng = rng_stream(26), rng_stream(26)
         particles, report = ewp_td_run(
-            mdp, 5, SPEC, make_schedule(), 600, rng, report_interval=100
+            mdp, 5, SPEC, StepSchedule(), 600, rng, report_interval=100
         )
         ref_particles, ref_steps, ref_sizes = reference_ewp_td_run(
-            mdp, 5, SPEC, make_schedule(), 600, ref_rng, report_interval=100
+            mdp, 5, SPEC, StepSchedule(), 600, ref_rng, report_interval=100
         )
         assert np.array_equal(particles, ref_particles)
         assert report.steps == ref_steps
@@ -626,7 +669,7 @@ class TestEwpTd:
         mdp = random_mdp(2, 1, 0.9, 1.0, rng_stream(22))
         with pytest.raises(InvalidInputError, match="report_interval"):
             ewp_td_run(
-                mdp, 4, SPEC, make_schedule(), 5, rng_stream(0),
+                mdp, 4, SPEC, StepSchedule(), 5, rng_stream(0),
                 report_interval=report_interval,
             )
 
@@ -635,14 +678,14 @@ class TestEwpTd:
         mdp = random_mdp(2, 1, 0.9, 1.0, rng_stream(22))
         with pytest.raises(InvalidInputError, match="reference holds"):
             ewp_td_run(
-                mdp, 4, SPEC, make_schedule(), 10, rng_stream(0),
+                mdp, 4, SPEC, StepSchedule(), 10, rng_stream(0),
                 reference=point_masses(n_states, dim), report_interval=5,
             )
 
     def test_run_approaches_truth_on_self_loop(self):
         mdp = TabularMDP(np.eye(1), np.array([[0.5]]), 0.5, r_max=1.0)
         particles, _ = ewp_td_run(
-            mdp, 4, SPEC, make_schedule(scale=0.5), 5000, rng_stream(24),
+            mdp, 4, SPEC, StepSchedule(scale=0.5), 5000, rng_stream(24),
             init=np.zeros((1, 4, 1)),
         )
         np.testing.assert_allclose(particles, 1.0, atol=0.05)
