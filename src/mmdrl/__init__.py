@@ -36,13 +36,10 @@ from .evaluation import (
 )
 from .kernels import (
     KernelSpec,
-    SemimetricSpec,
     energy_kernel,
     gram,
-    kernel_eval,
     mmd,
     mmd_squared,
-    semimetric_eval,
 )
 from .measures import (
     DiscreteMeasure,

@@ -30,7 +30,7 @@ from .experiments import (
     run as run_experiment,
     zeroshot_run,
 )
-from .kernels import KernelSpec, SemimetricSpec
+from .kernels import KernelSpec
 from .mdp import TabularMDP
 
 EXIT_OK = 0
@@ -167,7 +167,7 @@ def _cmd_mesh(args) -> int:
         "resolution": args.support_resolution,
     }
     support = build_support(support_cfg, mdp, args.seed)
-    report = mesh_and_bound(support, mdp, KernelSpec(SemimetricSpec(args.alpha)))
+    report = mesh_and_bound(support, mdp, KernelSpec(args.alpha))
     text = json.dumps(dataclasses.asdict(report), indent=2)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:

@@ -80,7 +80,6 @@ class EwpConfig:
 
     m: int
     iterations: int | None = None
-    seed: int = 0
 
     def __post_init__(self):
         if self.m < 1:
@@ -446,7 +445,7 @@ def ewp_random_solve(
     config: EwpConfig,
     spec: KernelSpec,
     *,
-    rng: np.random.Generator | None = None,
+    rng: np.random.Generator,
 ) -> DpReport:
     """Run the randomized particle DP for its configured iteration count.
 
@@ -456,12 +455,10 @@ def ewp_random_solve(
     from one sweep to the next, so a sweep merges and sums each new
     iterate once and forms one cross sum per state. These screen the
     states (``_sup_mmd``), and the exact ``mmd`` runs only for those that
-    can attain the maximum: usually one per sweep.
+    can attain the maximum: usually one per sweep. Every draw comes from
+    ``rng``; ``mmdrl run`` passes ``rng_stream(seed, 2)``.
     """
-    from .mdp import rng_stream
-
     start_time = time.perf_counter()
-    rng = rng if rng is not None else rng_stream(config.seed)
     iterations = config.resolved_iterations(mdp.gamma, spec.alpha)
     eta = ewp_init(mdp, config.m)
     sets = [_merge(measure, spec.alpha) for measure in eta]

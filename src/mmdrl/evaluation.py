@@ -197,8 +197,8 @@ def mc_oracle_fn(
 def mmd_u_statistic(samples_p, samples_q, spec: KernelSpec) -> float:
     """Unbiased squared-MMD estimate from raw samples (diagonals excluded).
 
-    May be negative. Evaluated in the reference-point-free semimetric
-    form: cross mean minus half of each within-sample off-diagonal mean.
+    May be negative. Evaluated in the semimetric form: cross mean minus
+    half of each within-sample off-diagonal mean.
     """
     p = np.asarray(samples_p, dtype=np.float64)
     q = np.asarray(samples_q, dtype=np.float64)
@@ -209,10 +209,9 @@ def mmd_u_statistic(samples_p, samples_q, spec: KernelSpec) -> float:
     n, m = p.shape[0], q.shape[0]
     if n < 2 or m < 2:
         raise InvalidInputError("unbiased estimation needs >= 2 samples per side")
-    rho = spec.semimetric
-    cross = float(np.sum(pairwise_semimetric(p, q, rho))) / (n * m)
-    within_p = float(np.sum(pairwise_semimetric(p, p, rho))) / (n * (n - 1))
-    within_q = float(np.sum(pairwise_semimetric(q, q, rho))) / (m * (m - 1))
+    cross = float(np.sum(pairwise_semimetric(p, q, spec))) / (n * m)
+    within_p = float(np.sum(pairwise_semimetric(p, p, spec))) / (n * (n - 1))
+    within_q = float(np.sum(pairwise_semimetric(q, q, spec))) / (m * (m - 1))
     return cross - 0.5 * within_p - 0.5 * within_q
 
 

@@ -20,7 +20,7 @@ from .config import CONFIG_VERSION, ExperimentConfig
 from .dp import DpReport, EwpConfig, categorical_dp_solve, ewp_random_solve
 from .errors import InvalidInputError, malformed_as_invalid, read_json
 from .evaluation import ScalarDist, cramer_distance, zeroshot_scalar
-from .kernels import KernelSpec, SemimetricSpec, mmd
+from .kernels import KernelSpec, mmd
 from .measures import (
     PROBABILITY_TOL,
     DiscreteMeasure,
@@ -69,13 +69,22 @@ def _check_extent(what: str, points, dim: int) -> None:
         )
 
 
-def build_kernel(config: ExperimentConfig) -> KernelSpec:
+def build_kernel(config: ExperimentConfig, dim: int) -> KernelSpec:
+    """The configured kernel for an MDP of cumulant dimension ``dim``.
+
+    No result depends on ``kernel.reference_point`` (see ``kernels``), so
+    it is ignored, but checked like every other point: it must have
+    ``dim`` entries and pass ``_check_extent``.
+    """
     kc = config["kernel"]
     ref = kc["reference_point"]
     if ref is not None:
-        ref = np.asarray(ref, dtype=np.float64)
-        _check_extent("kernel.reference_point", ref, ref.size)
-    return KernelSpec(SemimetricSpec(kc["alpha"]), ref)
+        if len(ref) != dim:
+            raise InvalidInputError(
+                f"kernel.reference_point has dimension {len(ref)}, the MDP has {dim}"
+            )
+        _check_extent("kernel.reference_point", np.asarray(ref), dim)
+    return KernelSpec(kc["alpha"])
 
 
 def build_mdp(mc: dict, seed: int) -> TabularMDP:
@@ -161,7 +170,7 @@ def _run_dp_cat(config, seed, mdp, spec):
 
 
 def _run_dp_ewp(config, seed, mdp, spec):
-    ewp = EwpConfig(config["ewp"]["particles"], config["ewp"]["iterations"], seed)
+    ewp = EwpConfig(config["ewp"]["particles"], config["ewp"]["iterations"])
     report = ewp_random_solve(mdp, ewp, spec, rng=rng_stream(seed, _STREAM_ALGO))
     summary = {"iterations": report.iterations, "converged": True}
     return _dp_series(report), report.final, summary
@@ -187,16 +196,12 @@ def _run_td_cat(config, seed, mdp, spec):
 
 def _run_td_ewp(config, seed, mdp, spec):
     td = config["td"]
-    particles, report = ewp_td_run(
+    state, report = ewp_td_run(
         mdp, td["particles"], spec, StepSchedule(**td["schedule"]), td["steps"],
         rng_stream(seed, _STREAM_ALGO), reference=_td_reference_fn(td, mdp, None, spec),
         report_interval=td["report_interval"],
     )
-    m = particles.shape[1]
-    estimate = ReturnDistFn(
-        tuple(DiscreteMeasure(p, np.full(m, 1.0 / m)) for p in particles)
-    )
-    return _td_series(report), estimate, {"steps": td["steps"]}
+    return _td_series(report), state.estimate, {"steps": state.step}
 
 
 _RUNNERS = {"dp-cat": _run_dp_cat, "dp-ewp": _run_dp_ewp,
@@ -220,8 +225,8 @@ def run_seed(config: ExperimentConfig, seed: int) -> SeedResult:
     there is none or it is not finite (TD without a reference).
     """
     start = time.perf_counter()
-    spec = build_kernel(config)
     mdp = build_mdp(config["mdp"], seed)
+    spec = build_kernel(config, mdp.dim)
     series, estimate, summary = _RUNNERS[config.algorithm](config, seed, mdp, spec)
     rows = [[str(i), *map(_fmt, values)] for i, *values in zip(*series.values())]
     distances = list(series.values())[1]
@@ -285,7 +290,7 @@ def nonaffinity_certificate(alpha: float = 1.0) -> dict:
     weight vectors differ, certifying that the simplex projection is not
     affine.
     """
-    spec = KernelSpec(SemimetricSpec(alpha))
+    spec = KernelSpec(alpha)
     grid = np.array(
         [[i, j] for i in range(4) for j in range(4)], dtype=np.float64
     )
@@ -339,8 +344,8 @@ def zeroshot_seed(config: ExperimentConfig, seed: int, estimate: ReturnDistFn | 
     passed in directly. One of another state count or dimension than the
     MDP raises ``InvalidInputError`` before any rollout.
     """
-    spec = build_kernel(config)
     mdp = build_mdp(config["mdp"], seed)
+    spec = build_kernel(config, mdp.dim)
     zs = config["zeroshot"]
     if estimate is None:
         if zs["estimate"]["kind"] == "file":

@@ -1,23 +1,26 @@
-"""Euclidean power semimetrics, the kernels they induce, and MMD evaluation.
+"""Euclidean power semimetrics, the kernel they define, and MMD evaluation.
 
 The semimetric rho_alpha(y1, y2) = ||y1 - y2||_2^alpha with alpha in (0, 2)
-induces the kernel
+induces the kernels
 
     kappa(y1, y2) = (rho(y1, y0) + rho(y2, y0) - rho(y1, y2)) / 2
 
-for a reference point y0. The squared MMD between two finite weighted atom
-sets of equal total mass reduces to a quadratic form in the weight
-difference, and because the mass difference is zero it is independent of
-y0:
+for reference points y0. On weights of total mass 1 the y0 terms add only
+a constant: with p and w of mass 1,
+
+    p^T K p - 2 p^T K_c w = -1/2 p^T R p + p^T R_c w + const(w),
+
+R and R_c being the semimetric matrices (Sejdinovic et al. 2013, Ann.
+Statist. 41(5)). So every projection, sup-MMD and squared MMD here uses
+K = -R / 2 (``gram``, ``cross_kernel``) and no reference point; between
+measures of equal mass
 
     MMD^2(p, q) = -1/2 * sum_ij (p - q)_i (p - q)_j rho(xi_i, xi_j).
-
-All computations here operate on that finite form.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,8 +40,9 @@ _SLAB_ENTRIES = 2**16
 
 
 @dataclass(frozen=True)
-class SemimetricSpec:
-    """Semimetric rho(y1, y2) = ||y1 - y2||_2^alpha, alpha in (0, 2)."""
+class KernelSpec:
+    """Power semimetric rho(y1, y2) = ||y1 - y2||_2^alpha, alpha in (0, 2),
+    and the kernel -rho / 2 it defines on mass-1 weights."""
 
     alpha: float = 1.0
 
@@ -49,80 +53,18 @@ class SemimetricSpec:
             )
 
 
-@dataclass(frozen=True)
-class KernelSpec:
-    """Kernel induced by a power semimetric around a reference point.
-
-    ``reference_point=None`` stands for the origin of whatever dimension
-    the evaluated vectors have. Gram matrices depend on it, but MMDs
-    between equal-mass measures and projected weights do not, and neither
-    does the work of a projection; config schema v1 keeps it for that
-    reason only.
-    """
-
-    semimetric: SemimetricSpec = field(default_factory=SemimetricSpec)
-    reference_point: np.ndarray | None = None
-
-    def __post_init__(self):
-        if self.reference_point is not None:
-            y0 = np.asarray(self.reference_point, dtype=np.float64)
-            if y0.ndim != 1:
-                raise InvalidInputError("reference point must be a flat vector")
-            object.__setattr__(self, "reference_point", y0)
-
-    @property
-    def alpha(self) -> float:
-        return self.semimetric.alpha
-
-    def reference_for_dim(self, dim: int) -> np.ndarray:
-        if self.reference_point is None:
-            return np.zeros(dim)
-        if self.reference_point.shape[0] != dim:
-            raise InvalidInputError(
-                f"reference point has dimension {self.reference_point.shape[0]}, "
-                f"expected {dim}"
-            )
-        return self.reference_point
-
-
-def energy_kernel(alpha: float = 1.0, reference_point=None) -> KernelSpec:
+def energy_kernel(alpha: float = 1.0) -> KernelSpec:
     """Convenience constructor for the energy-distance kernel."""
-    return KernelSpec(SemimetricSpec(alpha), reference_point)
+    return KernelSpec(alpha)
 
 
-def _as_points(y, name: str) -> np.ndarray:
-    arr = np.asarray(y, dtype=np.float64)
-    if arr.ndim == 1:
-        return arr
-    raise InvalidInputError(f"{name} must be a flat vector, got shape {arr.shape}")
+def pairwise_semimetric(a: np.ndarray, b: np.ndarray, spec: KernelSpec) -> np.ndarray:
+    """Matrix of rho(a_i, b_j) for row stacks of points.
 
-
-def semimetric_eval(spec: SemimetricSpec, y1, y2) -> float:
-    """Evaluate ||y1 - y2||^alpha with a dimension check."""
-    a = _as_points(y1, "y1")
-    b = _as_points(y2, "y2")
-    if a.shape != b.shape:
-        raise InvalidInputError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    return float(np.linalg.norm(a - b) ** spec.alpha)
-
-
-def kernel_eval(spec: KernelSpec, y1, y2) -> float:
-    """Evaluate the induced kernel kappa(y1, y2)."""
-    a = _as_points(y1, "y1")
-    b = _as_points(y2, "y2")
-    if a.shape != b.shape:
-        raise InvalidInputError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    y0 = spec.reference_for_dim(a.shape[0])
-    rho = spec.semimetric
-    return 0.5 * (
-        semimetric_eval(rho, a, y0)
-        + semimetric_eval(rho, b, y0)
-        - semimetric_eval(rho, a, b)
-    )
-
-
-def pairwise_semimetric(a: np.ndarray, b: np.ndarray, spec: SemimetricSpec) -> np.ndarray:
-    """Matrix of rho(a_i, b_j) for row stacks of points."""
+    For ``a is b`` the matrix is exactly symmetric with a zero diagonal:
+    (a_i - a_j)^2 = (a_j - a_i)^2 in floating point, and the coordinates
+    are summed in the same order.
+    """
     a = np.atleast_2d(np.asarray(a, dtype=np.float64))
     b = np.atleast_2d(np.asarray(b, dtype=np.float64))
     if a.shape[1] != b.shape[1]:
@@ -137,33 +79,16 @@ def pairwise_semimetric(a: np.ndarray, b: np.ndarray, spec: SemimetricSpec) -> n
 
 
 def gram(atoms, spec: KernelSpec) -> np.ndarray:
-    """Kernel matrix K_ij = kappa(xi_i, xi_j) over an atom list.
-
-    Symmetric by construction; the diagonal entry i equals rho(xi_i, y0).
-    """
+    """Kernel matrix K_ij = -rho(xi_i, xi_j) / 2 over an atom list."""
     pts = np.atleast_2d(np.asarray(atoms, dtype=np.float64))
     if pts.shape[0] < 1:
         raise InvalidInputError("gram requires at least one atom")
-    y0 = spec.reference_for_dim(pts.shape[1])
-    rho0 = pairwise_semimetric(pts, y0[None, :], spec.semimetric)[:, 0]
-    rho = pairwise_semimetric(pts, pts, spec.semimetric)
-    k = 0.5 * (rho0[:, None] + rho0[None, :] - rho)
-    return 0.5 * (k + k.T)
+    return -0.5 * pairwise_semimetric(pts, pts, spec)
 
 
 def cross_kernel(left, right, spec: KernelSpec) -> np.ndarray:
-    """Matrix of kappa(left_i, right_j)."""
-    a = np.atleast_2d(np.asarray(left, dtype=np.float64))
-    b = np.atleast_2d(np.asarray(right, dtype=np.float64))
-    if a.shape[1] != b.shape[1]:
-        raise InvalidInputError(
-            f"dimension mismatch: {a.shape[1]} vs {b.shape[1]}"
-        )
-    y0 = spec.reference_for_dim(a.shape[1])
-    rho_a = pairwise_semimetric(a, y0[None, :], spec.semimetric)[:, 0]
-    rho_b = pairwise_semimetric(b, y0[None, :], spec.semimetric)[:, 0]
-    rho = pairwise_semimetric(a, b, spec.semimetric)
-    return 0.5 * (rho_a[:, None] + rho_b[None, :] - rho)
+    """Matrix of -rho(left_i, right_j) / 2."""
+    return -0.5 * pairwise_semimetric(left, right, spec)
 
 
 def _prefix_sums(x: np.ndarray) -> np.ndarray:

@@ -3,10 +3,11 @@
 Two feasible sets are supported for the weight vector p over support atoms
 xi_1..xi_n, both minimizing the quadratic
 
-    p^T K p - 2 p^T q,    K_ij = kappa(xi_i, xi_j),
-                          q_j  = sum_l w_l kappa(xi_j, a_l),
+    p^T K p - 2 p^T q,    K_ij = -rho(xi_i, xi_j) / 2,
+                          q_j  = -sum_l w_l rho(xi_j, a_l) / 2,
 
-which equals MMD^2 to the target (atoms a, weights w) up to a constant:
+which equals MMD^2 to the mass-1 target (atoms a, weights w) up to a
+constant on mass-1 weights (see ``kernels``):
 
 * simplex, p >= 0 and sum p = 1 (``SimplexProjector``): exact primal
   active-set solve (Lawson & Hanson style). Each step solves the mass-1
@@ -17,12 +18,9 @@ which equals MMD^2 to the target (atoms a, weights w) up to a constant:
   nonnegative it is returned as is (at d=1, alpha=1 that is the Cramer
   two-hot projection).
 * signed, sum p = 1 only (``SignedProjector``): the constraint is
-  eliminated and the reduced symmetric positive-definite system inverted
-  once per support, making the projection an affine map of the target
-  weights.
-
-Both minimisers depend on the semimetric alone: the kernel's reference
-point changes K and q but not the projected weights.
+  eliminated and the reduced system, positive definite for distinct
+  atoms, inverted once per support, making the projection an affine map
+  of the target weights.
 """
 
 from __future__ import annotations
@@ -55,11 +53,6 @@ def project_to_simplex(v: np.ndarray) -> np.ndarray:
     rho = np.nonzero(u * ind > css)[0][-1]
     theta = css[rho] / (rho + 1.0)
     return np.maximum(v - theta, 0.0)
-
-
-def _jitter(k: np.ndarray) -> np.ndarray:
-    n = k.shape[0]
-    return k + (1e-12 * np.trace(k) / n) * np.eye(n)
 
 
 def _free_set_solve(k: np.ndarray, q: np.ndarray, free: np.ndarray):
@@ -113,7 +106,7 @@ def _active_set(k: np.ndarray, q: np.ndarray, start: np.ndarray | None):
         p /= p.sum()
     free = p > 0.0
     # Round-off floor for reduced gradients: below it an atom is not added.
-    floor = 1e-14 * (1.0 + float(np.max(np.abs(np.diag(k)))) + float(np.max(np.abs(q))))
+    floor = 1e-14 * (1.0 + float(np.max(np.abs(k))) + float(np.max(np.abs(q))))
     added = None
     # Free sets at full steps never repeat, so the loop is finite; the cap
     # only stops round-off cycling, which the caller's KKT check reports.
@@ -254,14 +247,10 @@ class SignedProjector:
         )
         try:
             np.linalg.cholesky(h)
-        except np.linalg.LinAlgError:
-            h = _jitter(h)
-            try:
-                np.linalg.cholesky(h)
-            except np.linalg.LinAlgError as exc:
-                raise SolverError(
-                    "signed projection support yields a non-PD reduced system"
-                ) from exc
+        except np.linalg.LinAlgError as exc:
+            raise SolverError(
+                "signed projection support yields a non-PD reduced system"
+            ) from exc
         h_inv = np.linalg.inv(h)
         # S = B H^-1 B^T with B = [I; -1^T].
         top = np.concatenate([h_inv, -np.sum(h_inv, axis=0, keepdims=True)], axis=0)

@@ -22,6 +22,7 @@ from .measures import (
     DiscreteMeasure,
     ReturnDistFn,
     SupportMap,
+    empirical,
     weights_on_support,
 )
 from .mdp import TabularMDP, sample_visits
@@ -128,10 +129,7 @@ def categorical_td_run(
     """
     if state_sampler not in ("uniform", "trajectory"):
         raise InvalidInputError(f"unknown state sampler {state_sampler!r}")
-    _check_run(mdp, steps, report_interval, reference)
-    if init is not None:
-        init.estimate.check_fits(mdp, "init")
-        checked_array(init.visit_counts, (mdp.n_states,), "init visit counts")
+    _check_run(mdp, steps, report_interval, reference, init)
     state = init if init is not None else init_td_state(mdp, support, spec)
     weights = [
         weights_on_support(state.estimate[x], support[x])
@@ -238,13 +236,16 @@ def categorical_td_run(
     return TdState(estimate, np.array(visits, dtype=np.int64), state.step + steps), report
 
 
-def _check_run(mdp: TabularMDP, steps: int, report_interval: int, reference) -> None:
+def _check_run(mdp: TabularMDP, steps: int, report_interval: int, reference, init) -> None:
     if steps < 0:
         raise InvalidInputError("steps must be >= 0")
     if steps > 0 and report_interval < 1:
         raise InvalidInputError(f"report_interval must be >= 1, got {report_interval}")
     if reference is not None:
         reference.check_fits(mdp, "reference")
+    if init is not None:
+        init.estimate.check_fits(mdp, "init")
+        checked_array(init.visit_counts, (mdp.n_states,), "init visit counts")
 
 
 def ewp_mmd_sq_objective(theta: np.ndarray, targets: np.ndarray, alpha: float) -> float:
@@ -288,18 +289,24 @@ def ewp_td_run(
     *,
     reference: ReturnDistFn | None = None,
     report_interval: int = 1000,
-    init: np.ndarray | None = None,
+    init: TdState | None = None,
 ):
-    """Run particle TD with per-state visit-count step sizes; ``reference``
-    and the finite (S, m, d) ``init`` particles must fit the MDP."""
-    _check_run(mdp, steps, report_interval, reference)
-    if init is not None:
-        particles = checked_array(init, (mdp.n_states, m, mdp.dim), "init").copy()
-    else:
-        from .dp import ewp_init
+    """Run particle TD with per-state visit-count step sizes.
 
-        particles = np.stack([meas.atoms for meas in ewp_init(mdp, m)], axis=0)
-    visits = [0] * mdp.n_states
+    Returns the final state and a report, as ``categorical_td_run`` does,
+    and continues from ``init`` as that does: its m equally weighted
+    particles per state and its visit counts. A ``reference`` or ``init``
+    that does not fit the MDP and m raises ``InvalidInputError`` before
+    any step.
+    """
+    from .dp import _ewp_particles, ewp_init
+
+    _check_run(mdp, steps, report_interval, reference, init)
+    state = init if init is not None else TdState(
+        ewp_init(mdp, m), np.zeros(mdp.n_states, dtype=np.int64)
+    )
+    particles = _ewp_particles(state.estimate, m)
+    visits = state.visit_counts.tolist()
     slot_weights = np.full(m, 1.0 / m)
 
     def _distance_to_reference() -> float:
@@ -325,4 +332,5 @@ def ewp_td_run(
             report.sup_mmd.append(_distance_to_reference())
             report.mean_step_size.append(float(np.mean(alphas_since_report)))
             alphas_since_report = []
-    return particles, report
+    estimate = ReturnDistFn(tuple(empirical(p) for p in particles))
+    return TdState(estimate, np.array(visits, dtype=np.int64), state.step + steps), report

@@ -194,7 +194,7 @@ def test_criterion_05_ewp_dp_scaling(d1_suite):
         errors = {m: [] for m in sizes}
         for idx, (mdp, oracle, floor) in enumerate(d1_suite):
             for m in sizes:
-                config = EwpConfig(m=m, seed=idx)
+                config = EwpConfig(m=m)
                 report = ewp_random_solve(
                     mdp, config, SPEC, rng=rng_stream(4000 + idx, m)
                 )

@@ -487,6 +487,20 @@ class TestRunCommand:
                  "kernel": {"reference_point": [1e200]}},
                 id="kernel-reference-point-1e200",
             ),
+            # A reference point of another dimension than the MDP's; the
+            # particle algorithms used to run on it (exit 0).
+            pytest.param(
+                {"algorithm": "dp-ewp", "mdp": {"kind": "random", "n_states": 2, "dim": 2},
+                 "ewp": {"particles": 4, "iterations": 2},
+                 "kernel": {"reference_point": [0, 0, 0]}},
+                id="dp-ewp-reference-point-dimension-3",
+            ),
+            pytest.param(
+                {"algorithm": "td-ewp", "mdp": {"kind": "random", "n_states": 2, "dim": 2},
+                 "td": {"steps": 10, "particles": 4},
+                 "kernel": {"reference_point": [0, 0, 0]}},
+                id="td-ewp-reference-point-dimension-3",
+            ),
         ],
     )
     def test_malformed_values_never_exit_1(self, tmp_path, monkeypatch, payload):
@@ -777,6 +791,27 @@ class TestZeroshotEval:
         assert main(["zeroshot-eval", "--config", zs_config, "--out", str(zs_out)]) == 0
         lines = (zs_out / "zeroshot.csv").read_text().splitlines()
         assert len(lines) == 3
+
+    def test_reference_point_of_another_dimension_exits_2(self, tmp_path, capsys, monkeypatch):
+        # Checked before any rollout, as on the run path.
+        import mmdrl.experiments as experiments
+
+        def no_rollout(*args, **kwargs):
+            raise AssertionError("the oracle started")
+
+        monkeypatch.setattr(experiments, "rollout_returns", no_rollout)
+        (tmp_path / "estimate.json").write_text(json.dumps(point_masses(2, 2)))
+        config = write_config(
+            tmp_path,
+            {
+                "algorithm": "dp-cat",
+                "mdp": {"kind": "random", "n_states": 2, "dim": 2},
+                "kernel": {"reference_point": [0.0]},
+                "zeroshot": {"estimate": {"kind": "file", "path": str(tmp_path / "estimate.json")}},
+            },
+        )
+        assert main(["zeroshot-eval", "--config", config, "--out", str(tmp_path / "o")]) == 2
+        assert "kernel.reference_point has dimension 1, the MDP has 2" in capsys.readouterr().err
 
     def test_missing_estimate_file_exits_2(self, tmp_path):
         config = write_config(

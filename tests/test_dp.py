@@ -38,6 +38,7 @@ from util import (
     reference_merge_close_atoms,
     reference_signed_cross_sum,
     reference_signed_energy_sum,
+    signed_dp_fixed_point,
 )
 
 SPEC = energy_kernel(1.0)
@@ -246,6 +247,27 @@ class TestCategoricalDpSolve:
                 mdp, support, SPEC, max_iter=1, init_weights=weights, projection=projection
             )
 
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5])
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("kind", ["grid", "random"])
+    def test_signed_matches_closed_form_fixed_point(self, kind, dim, alpha):
+        # Successive iterates within tol of a c-contraction leave the last
+        # within tol c / (1 - c) of the fixed point, c = gamma^(alpha / 2).
+        mdp = random_mdp(3, dim, 0.8, 1.0, rng_stream(40 + dim))
+        if kind == "grid":
+            support = SupportMap.uniform_grid(3, dim, 3**dim, mdp.v_max)
+        else:
+            support = SupportMap.random(3, dim, 6, mdp.v_max, rng_stream(50 + dim))
+        spec = energy_kernel(alpha)
+        tol = 1e-7
+        report = categorical_dp_solve(
+            mdp, support, spec, tol=tol, max_iter=2000, projection="signed"
+        )
+        assert report.converged
+        oracle = categorical(support, signed_dp_fixed_point(mdp, support, alpha))
+        c = mdp.gamma ** (alpha / 2)
+        assert sup_mmd(report.final, oracle, spec) <= tol * c / (1 - c)
+
 
 class TestEwpRandomStep:
     def test_deterministic_self_loop(self):
@@ -297,10 +319,17 @@ class TestEwpRandomStep:
 class TestEwpRandomSolve:
     def test_zero_iterations_returns_initialization(self):
         mdp = random_mdp(3, 2, 0.9, 1.0, rng_stream(17))
-        config = EwpConfig(m=16, iterations=0, seed=0)
-        report = ewp_random_solve(mdp, config, SPEC)
+        config = EwpConfig(m=16, iterations=0)
+        report = ewp_random_solve(mdp, config, SPEC, rng=rng_stream(0))
         init = ewp_init(mdp, 16)
         assert sup_mmd(report.final, init, SPEC) == 0.0
+
+    def test_generator_required(self):
+        # The CLI draws from rng_stream(seed, 2); a library call names its
+        # generator rather than falling back to another stream.
+        mdp = random_mdp(2, 1, 0.9, 1.0, rng_stream(17))
+        with pytest.raises(TypeError, match="rng"):
+            ewp_random_solve(mdp, EwpConfig(m=4, iterations=1), SPEC)
 
     def test_default_iteration_count(self):
         config = EwpConfig(m=64)
@@ -311,7 +340,7 @@ class TestEwpRandomSolve:
 
     def test_backup_gap_diagnostic(self):
         mdp = random_mdp(3, 1, 0.8, 1.0, rng_stream(18))
-        config = EwpConfig(m=32, iterations=5, seed=1)
+        config = EwpConfig(m=32, iterations=5)
         _, backup_gaps, _ = reference_ewp_sweeps(mdp, config, SPEC, rng_stream(1, 2))
         assert len(backup_gaps) == 5
         assert all(np.isfinite(g) for g in backup_gaps)
@@ -319,8 +348,8 @@ class TestEwpRandomSolve:
     def test_oracle_distance_reported(self):
         mdp = random_mdp(2, 1, 0.8, 1.0, rng_stream(19))
         oracle = point_init(mdp)
-        config = EwpConfig(m=8, iterations=3, seed=2)
-        report = ewp_random_solve(mdp, config, SPEC)
+        config = EwpConfig(m=8, iterations=3)
+        report = ewp_random_solve(mdp, config, SPEC, rng=rng_stream(2))
         distance = oracle_distance(report, oracle, SPEC)
         assert distance is not None
         assert np.isfinite(distance)
@@ -328,7 +357,7 @@ class TestEwpRandomSolve:
     def test_mean_consistency(self):
         mdp = random_mdp(4, 2, 0.9, 1.0, rng_stream(20))
         m = 1024
-        config = EwpConfig(m=m, seed=3)
+        config = EwpConfig(m=m)
         report = ewp_random_solve(mdp, config, SPEC, rng=rng_stream(3, 2))
         means = np.array([report.final[x].atoms.mean(axis=0) for x in range(4)])
         expected = successor_feature_means(mdp)
@@ -337,9 +366,9 @@ class TestEwpRandomSolve:
 
     def test_seed_determinism(self):
         mdp = random_mdp(3, 1, 0.9, 1.0, rng_stream(21))
-        config = EwpConfig(m=16, iterations=4, seed=9)
-        a = ewp_random_solve(mdp, config, SPEC)
-        b = ewp_random_solve(mdp, config, SPEC)
+        config = EwpConfig(m=16, iterations=4)
+        a = ewp_random_solve(mdp, config, SPEC, rng=rng_stream(9))
+        b = ewp_random_solve(mdp, config, SPEC, rng=rng_stream(9))
         for x in range(3):
             np.testing.assert_array_equal(a.final[x].atoms, b.final[x].atoms)
 
@@ -352,7 +381,7 @@ class TestEwpRandomSolve:
         from mmdrl import dp, kernels, measures
 
         mdp = random_mdp(3, dim, 0.9, 1.0, rng_stream(22))
-        config = EwpConfig(m=64, iterations=8, seed=4)
+        config = EwpConfig(m=64, iterations=8)
         spec = energy_kernel(alpha)
 
         def solve():
@@ -413,7 +442,7 @@ class TestSupMmdScreen:
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_series_equals_every_state_mmd(self, dim, alpha, r_max):
         mdp = random_mdp(4, dim, 0.9, 1.0, rng_stream(30 + dim), r_max)
-        config = EwpConfig(m=32, iterations=6, seed=5)
+        config = EwpConfig(m=32, iterations=6)
         spec = energy_kernel(alpha)
         report = ewp_random_solve(mdp, config, spec, rng=rng_stream(5, 2))
         distances, _, final = reference_ewp_sweeps(mdp, config, spec, rng_stream(5, 2))
@@ -428,7 +457,7 @@ class TestSupMmdScreen:
         # Squared distances, powers or merge keys overflow: distances read
         # inf, nan or 0, and the screen must keep every state.
         mdp = random_mdp(3, dim, 0.9, 1.0, rng_stream(3), r_max)
-        config = EwpConfig(m=8, iterations=3, seed=1)
+        config = EwpConfig(m=8, iterations=3)
         spec = energy_kernel(alpha)
         report = ewp_random_solve(mdp, config, spec, rng=rng_stream(1, 2))
         distances, _, _ = reference_ewp_sweeps(mdp, config, spec, rng_stream(1, 2))
@@ -442,7 +471,7 @@ class TestSupMmdScreen:
         monkeypatch.setattr(dp, "mmd", lambda p, q, spec: calls.append(1) or mmd(p, q, spec))
         mdp = random_mdp(5, 2, 0.9, 1.0, rng_stream(7))
         report = ewp_random_solve(
-            mdp, EwpConfig(m=64, seed=1), energy_kernel(alpha), rng=rng_stream(1, 2)
+            mdp, EwpConfig(m=64), energy_kernel(alpha), rng=rng_stream(1, 2)
         )
         assert len(calls) == report.iterations > 0
 
@@ -451,7 +480,7 @@ class TestSupMmdScreen:
         # The weights of m equal particles do not cancel exactly for some
         # m, and then the distance reads -0.0: the series keeps its sign.
         mdp = cycle_mdp(3, 0.25, 0.5)
-        config = EwpConfig(m=m, iterations=4, seed=0)
+        config = EwpConfig(m=m, iterations=4)
         report = ewp_random_solve(mdp, config, SPEC, rng=rng_stream(0, 2))
         distances, _, _ = reference_ewp_sweeps(mdp, config, SPEC, rng_stream(0, 2))
         assert distances == [0.0] * 4

@@ -285,7 +285,7 @@ class TestMcOracle:
         b = mc_oracle_fn(mdp, n, 1e-3, rng_stream(9))[0]
         # Scale of the sampling noise: mean within-sample semimetric over n.
         rho_bar = float(
-            np.mean(pairwise_semimetric(a.atoms[:500], a.atoms[:500], SPEC.semimetric))
+            np.mean(pairwise_semimetric(a.atoms[:500], a.atoms[:500], SPEC))
         )
         noise_scale = np.sqrt(2.0 * rho_bar / n)
         assert mmd(a, b, SPEC) <= 4.0 * noise_scale
@@ -318,7 +318,7 @@ class TestMmdUStatistic:
             value = mmd_u_statistic(samples, samples, SPEC)
             n = samples.shape[0]
             offdiag = float(
-                np.sum(pairwise_semimetric(samples, samples, SPEC.semimetric))
+                np.sum(pairwise_semimetric(samples, samples, SPEC))
             ) / (n * (n - 1))
             assert value == pytest.approx(-offdiag / n, abs=1e-12)
             assert value <= 0.0

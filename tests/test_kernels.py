@@ -10,15 +10,20 @@ from mmdrl import (
     DiscreteMeasure,
     InvalidInputError,
     KernelSpec,
-    SemimetricSpec,
     energy_kernel,
     gram,
-    kernel_eval,
     mmd,
     mmd_squared,
-    semimetric_eval,
 )
-from mmdrl.kernels import merge_close_atoms, signed_cross_sum, signed_energy_sum
+from mmdrl.config import resolve_config
+from mmdrl.experiments import build_kernel
+from mmdrl.kernels import (
+    cross_kernel,
+    merge_close_atoms,
+    pairwise_semimetric,
+    signed_cross_sum,
+    signed_energy_sum,
+)
 
 from util import (
     random_probability_measure,
@@ -26,71 +31,87 @@ from util import (
     reference_merge_close_atoms,
     reference_signed_cross_sum,
     reference_signed_energy_sum,
+    semimetric_matrix,
 )
 
 
 class TestSemimetric:
     def test_three_four_five(self):
-        spec = SemimetricSpec(1.0)
-        assert semimetric_eval(spec, [0.0, 0.0], [3.0, 4.0]) == pytest.approx(5.0)
+        rho = pairwise_semimetric([[0.0, 0.0]], [[3.0, 4.0]], KernelSpec(1.0))
+        assert rho.shape == (1, 1)
+        assert rho[0, 0] == pytest.approx(5.0)
 
     def test_identity_any_alpha(self):
         rng = np.random.default_rng(0)
         for alpha in (0.3, 1.0, 1.7):
-            y = rng.normal(size=4)
-            assert semimetric_eval(SemimetricSpec(alpha), y, y) == 0.0
+            y = rng.normal(size=(1, 4))
+            assert pairwise_semimetric(y, y, KernelSpec(alpha))[0, 0] == 0.0
 
     def test_unit_distance_any_power(self):
-        assert semimetric_eval(SemimetricSpec(1.5), [0.0], [1.0]) == pytest.approx(1.0)
+        rho = pairwise_semimetric([[0.0]], [[1.0]], KernelSpec(1.5))
+        assert rho[0, 0] == pytest.approx(1.0)
 
     def test_symmetry(self):
         rng = np.random.default_rng(1)
-        spec = SemimetricSpec(0.7)
+        spec = KernelSpec(0.7)
         for _ in range(20):
-            a, b = rng.normal(size=(2, 3))
-            assert semimetric_eval(spec, a, b) == semimetric_eval(spec, b, a)
+            a, b = rng.normal(size=(2, 5, 3))
+            assert np.array_equal(
+                pairwise_semimetric(a, b, spec), pairwise_semimetric(b, a, spec).T
+            )
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5])
+    @pytest.mark.parametrize("dim", [1, 2, 3, 5])
+    def test_self_matrix_exactly_symmetric_with_zero_diagonal(self, dim, alpha):
+        # gram relies on this: it is -rho / 2 with no symmetrisation.
+        rng = np.random.default_rng(dim)
+        spec = KernelSpec(alpha)
+        for _ in range(20):
+            atoms = rng.normal(size=(int(rng.integers(1, 12)), dim)) * 10.0 ** rng.integers(-3, 4)
+            rho = pairwise_semimetric(atoms, atoms, spec)
+            assert np.array_equal(rho, rho.T)
+            assert np.all(np.diag(rho) == 0.0)
+
+    def test_hand_values_match_norm(self):
+        rng = np.random.default_rng(2)
+        for alpha in (0.5, 1.0, 1.5):
+            a, b = rng.normal(size=(4, 3)), rng.normal(size=(6, 3))
+            rho = pairwise_semimetric(a, b, KernelSpec(alpha))
+            np.testing.assert_allclose(rho, semimetric_matrix(a, b, alpha), rtol=1e-14)
 
     def test_dimension_mismatch(self):
         with pytest.raises(InvalidInputError):
-            semimetric_eval(SemimetricSpec(1.0), [0.0], [0.0, 1.0])
+            pairwise_semimetric([[0.0]], [[0.0, 1.0]], KernelSpec(1.0))
 
     @pytest.mark.parametrize("alpha", [0.0, 2.0, -0.5, 2.5])
     def test_exponent_range(self, alpha):
         with pytest.raises(InvalidInputError):
-            SemimetricSpec(alpha)
+            KernelSpec(alpha)
 
 
 class TestKernelEval:
-    def test_reference_point_maps_to_zero(self):
-        rng = np.random.default_rng(2)
-        y0 = rng.normal(size=3)
-        spec = KernelSpec(SemimetricSpec(1.3), y0)
-        for _ in range(10):
-            y = rng.normal(size=3)
-            assert kernel_eval(spec, y0, y) == pytest.approx(0.0, abs=1e-12)
-
-    def test_diagonal_equals_distance_to_reference(self):
-        rng = np.random.default_rng(3)
-        spec = energy_kernel(1.0)
-        y = rng.normal(size=2)
-        assert kernel_eval(spec, y, y) == pytest.approx(np.linalg.norm(y))
+    """Kernel entries as ``cross_kernel`` gives them, and the check of a
+    configured reference point, which no result depends on."""
 
     def test_hand_value(self):
-        # d=1, alpha=1, y0=0: kappa(1,2) = (1 + 2 - 1)/2 = 1.
-        spec = energy_kernel(1.0)
-        assert kernel_eval(spec, [1.0], [2.0]) == pytest.approx(1.0)
+        # d=1, alpha=1: -rho(1, 2) / 2 = -1/2.
+        k = cross_kernel([[1.0]], [[2.0]], energy_kernel(1.0))
+        assert k[0, 0] == pytest.approx(-0.5)
 
     def test_symmetric(self):
         rng = np.random.default_rng(4)
-        spec = KernelSpec(SemimetricSpec(0.8), rng.normal(size=2))
+        spec = KernelSpec(0.8)
         for _ in range(20):
-            a, b = rng.normal(size=(2, 2))
-            assert kernel_eval(spec, a, b) == pytest.approx(kernel_eval(spec, b, a))
+            a, b = rng.normal(size=(2, 3, 2))
+            assert np.array_equal(cross_kernel(a, b, spec), cross_kernel(b, a, spec).T)
 
     def test_reference_dimension_checked(self):
-        spec = KernelSpec(SemimetricSpec(1.0), np.zeros(3))
-        with pytest.raises(InvalidInputError):
-            kernel_eval(spec, [0.0], [1.0])
+        config = resolve_config(
+            {"algorithm": "dp-cat", "kernel": {"alpha": 1.5, "reference_point": [0, 0, 0]}}
+        )
+        assert build_kernel(config, 3) == KernelSpec(1.5)
+        with pytest.raises(InvalidInputError, match="reference_point has dimension 3"):
+            build_kernel(config, 1)
 
 
 class TestGram:
@@ -98,29 +119,34 @@ class TestGram:
         spec = energy_kernel(1.0)
         k = gram(np.array([[2.0, 0.0]]), spec)
         assert k.shape == (1, 1)
-        assert k[0, 0] == pytest.approx(2.0)
+        assert k[0, 0] == 0.0
 
     def test_reference_atom_row_vanishes(self):
+        # Recentred at atom 0, -rho / 2 becomes the kernel with reference
+        # point 0, whose row at the reference vanishes; the signed
+        # projector's reduced system is this recentring at its last atom.
         spec = energy_kernel(1.0)
         k = gram(np.array([[0.0], [3.0]]), spec)
-        np.testing.assert_allclose(k, [[0.0, 0.0], [0.0, 3.0]], atol=1e-12)
+        np.testing.assert_allclose(k, [[0.0, -1.5], [-1.5, 0.0]], atol=1e-12)
+        recentred = k - k[:, :1] - k[:1, :] + k[0, 0]
+        np.testing.assert_allclose(recentred, [[0.0, 0.0], [0.0, 3.0]], atol=1e-12)
 
     def test_hand_matrix(self):
         spec = energy_kernel(1.0)
         k = gram(np.array([[0.0], [1.0], [2.0]]), spec)
         np.testing.assert_allclose(
-            k, [[0.0, 0.0, 0.0], [0.0, 1.0, 1.0], [0.0, 1.0, 2.0]], atol=1e-12
+            k, [[0.0, -0.5, -1.0], [-0.5, 0.0, -0.5], [-1.0, -0.5, 0.0]], atol=1e-12
         )
 
     def test_symmetric_with_semimetric_diagonal(self):
+        # The diagonal is -rho(xi_i, xi_i) / 2 = 0.
         rng = np.random.default_rng(5)
-        spec = KernelSpec(SemimetricSpec(1.4), rng.normal(size=3))
+        spec = KernelSpec(1.4)
         atoms = rng.normal(size=(7, 3))
         k = gram(atoms, spec)
-        np.testing.assert_allclose(k, k.T, atol=1e-12)
-        for i in range(7):
-            rho = semimetric_eval(spec.semimetric, atoms[i], spec.reference_point)
-            assert k[i, i] == pytest.approx(rho)
+        assert np.array_equal(k, k.T)
+        assert np.all(np.diag(k) == 0.0)
+        np.testing.assert_allclose(k, -0.5 * semimetric_matrix(atoms, atoms, 1.4), rtol=1e-14)
 
 
 class TestMmdSquared:
@@ -180,21 +206,21 @@ class TestMmdSquared:
         assert kernels_module.mmd_squared(p, q, spec) == 0.0
 
     def test_reference_point_independence(self):
-        # The quadratic form with any reference point matches the
-        # reference-free evaluation.
+        # The quadratic form of the kernel with any reference point y0,
+        # (rho(a, y0) + rho(b, y0) - rho(a, b)) / 2 built from raw norms,
+        # matches the reference-free evaluation on equal masses.
         rng = np.random.default_rng(7)
         for _ in range(25):
             dim = int(rng.integers(1, 4))
             p = random_signed_measure(rng, int(rng.integers(1, 6)), dim)
             q = random_signed_measure(rng, int(rng.integers(1, 6)), dim)
             base = mmd_squared(p, q, energy_kernel(1.0))
+            atoms = np.concatenate([p.atoms, q.atoms])
+            w = np.concatenate([p.weights, -q.weights])
             for _ in range(2):
-                y0 = rng.normal(size=dim)
-                spec = KernelSpec(SemimetricSpec(1.0), y0)
-                atoms = np.concatenate([p.atoms, q.atoms])
-                w = np.concatenate([p.weights, -q.weights])
-                quad = float(w @ gram(atoms, spec) @ w)
-                assert abs(base - quad) <= 1e-10
+                to_y0 = semimetric_matrix(atoms, rng.normal(size=dim), 1.0)[:, 0]
+                k = 0.5 * (to_y0[:, None] + to_y0[None, :] - semimetric_matrix(atoms, atoms, 1.0))
+                assert abs(base - float(w @ k @ w)) <= 1e-10
 
     def test_quadratic_form_on_merged_atoms(self):
         rng = np.random.default_rng(8)

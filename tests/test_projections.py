@@ -33,7 +33,7 @@ from mmdrl.projections import (
     state_projectors,
 )
 
-from util import random_probability_measure, random_signed_measure
+from util import random_probability_measure, random_signed_measure, semimetric_matrix
 
 SPEC = energy_kernel(1.0)
 
@@ -44,6 +44,25 @@ def projection_qp(target, support, spec):
     return SimpleNamespace(
         gram=projector.gram, linear=projector.linear_term(target.atoms, target.weights)
     )
+
+
+def distance_qp(target, support, alpha, reference=None):
+    """The projection QP built from the test's own distance matrices.
+
+    Independent of ``gram`` and the projectors: the kernel is the one with
+    reference point y0 (the origin by default),
+    K_ij = (rho(xi_i, y0) + rho(xi_j, y0) - rho(xi_i, xi_j)) / 2, from
+    ``np.linalg.norm`` distances. On mass-1 weights its objective differs
+    from the projectors' by a constant, so both have the same minimiser.
+    """
+    y0 = np.zeros(support.shape[1]) if reference is None else np.asarray(reference, dtype=float)
+    to_y0 = semimetric_matrix(support, y0, alpha)[:, 0]
+    target_to_y0 = semimetric_matrix(target.atoms, y0, alpha)[:, 0]
+    kernel = 0.5 * (to_y0[:, None] + to_y0[None, :] - semimetric_matrix(support, support, alpha))
+    cross = 0.5 * (
+        to_y0[:, None] + target_to_y0[None, :] - semimetric_matrix(support, target.atoms, alpha)
+    )
+    return SimpleNamespace(gram=kernel, linear=cross @ target.weights)
 
 
 def qp_objective(weights, qp):
@@ -104,10 +123,10 @@ class TestEuclideanSimplexProjection:
 
 class TestBuildQp:
     def test_hand_linear_term(self):
-        # Support {0, 1}, target delta at 0.5: q = (kappa(0, .5), kappa(1, .5)).
+        # Support {0, 1}, target delta at 0.5: q = -(rho(0, .5), rho(1, .5)) / 2.
         qp = projection_qp(DiscreteMeasure.point([0.5]), np.array([[0.0], [1.0]]), SPEC)
-        np.testing.assert_allclose(qp.linear, [0.0, 0.5], atol=1e-12)
-        np.testing.assert_allclose(qp.gram, [[0.0, 0.0], [0.0, 1.0]], atol=1e-12)
+        np.testing.assert_allclose(qp.linear, [-0.25, -0.25], atol=1e-12)
+        np.testing.assert_allclose(qp.gram, [[0.0, -0.5], [-0.5, 0.0]], atol=1e-12)
 
     def test_duplicate_support_rejected(self):
         for project in (project_simplex, project_signed):
@@ -194,9 +213,10 @@ class TestProjectSimplex:
             support = rng.uniform(0, 2, size=(4, 2))
             target = random_probability_measure(rng, 4, 2, low=0.0, high=2.0)
             qp = projection_qp(target, support, SPEC)
-            best = qp_objective(enumerate_active_sets(qp), qp)
+            oracle = distance_qp(target, support, 1.0)
+            best = qp_objective(enumerate_active_sets(oracle), oracle)
             res = solve_simplex_qp(qp.gram, qp.linear)
-            assert qp_objective(res.weights, qp) <= best + 1e-5
+            assert qp_objective(res.weights, oracle) <= best + 1e-5
 
     def test_perturbations_never_improve(self):
         rng = np.random.default_rng(6)
@@ -473,7 +493,8 @@ class TestSimplexSolverProperties:
         assert res.kkt_residual <= KKT_ACCEPT
         assert np.all(res.weights >= 0.0)
         assert abs(res.weights.sum() - 1.0) <= 1e-12
-        np.testing.assert_allclose(res.weights, enumerate_active_sets(qp), atol=1e-9)
+        oracle = enumerate_active_sets(distance_qp(target, support, alpha))
+        np.testing.assert_allclose(res.weights, oracle, atol=1e-9)
 
     @PROPERTY_SETTINGS
     @given(projection_instances())
@@ -497,14 +518,14 @@ class TestSimplexSolverProperties:
     @PROPERTY_SETTINGS
     @given(projection_instances())
     def test_reference_point_invariance(self, instance):
+        # The minimiser under the kernel of any reference point is the
+        # reference-free projection.
         support, target, alpha = instance
         dim = support.shape[1]
-        weights = [
-            project_simplex(target, support, energy_kernel(alpha, ref)).weights
-            for ref in (None, [5.0, 5.0][:dim], [-30.0, 40.0][:dim])
-        ]
-        np.testing.assert_allclose(weights[1], weights[0], atol=1e-9)
-        np.testing.assert_allclose(weights[2], weights[0], atol=1e-9)
+        projected = project_simplex(target, support, energy_kernel(alpha)).weights
+        for ref in (None, [5.0, 5.0][:dim], [-30.0, 40.0][:dim]):
+            oracle = enumerate_active_sets(distance_qp(target, support, alpha, ref))
+            np.testing.assert_allclose(projected, oracle, atol=1e-9)
 
     @PROPERTY_SETTINGS
     @given(projection_instances(), st.integers(0, 2**32 - 1))

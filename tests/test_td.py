@@ -19,6 +19,7 @@ from mmdrl import (
     categorical_dp_solve,
     categorical_td_run,
     dsm_mdp,
+    empirical,
     energy_kernel,
     ewp_mmd_sq_gradient,
     ewp_mmd_sq_objective,
@@ -174,6 +175,21 @@ class TestCategoricalTdRun:
         init = init_td_state(mdp, support, SPEC)
         assert sup_mmd(state.estimate, init.estimate, SPEC) <= 1e-12
         assert report.steps == []
+
+    def test_one_step_calls_continue_one_run(self):
+        mdp = random_mdp(3, 2, 0.9, 1.0, rng_stream(27))
+        support = SupportMap.uniform_grid(3, 2, 9, mdp.v_max)
+        whole, _ = categorical_td_run(mdp, support, SPEC, StepSchedule(), 40, rng_stream(28))
+        rng = rng_stream(28)
+        state = None
+        for _ in range(40):
+            state, _ = categorical_td_run(
+                mdp, support, SPEC, StepSchedule(), 1, rng, init=state
+            )
+        assert state.step == whole.step == 40
+        assert np.array_equal(state.visit_counts, whole.visit_counts)
+        for x in range(3):
+            assert np.array_equal(state.estimate[x].weights, whole.estimate[x].weights)
 
     def test_single_state_converges_to_known_fixed_point(self):
         # Self-loop, on-grid return r/(1-gamma) = 1: the estimate should
@@ -581,15 +597,28 @@ class TestEwpGradient:
             assert after <= before
 
 
+def particle_state(particles, visit_counts=None):
+    """A ``TdState`` holding the equally weighted (S, m, d) ``particles``."""
+    estimate = ReturnDistFn(tuple(empirical(p) for p in particles))
+    if visit_counts is None:
+        visit_counts = np.zeros(len(particles), dtype=np.int64)
+    return TdState(estimate, visit_counts)
+
+
+def stacked(state):
+    """The (S, m, d) particles of a particle TD state."""
+    return np.stack([measure.atoms for measure in state.estimate])
+
+
 def ewp_one_step(mdp, particles, learn_rate, rng):
     """``ewp_td_run`` for one step at step size ``learn_rate`` (a first
     visit): (particles after, the visited (x, y) pair)."""
     x, y = next(sample_visits(mdp, 1, copy.deepcopy(rng)))
     out, _ = ewp_td_run(
         mdp, particles.shape[1], SPEC, StepSchedule(0.6, learn_rate), 1, rng,
-        init=particles,
+        init=particle_state(particles),
     )
-    return out, (x, y)
+    return stacked(out), (x, y)
 
 
 class TestEwpTd:
@@ -615,10 +644,10 @@ class TestEwpTd:
     @pytest.mark.parametrize(
         "shape, match",
         [
-            ((3, 4), r"has shape \(3, 4\), expected \(3, 4, 2\)"),
-            ((2, 4, 2), r"has shape \(2, 4, 2\), expected \(3, 4, 2\)"),
-            ((3, 4, 1), r"has shape \(3, 4, 1\), expected \(3, 4, 2\)"),
-            ((3, 5, 2), r"has shape \(3, 5, 2\), expected \(3, 4, 2\)"),
+            ((3, 4), "init holds 3 measures of dimension 1; the MDP has 3 states of dimension 2"),
+            ((2, 4, 2), "init holds 2 measures of dimension 2; the MDP has 3 states"),
+            ((3, 4, 1), "init holds 3 measures of dimension 1; the MDP has 3 states of dimension 2"),
+            ((3, 5, 2), "state 0 carries 5 particles, expected 4"),
         ],
         ids=["no-dimension-axis", "two-of-three-states", "dimension-1", "five-particles"],
     )
@@ -626,26 +655,61 @@ class TestEwpTd:
         # Unchecked, a wrong state count or dimension fails inside a step,
         # and 5 particles for m = 4 would run as if m were 5.
         mdp = random_mdp(3, 2, 0.9, 1.0, rng_stream(20))
-        with pytest.raises(InvalidInputError, match="init " + match):
+        with pytest.raises(InvalidInputError, match=match):
             ewp_td_run(
-                mdp, 4, SPEC, StepSchedule(), 10, rng_stream(0), init=np.ones(shape)
+                mdp, 4, SPEC, StepSchedule(), 10, rng_stream(0),
+                init=particle_state(np.ones(shape)),
             )
 
+    @pytest.mark.parametrize(
+        "visit_counts, match",
+        [([0, 0], r"has shape \(2,\), expected \(3,\)"), ([0, np.nan, 0], "holds non-finite entries")],
+        ids=["two-of-three-states", "nan"],
+    )
+    def test_mismatched_init_visit_counts_rejected(self, visit_counts, match):
+        mdp = random_mdp(3, 2, 0.9, 1.0, rng_stream(20))
+        init = particle_state(np.ones((3, 4, 2)), np.array(visit_counts))
+        with pytest.raises(InvalidInputError, match="init visit counts " + match):
+            ewp_td_run(mdp, 4, SPEC, StepSchedule(), 10, rng_stream(0), init=init)
+
+    def test_unequal_init_weights_rejected(self):
+        mdp = random_mdp(1, 1, 0.9, 1.0, rng_stream(20))
+        measure = DiscreteMeasure(np.arange(4.0), np.array([0.1, 0.2, 0.3, 0.4]))
+        init = TdState(ReturnDistFn((measure,)), np.zeros(1, dtype=np.int64))
+        with pytest.raises(InvalidInputError, match="not equally weighted"):
+            ewp_td_run(mdp, 4, SPEC, StepSchedule(), 10, rng_stream(0), init=init)
+
     def test_non_finite_init_rejected(self):
-        # Unchecked, a NaN particle would spread through every step.
+        # A NaN particle cannot enter a start state, so it never reaches a step.
         mdp = random_mdp(3, 2, 0.9, 1.0, rng_stream(20))
         init = np.ones((3, 4, 2))
         init[1, 2, 0] = np.nan
-        with pytest.raises(InvalidInputError, match="init holds non-finite entries"):
-            ewp_td_run(mdp, 4, SPEC, StepSchedule(), 10, rng_stream(0), init=init)
+        with pytest.raises(InvalidInputError, match="must be finite"):
+            ewp_td_run(
+                mdp, 4, SPEC, StepSchedule(), 10, rng_stream(0), init=particle_state(init)
+            )
+
+    def test_one_step_calls_continue_one_run(self):
+        # Visit counts carry over in the returned state, so each call steps
+        # by the schedule where the single run would.
+        mdp = random_mdp(3, 2, 0.9, 1.0, rng_stream(27))
+        whole, _ = ewp_td_run(mdp, 4, SPEC, StepSchedule(), 20, rng_stream(28))
+        rng = rng_stream(28)
+        state = None
+        for _ in range(20):
+            state, _ = ewp_td_run(mdp, 4, SPEC, StepSchedule(), 1, rng, init=state)
+        assert state.step == whole.step == 20
+        assert np.array_equal(state.visit_counts, whole.visit_counts)
+        assert np.array_equal(stacked(state), stacked(whole))
 
     def test_run_reports_and_preserves_shape(self):
         mdp = random_mdp(3, 2, 0.9, 1.0, rng_stream(22))
-        particles, report = ewp_td_run(
+        state, report = ewp_td_run(
             mdp, 8, SPEC, StepSchedule(), 2000, rng_stream(23),
             report_interval=500,
         )
-        assert particles.shape == (3, 8, 2)
+        assert stacked(state).shape == (3, 8, 2)
+        assert state.step == 2000 and state.visit_counts.sum() == 2000
         assert len(report.steps) == 4
         assert all(np.isfinite(a) for a in report.mean_step_size)
 
@@ -653,13 +717,13 @@ class TestEwpTd:
     def test_run_equals_scalar_draw_reference(self, small_blocks, dim):
         mdp = random_mdp(4, dim, 0.8, 1.0, rng_stream(25))
         rng, ref_rng = rng_stream(26), rng_stream(26)
-        particles, report = ewp_td_run(
+        state, report = ewp_td_run(
             mdp, 5, SPEC, StepSchedule(), 600, rng, report_interval=100
         )
         ref_particles, ref_steps, ref_sizes = reference_ewp_td_run(
             mdp, 5, SPEC, StepSchedule(), 600, ref_rng, report_interval=100
         )
-        assert np.array_equal(particles, ref_particles)
+        assert np.array_equal(stacked(state), ref_particles)
         assert report.steps == ref_steps
         assert report.mean_step_size == ref_sizes
         assert rng.bit_generator.state == ref_rng.bit_generator.state
@@ -684,8 +748,8 @@ class TestEwpTd:
 
     def test_run_approaches_truth_on_self_loop(self):
         mdp = TabularMDP(np.eye(1), np.array([[0.5]]), 0.5, r_max=1.0)
-        particles, _ = ewp_td_run(
+        state, _ = ewp_td_run(
             mdp, 4, SPEC, StepSchedule(scale=0.5), 5000, rng_stream(24),
-            init=np.zeros((1, 4, 1)),
+            init=particle_state(np.zeros((1, 4, 1))),
         )
-        np.testing.assert_allclose(particles, 1.0, atol=0.05)
+        np.testing.assert_allclose(stacked(state), 1.0, atol=0.05)

@@ -7,6 +7,13 @@ from mmdrl.evaluation import _ATOM_MERGE
 from mmdrl.kernels import MERGE_TOL
 
 
+def semimetric_matrix(a, b, alpha):
+    """rho(a_i, b_j) = ||a_i - b_j||^alpha from ``np.linalg.norm``, with no
+    code of the package's kernels."""
+    a, b = np.atleast_2d(a), np.atleast_2d(b)
+    return np.linalg.norm(a[:, None, :] - b[None, :, :], axis=2) ** alpha
+
+
 def random_signed_measure(rng, n_atoms, dim, spread=3.0):
     """Mass-1 measure with signed weights."""
     atoms = rng.uniform(-spread, spread, size=(n_atoms, dim))
@@ -233,8 +240,8 @@ def reference_zeroshot_seed(config, seed, estimate=None):
     from mmdrl.mdp import horizon_for_tail, rng_stream
     from mmdrl.measures import ReturnDistFn
 
-    spec = ex.build_kernel(config)
     mdp = ex.build_mdp(config["mdp"], seed)
+    spec = ex.build_kernel(config, mdp.dim)
     zs = config["zeroshot"]
     if estimate is None:
         if zs["estimate"]["kind"] == "file":
@@ -296,3 +303,39 @@ def oracle_distance(report, oracle, spec):
     from mmdrl import mmd
 
     return max(mmd(report.final[x], oracle[x], spec) for x in range(oracle.n_states))
+
+
+# The fixed point of the signed categorical backup, independent of the
+# kernels and projections modules. The signed projection of a mass-1 target
+# (atoms a, weights v) onto support xi minimises the MMD^2 objective
+# -1/2 p^T R p + p^T R_c v over sum p = 1, with R = rho(xi_i, xi_j) and
+# R_c = rho(xi_i, a_l) from np.linalg.norm. The bordered system
+# [[-R, 1], [1^T, 0]] [p; mu] = [-R_c v; 1] makes p affine in v.
+# State x's backup target is the P(x, y)-mixture of the atoms
+# r(x) + gamma xi(y) weighted by w_y, so the backup is w -> A w + b, and its
+# fixed point solves (I - A) w = b.
+
+
+def signed_dp_fixed_point(mdp, support, alpha):
+    """Per-state weights of the signed categorical DP fixed point."""
+    sizes = [support[x].shape[0] for x in range(mdp.n_states)]
+    offsets = np.concatenate(([0], np.cumsum(sizes)))
+    a = np.zeros((offsets[-1], offsets[-1]))
+    b = np.zeros(offsets[-1])
+    for x in range(mdp.n_states):
+        n = sizes[x]
+        bordered = np.ones((n + 1, n + 1))
+        bordered[:n, :n] = -semimetric_matrix(support[x], support[x], alpha)
+        bordered[n, n] = 0.0
+        rhs = np.zeros((n + 1, n + 1))
+        rhs[:n, :n] = np.eye(n)
+        rhs[n, n] = 1.0
+        solved = np.linalg.solve(bordered, rhs)
+        gain, b[offsets[x]:offsets[x + 1]] = solved[:n, :n], solved[:n, n]
+        for y in np.flatnonzero(mdp.transition[x]):
+            shifted = mdp.cumulants[x] + mdp.gamma * support[y]
+            cross = semimetric_matrix(support[x], shifted, alpha)
+            block = -mdp.transition[x, y] * gain @ cross
+            a[offsets[x]:offsets[x + 1], offsets[y]:offsets[y + 1]] = block
+    w = np.linalg.solve(np.eye(offsets[-1]) - a, b)
+    return [w[offsets[x]:offsets[x + 1]] for x in range(mdp.n_states)]
