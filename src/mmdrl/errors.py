@@ -39,7 +39,7 @@ def malformed_as_invalid(what: str):
         yield
     except InvalidInputError:
         raise
-    except (LookupError, TypeError, ValueError) as exc:
+    except (LookupError, TypeError, ValueError, OverflowError) as exc:
         raise InvalidInputError(f"malformed {what}: {exc!r}") from exc
 
 
@@ -51,6 +51,17 @@ def read_json(path, what: str):
             return json.load(fh)
     except (OSError, ValueError) as exc:
         raise InvalidInputError(f"cannot read {what} {path}: {exc}") from exc
+
+
+def json_array(value, what: str) -> np.ndarray:
+    """Nested lists of JSON numbers as a float64 array. A string, a boolean
+    or ragged lists raise ``InvalidInputError`` naming ``what``, as the
+    config's number rule does."""
+    with malformed_as_invalid(what):
+        leaves = np.array(value, dtype=object)
+        if not set(map(type, leaves.ravel().tolist())) <= {int, float}:
+            raise TypeError("expected numbers")
+        return leaves.astype(np.float64)
 
 
 def checked_array(value, shape: tuple, what: str) -> np.ndarray:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError, malformed_as_invalid, read_json
+from .errors import InvalidInputError, json_array, malformed_as_invalid, read_json
 from .kernels import MASS_TOL, MERGE_TOL, merge_close_atoms
 
 # Negative-weight slack tolerated in probability measures before clamping.
@@ -79,12 +79,12 @@ class DiscreteMeasure:
 
     @classmethod
     def from_json(cls, payload: dict) -> "DiscreteMeasure":
-        atoms = np.asarray(payload["atoms"], dtype=np.float64)
+        atoms = json_array(payload["atoms"], "atoms")
         if atoms.ndim == 1:
             atoms = atoms[:, None]
         if atoms.shape[1] != payload["dim"]:
             raise InvalidInputError("serialized dim does not match atom shape")
-        return cls(atoms, np.asarray(payload["weights"], dtype=np.float64))
+        return cls(atoms, json_array(payload["weights"], "weights"))
 
 
 def as_probability(p: DiscreteMeasure) -> DiscreteMeasure:
@@ -211,9 +211,14 @@ class ReturnDistFn:
     @classmethod
     def from_json(cls, payload: dict) -> "ReturnDistFn":
         with malformed_as_invalid("return distribution"):
-            return cls(
-                tuple(DiscreteMeasure.from_json(m) for m in payload["measures"])
+            measures = tuple(DiscreteMeasure.from_json(m) for m in payload["measures"])
+            n_states = payload["n_states"]
+        if isinstance(n_states, bool) or n_states != len(measures):
+            raise InvalidInputError(
+                f"return distribution n_states is {n_states!r}, but it holds "
+                f"{len(measures)} measures"
             )
+        return cls(measures)
 
     def save(self, path) -> None:
         # json.dumps runs the C encoder; json.dump always takes the pure-Python

@@ -1,10 +1,9 @@
 """Temporal-difference engines over categorical and particle representations.
 
-The categorical algorithm keeps one mass-1 signed weight vector per state
-on a fixed support; each observed transition updates only the visited
-state by blending its weights toward the signed MMD projection of the
-sampled one-step backup. The particle baseline instead nudges the visited
-state's equally weighted particle locations down the gradient of the
+Categorical TD keeps one mass-1 signed weight vector per state on a fixed
+support, and blends the visited state's weights toward the signed MMD
+projection of the sampled one-step backup. Particle TD instead moves the
+visited state's equally weighted particles down the gradient of the
 squared MMD to a bootstrapped target particle set.
 """
 
@@ -18,25 +17,13 @@ import numpy as np
 
 from .errors import InvalidInputError, checked_array
 from .kernels import KernelSpec, mmd, signed_energy_sum
-from .measures import (
-    DiscreteMeasure,
-    ReturnDistFn,
-    SupportMap,
-    empirical,
-    weights_on_support,
-)
+from .measures import DiscreteMeasure, ReturnDistFn, SupportMap, empirical, weights_on_support
 from .mdp import TabularMDP, sample_visits
-from .projections import (
-    SignedProjector,
-    SimplexProjector,
-    _gram_sup_mmd,
-    state_projectors,
-)
+from .projections import SignedProjector, SimplexProjector, _gram_sup_mmd, state_projectors
 
 # Weight-sum drift beyond which the mass-1 constraint is re-imposed.
 MASS_DRIFT_TOL = 1e-10
-# Most steps per drift check in categorical_td_run: a 17 KB row buffer at
-# n = 66 atoms, where 64 or 128 rows measured 0.15 MB more peak RSS.
+# Most steps per drift check in categorical_td_run (a 34 KB pool at n = 66).
 _CHECK_BLOCK = 32
 
 
@@ -85,20 +72,17 @@ class TdReport:
     renormalizations: int = 0
 
 
-def init_td_state(
-    mdp: TabularMDP, support: SupportMap, spec: KernelSpec
-) -> TdState:
+def init_td_state(mdp: TabularMDP, support: SupportMap, spec: KernelSpec) -> TdState:
     """Probability-weight initialization: project the per-state point mass
     at r/(1-gamma) onto the support."""
     from .dp import point_init
 
-    init = point_init(mdp)
     projectors = state_projectors(SimplexProjector, support, spec)
-    measures = []
-    for x in range(mdp.n_states):
-        res = projectors[x].project(init[x].atoms, init[x].weights)
-        measures.append(DiscreteMeasure(support[x], res.weights))
-    return TdState(ReturnDistFn(tuple(measures)), np.zeros(mdp.n_states, dtype=np.int64))
+    measures = tuple(
+        DiscreteMeasure(xi, projector.project(p.atoms, p.weights).weights)
+        for p, projector, xi in zip(point_init(mdp), projectors, support.atoms)
+    )
+    return TdState(ReturnDistFn(measures), np.zeros(mdp.n_states, dtype=np.int64))
 
 
 def categorical_td_run(
@@ -122,34 +106,36 @@ def categorical_td_run(
     ``init`` of another state count or dimension than the MDP raises
     ``InvalidInputError`` before any step.
 
+    A step from x to y at step size alpha is two BLAS calls on [w, 1]:
+    A_xy = [[M, b], [0, 1]] maps [w_y, 1] to the projected backup
+    [M w_y + b, 1], and (1 - alpha, alpha) blends that with [w_x, 1].
     The weight-sum drift is checked once per block of at most
-    ``_CHECK_BLOCK`` steps, ending at report steps. After renormalising a
-    step, the block's later steps are redone, so every result equals a
-    check after each step. ``report.renormalizations`` counts those steps.
+    ``_CHECK_BLOCK`` steps, ending at report steps; a renormalised step's
+    later steps are redone, as if checked after each step.
+    ``report.renormalizations`` counts those steps.
     """
     if state_sampler not in ("uniform", "trajectory"):
         raise InvalidInputError(f"unknown state sampler {state_sampler!r}")
     _check_run(mdp, steps, report_interval, reference, init)
     state = init if init is not None else init_td_state(mdp, support, spec)
-    weights = [
-        weights_on_support(state.estimate[x], support[x])
-        for x in range(mdp.n_states)
-    ]
     visits = state.visit_counts.tolist()
     projectors = state_projectors(SignedProjector, support, spec)
-    # Per-(state, next-state) affine maps M w + b of the projected backup:
-    # its atom set r(x) + gamma xi(x') is fixed, so each map is built once.
-    maps = {}
+    sizes = support.sizes()
+    # A state's versions are (2, n + 1) slots: row 0 is [w, 1], row 1 the
+    # backup blended into it. A block starts at each state's own slot, and
+    # its step i writes slot i of its support size's pool.
+    pools = {n: np.empty((_CHECK_BLOCK, 2, n + 1)) for n in sizes}
+    step_slots = [_views(pools[n]) for n in sizes]
+    first = _views(np.stack([np.append(weights_on_support(m, xi), 1.0)] * 2)
+                   for m, xi in zip(state.estimate, support.atoms))
+    weights = [head[:-1] for _, head, _ in first]
+    maps = {}  # A_xy, built at the first visit to (x, y)
+    coef_rows = list(coefs := np.empty((_CHECK_BLOCK, 2)))
 
-    ref_weights = None
-    if reference is not None:
-        try:
-            ref_weights = [
-                weights_on_support(reference[x], support[x])
-                for x in range(mdp.n_states)
-            ]
-        except InvalidInputError:
-            pass
+    try:
+        ref_weights = reference and list(map(weights_on_support, reference, support.atoms))
+    except InvalidInputError:
+        ref_weights = None
 
     def _distance_to_reference() -> float:
         if reference is None:
@@ -157,42 +143,31 @@ def categorical_td_run(
         if ref_weights is not None:
             return _gram_sup_mmd(projectors, weights, ref_weights)
         return max(
-            mmd(DiscreteMeasure(support[x], weights[x]), reference[x], spec)
-            for x in range(mdp.n_states)
+            mmd(DiscreteMeasure(xi, w), m, spec)
+            for xi, w, m in zip(support.atoms, weights, reference)
         )
 
-    # Step i of a block writes row i of its state's (_CHECK_BLOCK, n) buffer.
-    sizes = [support[x].shape[0] for x in range(mdp.n_states)]
-    buffers = {n: np.zeros((_CHECK_BLOCK, n)) for n in sizes}
-    rows = [list(buffers[n]) for n in sizes]
-
-    def _blend_rows(keys, alphas, start):
-        """Steps ``start`` on: (1 - alpha) w_x + alpha (M w_y + b) into row i."""
-        for i, key, alpha in zip(range(start, len(keys)), keys[start:], alphas[start:]):
-            x, y = key
+    def _blend(keys, start, current):
+        """Steps ``start`` on, from the versions in ``current``."""
+        for i in range(start, len(keys)):
+            x, y = key = keys[i]
             if key not in maps:
-                shifted = mdp.cumulants[x] + mdp.gamma * support[y]
-                maps[key] = projectors[x].affine_map(shifted)
-            m_map, b_map = maps[key]
-            # dot and @ reach the same gemv; dot's call costs less.
-            projected = m_map.dot(weights[y])
-            projected += b_map
-            projected *= alpha
-            row = rows[x][i]
-            np.multiply(weights[x], 1.0 - alpha, out=row)
-            row += projected
-            weights[x] = row
+                m, b = projectors[x].affine_map(mdp.cumulants[x] + mdp.gamma * support[y])
+                maps[key] = np.block([[m, b[:, None]], [np.zeros(sizes[y]), 1.0]])
+            slot, _, tail = current[x]
+            maps[key].dot(current[y][1], out=tail)
+            current[x] = step_slots[x][i]
+            coef_rows[i].dot(slot, out=current[x][1])
 
     def _first_drift(keys, start):
-        """First step from ``start`` whose row sum drifts past the tolerance."""
-        drifted = [
+        """First step from ``start`` whose weight sum drifts past the tolerance."""
+        return min((
             start + i
-            for n, buf in buffers.items()
-            for i, total in enumerate(np.add.reduce(buf[start:len(keys)], axis=1).tolist())
-            # A row that a step of another support size used is stale.
+            for n, pool in pools.items()
+            for i, total in enumerate(np.add.reduce(pool[start:len(keys), 0, :-1], axis=1).tolist())
+            # A slot that a step of another support size wrote is stale.
             if abs(total - 1.0) > MASS_DRIFT_TOL and sizes[keys[start + i][0]] == n
-        ]
-        return min(drifted, default=None)
+        ), default=None)
 
     report = TdReport()
     alphas_since_report = []
@@ -204,25 +179,23 @@ def categorical_td_run(
         keys = list(islice(visited, count))
         for x, _ in keys:
             visits[x] += 1
-            alphas_since_report.append(schedule(visits[x]))
-        alphas = alphas_since_report[-count:]
-        before = weights[:]
-        start = 0
-        _blend_rows(keys, alphas, start)
+            # StepSchedule.__call__'s expression.
+            alphas_since_report.append(schedule.scale * visits[x] ** -schedule.exponent)
+        coefs[:count] = [(1.0 - a, a) for a in alphas_since_report[-count:]]
+        current, start = first[:], 0
+        _blend(keys, start, current)
         while (bad := _first_drift(keys, start)) is not None:
             # Renormalise as a per-step check would, then redo the later steps.
-            row = rows[keys[bad][0]][bad]
+            row = step_slots[keys[bad][0]][bad][1][:-1]
             drift = float(np.add.reduce(row)) - 1.0
             np.divide(row, 1.0 + drift, out=row)
             report.renormalizations += 1
-            weights[:] = before
-            for i in range(bad + 1):
-                weights[keys[i][0]] = rows[keys[i][0]][i]
-            start = bad + 1
-            _blend_rows(keys, alphas, start)
-        # The next block reuses the rows states still hold.
+            current, start = first[:], bad + 1
+            for i in range(start):
+                current[keys[i][0]] = step_slots[keys[i][0]][i]
+            _blend(keys, start, current)
         for x in {key[0] for key in keys}:
-            weights[x] = weights[x].copy()
+            first[x][1][:] = current[x][1]
         done += count
         if done % report_interval == 0 or done == steps:
             report.steps.append(done)
@@ -230,10 +203,13 @@ def categorical_td_run(
             report.mean_step_size.append(float(np.mean(alphas_since_report)))
             alphas_since_report = []
 
-    estimate = ReturnDistFn(
-        tuple(DiscreteMeasure(support[x], weights[x]) for x in range(mdp.n_states))
-    )
+    estimate = ReturnDistFn(tuple(map(DiscreteMeasure, support.atoms, weights)))
     return TdState(estimate, np.array(visits, dtype=np.int64), state.step + steps), report
+
+
+def _views(slots) -> list:
+    """(slot, row 0, row 1) for each (2, n + 1) slot."""
+    return [(s, s[0], s[1]) for s in slots]
 
 
 def _check_run(mdp: TabularMDP, steps: int, report_interval: int, reference, init) -> None:
@@ -245,7 +221,8 @@ def _check_run(mdp: TabularMDP, steps: int, report_interval: int, reference, ini
         reference.check_fits(mdp, "reference")
     if init is not None:
         init.estimate.check_fits(mdp, "init")
-        checked_array(init.visit_counts, (mdp.n_states,), "init visit counts")
+        if np.any(checked_array(init.visit_counts, (mdp.n_states,), "init visit counts") < 0):
+            raise InvalidInputError("init visit counts must be >= 0")
 
 
 def ewp_mmd_sq_objective(theta: np.ndarray, targets: np.ndarray, alpha: float) -> float:

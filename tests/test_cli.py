@@ -1,6 +1,10 @@
 """Command-line interface: exit codes, determinism, output formats."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,6 +27,39 @@ def point_masses(n_states, dim, at=0.0):
     point = {"dim": dim, "atoms": [[at] * dim], "weights": [1.0]}
     return {"n_states": n_states, "measures": [point] * n_states}
 
+
+def with_string_weights(document):
+    """A return-distribution document whose weights are the string "1"."""
+    point = {**document["measures"][0], "weights": ["1"]}
+    return {**document, "measures": [point] * document["n_states"]}
+
+
+# Return-distribution documents with one malformed field, loaded as a
+# zero-shot estimate or a TD reference, and the field an error must name.
+# Each used to load (exit 0).
+MALFORMED_DOCUMENTS = {
+    "estimate-weights-string": (
+        {"algorithm": "dp-ewp", "mdp": {"kind": "random", "n_states": 2, "dim": 1},
+         "ewp": {"particles": 4, "iterations": 2},
+         "zeroshot": {"oracle_samples": 10,
+                      "estimate": {"kind": "file", "path": "estimate_weights_string.json"}}},
+        "weights",
+    ),
+    "estimate-n-states-mismatch": (
+        {"algorithm": "dp-ewp", "mdp": {"kind": "random", "n_states": 2, "dim": 1},
+         "ewp": {"particles": 4, "iterations": 2},
+         "zeroshot": {"oracle_samples": 10,
+                      "estimate": {"kind": "file", "path": "estimate_n_states_3.json"}}},
+        "n_states",
+    ),
+    "reference-weights-string": (
+        {"algorithm": "td-cat", "mdp": {"kind": "dsm"},
+         "support": {"kind": "simplex-grid", "resolution": 2},
+         "td": {"steps": 10, "report_interval": 5,
+                "reference": {"path": "reference_weights_string.json"}}},
+        "weights",
+    ),
+}
 
 # TD references that do not fit the 3-state, d = 3 DSM MDP.
 MISMATCHED_REFERENCES = [
@@ -63,10 +100,26 @@ def write_malformed_files(tmp_path):
         "reference_2_states.json": json.dumps(point_masses(2, 3)),
         "reference_1e308.json": json.dumps(point_masses(3, 3, -1e308)),
         "estimate_1e308.json": json.dumps(point_masses(2, 1, 1e308)),
+        "estimate_weights_string.json": json.dumps(with_string_weights(point_masses(2, 1))),
+        "estimate_n_states_3.json": json.dumps({**point_masses(2, 1), "n_states": 3}),
+        "reference_weights_string.json": json.dumps(with_string_weights(point_masses(3, 3))),
         "support_nan.json": json.dumps({"atoms": [[0.0, float("nan"), 1.0], [0.0, 1.0]]}),
     }
     for name, text in files.items():
         (tmp_path / name).write_text(text)
+
+
+def run_then_zeroshot(tmp_path, monkeypatch, payload):
+    """Exit code of ``run`` on ``payload`` among the malformed files, then,
+    if that succeeds and the payload has a zeroshot section, of
+    ``zeroshot-eval``."""
+    write_malformed_files(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    config = write_config(tmp_path, payload)
+    code = main(["run", "--config", config, "--out", str(tmp_path / "o")])
+    if code == 0 and "zeroshot" in payload:
+        code = main(["zeroshot-eval", "--config", config, "--out", str(tmp_path / "z")])
+    return code
 
 
 def dp_cat_config(tmp_path, **overrides):
@@ -169,6 +222,33 @@ class TestRunCommand:
             (out1 / "seed_0" / "estimate.json").read_bytes()
             == (out2 / "seed_0" / "estimate.json").read_bytes()
         )
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"algorithm": "td-cat", "mdp": {"kind": "dsm"},
+             "support": {"kind": "simplex-grid", "resolution": 10},
+             "td": {"steps": 2000, "report_interval": 100, "reference": "signed-dp"}},
+            {"algorithm": "dp-cat", "mdp": {"kind": "random", "n_states": 5, "dim": 2},
+             "support": {"kind": "grid", "m": 64}, "dp": {"tol": 1e-3, "max_iter": 250}},
+        ],
+        ids=["td-cat", "dp-cat"],
+    )
+    def test_outputs_independent_of_blas_thread_count(self, tmp_path, payload):
+        # Each run is a fresh process: OpenBLAS reads its thread count once.
+        config = write_config(tmp_path, {"format_version": 1, **payload, "seeds": [0, 1]})
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        outs = [tmp_path / "threads_1", tmp_path / "threads_2"]
+        for threads, out in zip("12", outs):
+            subprocess.run(
+                [sys.executable, "-c", "import sys; from mmdrl.cli import main; sys.exit(main())",
+                 "run", "--config", config, "--out", str(out)],
+                env={**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": threads},
+                check=True, capture_output=True, timeout=300,
+            )
+        for name in ("series.csv", "seed_0/estimate.json", "seed_1/estimate.json"):
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
     def test_seed_flag_overrides(self, tmp_path):
         config = dp_cat_config(tmp_path)
@@ -501,18 +581,18 @@ class TestRunCommand:
                  "kernel": {"reference_point": [0, 0, 0]}},
                 id="td-ewp-reference-point-dimension-3",
             ),
+            *(pytest.param(payload, id=name) for name, (payload, _) in MALFORMED_DOCUMENTS.items()),
         ],
     )
     def test_malformed_values_never_exit_1(self, tmp_path, monkeypatch, payload):
         # Every payload is a fault in the inputs, so a config error (2).
         # A payload that run does not read goes on to zeroshot-eval.
-        write_malformed_files(tmp_path)
-        monkeypatch.chdir(tmp_path)
-        config = write_config(tmp_path, payload)
-        code = main(["run", "--config", config, "--out", str(tmp_path / "o")])
-        if code == 0 and "zeroshot" in payload:
-            code = main(["zeroshot-eval", "--config", config, "--out", str(tmp_path / "z")])
-        assert code == 2
+        assert run_then_zeroshot(tmp_path, monkeypatch, payload) == 2
+
+    @pytest.mark.parametrize("payload, field", MALFORMED_DOCUMENTS.values(), ids=list(MALFORMED_DOCUMENTS))
+    def test_malformed_document_error_names_field(self, tmp_path, monkeypatch, capsys, payload, field):
+        assert run_then_zeroshot(tmp_path, monkeypatch, payload) == 2
+        assert field in capsys.readouterr().err
 
     @pytest.mark.parametrize("payload", MISMATCHED_REFERENCES)
     def test_mismatched_reference_exits_2_before_any_step(

@@ -38,7 +38,7 @@ from mmdrl.kernels import gram
 from mmdrl.mdp import sample_visits
 from mmdrl.td import TdState
 
-from util import reference_ewp_td_run
+from util import reference_ewp_td_run, semimetric_matrix, signed_dp_fixed_point
 
 SPEC = energy_kernel(1.0)
 
@@ -251,6 +251,22 @@ class TestCategoricalTdRun:
         se = np.sqrt(var / reps)
         assert err <= 3 * se
 
+    def test_final_estimate_near_closed_form_fixed_point(self):
+        # Criterion 8's run, measured against tests/util.py's closed-form
+        # signed fixed point, with the MMD from raw norms: no code shared
+        # with SignedProjector, gram or cross_kernel.
+        rng = rng_stream(7, 0)
+        mdp = dsm_mdp(rng.dirichlet(np.ones(3), size=3), 0.9)
+        support = SupportMap.simplex_grid(3, 3, 10, scale=1.0)
+        state, _ = categorical_td_run(
+            mdp, support, SPEC, StepSchedule(0.6, 1.0), 200_000, rng_stream(7, 2)
+        )
+        fixed_point = signed_dp_fixed_point(mdp, support, 1.0)
+        for x in range(3):
+            delta = state.estimate[x].weights - fixed_point[x]
+            mmd_sq = -0.5 * delta @ semimetric_matrix(support[x], support[x], 1.0) @ delta
+            assert np.sqrt(max(mmd_sq, 0.0)) <= 0.05
+
     def test_trajectory_sampler_runs(self):
         mdp, support = small_setup(12)
         state, _ = categorical_td_run(
@@ -318,15 +334,43 @@ class TestCategoricalTdRun:
                 mdp, support, SPEC, StepSchedule(), 10, rng_stream(0), init=init
             )
 
+    @pytest.mark.parametrize("count", [-1, -5])
+    def test_negative_init_visit_counts_rejected(self, count):
+        # Step sizes scale * k^(-exponent) need visit counts k >= 1.
+        mdp, support = small_setup(14)
+        state = init_td_state(mdp, support, SPEC)
+        init = TdState(state.estimate, np.full(3, count, dtype=np.int64))
+        with pytest.raises(InvalidInputError, match="init visit counts"):
+            categorical_td_run(
+                mdp, support, SPEC, StepSchedule(), 10, rng_stream(0), init=init
+            )
+
+
+def augmented_step(w_x, w_y, affine, alpha):
+    """categorical_td_run's step: the (1 - alpha, alpha) blend of [w_x, 1]
+    and A [w_y, 1], with A = [[M, b], [0, 1]]."""
+    _, _, a_map = affine
+    rows = np.stack([np.append(w_x, 1.0), a_map @ np.append(w_y, 1.0)])
+    blended = np.array([1.0 - alpha, alpha]) @ rows
+    assert blended[-1] == 1.0
+    return blended[:-1]
+
+
+def textbook_step(w_x, w_y, affine, alpha):
+    """(1 - alpha) w_x + alpha (M w_y + b), without augmented vectors."""
+    m_map, b_map, _ = affine
+    return (1.0 - alpha) * w_x + alpha * (m_map @ w_y + b_map)
+
 
 def per_state_projector_td_run(
     mdp, support, spec, schedule, steps, rng, state_sampler, reference,
-    report_interval=250, init=None,
+    report_interval=250, init=None, step=augmented_step,
 ):
     """categorical_td_run with one projector per state, no helper calls and
     the mass drift checked at every step: the loop as it was before
-    projectors were shared between states. Returns (weights, visits,
-    sup-MMD series, mean step sizes, renormalised steps)."""
+    projectors were shared between states, taking each step by ``step``.
+    Returns (weights, visits, sup-MMD series, mean step sizes, renormalised
+    steps); the series is empty without a reference."""
     from mmdrl import SignedProjector, SimplexProjector, point_init
     from mmdrl.td import MASS_DRIFT_TOL
 
@@ -342,7 +386,7 @@ def per_state_projector_td_run(
         weights = [weights_on_support(init.estimate[x], support[x]) for x in range(n)]
         visits = init.visit_counts.copy()
     projectors = [SignedProjector(support[x], spec) for x in range(n)]
-    ref_weights = [weights_on_support(reference[x], support[x]) for x in range(n)]
+    ref_weights = reference and [weights_on_support(reference[x], support[x]) for x in range(n)]
     maps = {}
     series, mean_step_size, alphas = [], [], []
     renormalizations = 0
@@ -356,10 +400,14 @@ def per_state_projector_td_run(
         alphas.append(alpha)
         if (x, y) not in maps:
             shifted = mdp.cumulants[x] + mdp.gamma * support[y]
-            maps[(x, y)] = projectors[x].affine_map(shifted)
-        m_map, b_map = maps[(x, y)]
-        projected = m_map @ weights[y] + b_map
-        new_w = (1.0 - alpha) * weights[x] + alpha * projected
+            m_map, b_map = projectors[x].affine_map(shifted)
+            n_x, n_y = m_map.shape
+            a_map = np.zeros((n_x + 1, n_y + 1))
+            a_map[:n_x, :n_y] = m_map
+            a_map[:n_x, n_y] = b_map
+            a_map[n_x, n_y] = 1.0
+            maps[(x, y)] = m_map, b_map, a_map
+        new_w = step(weights[x], weights[y], maps[(x, y)], alpha)
         drift = float(new_w.sum()) - 1.0
         if abs(drift) > MASS_DRIFT_TOL:
             new_w = new_w / (1.0 + drift)
@@ -368,12 +416,13 @@ def per_state_projector_td_run(
         if state_sampler == "trajectory":
             x = y
         if t % report_interval == 0 or t == steps:
-            worst = 0.0
-            for z in range(n):
-                delta = weights[z] - ref_weights[z]
-                val = float(delta @ projectors[z].gram @ delta)
-                worst = max(worst, np.sqrt(max(val, 0.0)))
-            series.append(worst)
+            if ref_weights:
+                worst = 0.0
+                for z in range(n):
+                    delta = weights[z] - ref_weights[z]
+                    val = float(delta @ projectors[z].gram @ delta)
+                    worst = max(worst, np.sqrt(max(val, 0.0)))
+                series.append(worst)
             mean_step_size.append(float(np.mean(alphas)))
             alphas = []
     return weights, visits, series, mean_step_size, renormalizations
@@ -427,17 +476,17 @@ def small_check_blocks(monkeypatch):
     monkeypatch.setattr(td_module, "_CHECK_BLOCK", 5)
 
 
-def _shared_projector_case(kind, n_states=3):
-    mdp = random_mdp(n_states, 2, 0.8, 1.0, rng_stream(21))
+def _shared_projector_case(kind, n_states=3, dim=2):
+    mdp = random_mdp(n_states, dim, 0.8, 1.0, rng_stream(21))
     if kind == "random":
-        return mdp, SupportMap.random(n_states, 2, 7, mdp.v_max, rng_stream(22))
+        return mdp, SupportMap.random(n_states, dim, 7, mdp.v_max, rng_stream(22))
     if kind == "mixed":
         # What a support file may hold: a different atom count per state.
         rng = rng_stream(22)
         return mdp, SupportMap(tuple(
-            rng.uniform(0.0, mdp.v_max, size=(5 + 2 * (x % 3), 2)) for x in range(n_states)
+            rng.uniform(0.0, mdp.v_max, size=(5 + 2 * (x % 3), dim)) for x in range(n_states)
         ))
-    return mdp, SupportMap.uniform_grid(n_states, 2, 9, mdp.v_max)
+    return mdp, SupportMap.uniform_grid(n_states, dim, 9, mdp.v_max)
 
 
 def _off_mass_init(mdp, support, excess=5e-10):
@@ -522,6 +571,46 @@ class TestSharedProjectors:
                 assert np.array_equal(state.estimate[x].weights, own.weights)
 
 
+class TestRoundOffGuard:
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("kind", ["random", "grid", "mixed"])
+    @pytest.mark.parametrize("sampler", ["uniform", "trajectory"])
+    def test_run_stays_within_round_off_of_textbook_step(self, monkeypatch, dim, kind, sampler):
+        # The augmented map and the (1 - alpha, alpha) blend round
+        # differently from (1 - alpha) w_x + alpha (M w_y + b), but only at
+        # round-off; the bookkeeping does not move at all.
+        import mmdrl.td as td_module
+
+        made = []
+        views = td_module._views
+
+        def recording_views(slots):
+            made.append(views(slots))
+            return made[-1]
+
+        monkeypatch.setattr(td_module, "_views", recording_views)
+        mdp, support = _shared_projector_case(kind, dim=dim)
+        schedule = StepSchedule()
+        state, report = categorical_td_run(
+            mdp, support, SPEC, schedule, 5000, rng_stream(31, dim),
+            state_sampler=sampler, report_interval=500,
+        )
+        weights, visits, _, sizes, renormalizations = per_state_projector_td_run(
+            mdp, support, SPEC, schedule, 5000, rng_stream(31, dim), sampler, None,
+            500, step=textbook_step,
+        )
+        gap = max(np.max(np.abs(state.estimate[x].weights - weights[x])) for x in range(3))
+        assert gap <= 1e-12
+        assert np.array_equal(state.visit_counts, visits)
+        assert report.mean_step_size == sizes
+        assert report.renormalizations == renormalizations
+        # The last _views call makes the slots that hold each state's
+        # weights between blocks; both rows still carry an exact 1.
+        own_slots = [slot for slot, _, _ in made[-1]]
+        assert len(own_slots) == mdp.n_states
+        assert all(np.all(slot[:, -1] == 1.0) for slot in own_slots)
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     n=st.integers(1, 300),
@@ -531,11 +620,12 @@ class TestSharedProjectors:
 )
 def test_row_reduce_equals_per_row_reduce(n, rows, start, seed):
     # categorical_td_run checks a block's weight sums with one reduce over
-    # a slice of its buffer; each sum must equal the reduce of its row alone.
+    # the w parts of its (rows, 2, n + 1) slot pool; each sum must equal the
+    # reduce of its row alone.
     rng = rng_stream(seed)
-    buf = rng.uniform(-1.0, 2.0, size=(start + rows, n))
+    buf = rng.uniform(-1.0, 2.0, size=(start + rows, 2, n + 1))
     buf *= 10.0 ** rng.integers(-8, 9, size=buf.shape)
-    block = buf[start:]
+    block = buf[start:, 0, :-1]
     sums = np.add.reduce(block, axis=1)
     assert np.array_equal(sums, [np.add.reduce(row) for row in block])
 
