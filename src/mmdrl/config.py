@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import InvalidInputError, malformed_as_invalid, read_json
+from .errors import InvalidInputError, json_integer, json_real, malformed_as_invalid, read_json
 
 CONFIG_VERSION = 1
 ALGORITHMS = ("dp-cat", "dp-ewp", "td-cat", "td-ewp")
@@ -50,27 +50,6 @@ def _within(value, bound) -> bool:
     )
 
 
-def _real(value) -> float:
-    """A JSON number as a float. Booleans, strings and integers beyond the
-    float range raise rather than convert."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise TypeError(f"expected a number, got {value!r}")
-    try:
-        return float(value)
-    except OverflowError:
-        raise ValueError(f"number out of the float range: {value!r}") from None
-
-
-def _integer(value) -> int:
-    """A JSON integer, or a number with an integral value such as 1e4.
-    Booleans, strings and fractions raise rather than truncate."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise TypeError(f"expected an integer, got {value!r}")
-    if isinstance(value, float) and not value.is_integer():
-        raise ValueError(f"expected an integer, got {value!r}")
-    return int(value)
-
-
 def _flag(value) -> bool:
     if not isinstance(value, bool):
         raise TypeError(f"expected true or false, got {value!r}")
@@ -80,7 +59,7 @@ def _flag(value) -> bool:
 def _point(value) -> list:
     if not isinstance(value, list):
         raise TypeError(f"expected a list, got {value!r}")
-    point = [_real(v) for v in value]
+    point = [json_real(v) for v in value]
     if not all(map(math.isfinite, point)):
         raise ValueError(f"expected finite numbers, got {value!r}")
     return point
@@ -109,59 +88,59 @@ def _td_reference(value):
 # default, and a key that any kind reads is known to all of them.
 _REQUIRED = object()
 _PATH = (str, _REQUIRED, None)
-_GAMMA = (_real, 0.9, "[0, 1)")
-_CONCENTRATION = (_real, 1.0, "(0, inf)")
+_GAMMA = (json_real, 0.9, "[0, 1)")
+_CONCENTRATION = (json_real, 1.0, "(0, inf)")
 # A grid needs 2^d atoms, two per axis: build_support checks m once d is known.
-_ATOMS = (_integer, 64, None)
+_ATOMS = (json_integer, 64, None)
 _MDP = {"kind": {
     "random": {
-        "n_states": (_integer, 5, "[1, inf)"),
-        "dim": (_integer, 2, "[1, inf)"),
+        "n_states": (json_integer, 5, "[1, inf)"),
+        "dim": (json_integer, 2, "[1, inf)"),
         "gamma": _GAMMA,
         "dirichlet_concentration": _CONCENTRATION,
-        "r_max": (_real, 1.0, "[0, inf)"),
+        "r_max": (json_real, 1.0, "[0, inf)"),
     },
     "dsm": {
-        "n_states": (_integer, 3, "[1, inf)"),
+        "n_states": (json_integer, 3, "[1, inf)"),
         "gamma": _GAMMA,
         "dirichlet_concentration": _CONCENTRATION,
     },
     "file": {"path": _PATH},
 }}
 _KERNEL = {
-    "alpha": (_real, 1.0, "(0, 2)"),
+    "alpha": (json_real, 1.0, "(0, 2)"),
     "reference_point": (_point, None, None),
 }
 _SUPPORT = {"kind": {
     "grid": {"m": _ATOMS},
     "random": {"m": _ATOMS},
-    "simplex-grid": {"resolution": (_integer, 10, "[1, inf)")},
+    "simplex-grid": {"resolution": (json_integer, 10, "[1, inf)")},
     "file": {"path": _PATH},
 }}
 _DP = {
-    "tol": (_real, 1e-8, "(0, inf]"),
-    "max_iter": (_integer, 400, "[0, inf)"),
+    "tol": (json_real, 1e-8, "(0, inf]"),
+    "max_iter": (json_integer, 400, "[0, inf)"),
     "projection": (str, "simplex", ("simplex", "signed")),
 }
 _EWP = {
-    "particles": (_integer, 64, "[1, inf)"),
-    "iterations": (_integer, None, "[0, inf)"),
+    "particles": (json_integer, 64, "[1, inf)"),
+    "iterations": (json_integer, None, "[0, inf)"),
 }
 _TD = {
-    "steps": (_integer, 10000, "[0, inf)"),
-    "report_interval": (_integer, 1000, "[1, inf)"),
+    "steps": (json_integer, 10000, "[0, inf)"),
+    "report_interval": (json_integer, 1000, "[1, inf)"),
     "state_sampler": (str, "uniform", None),  # per algorithm, in _resolve_config
     "schedule": {
-        "exponent": (_real, 0.6, "(0.5, 1]"),
-        "scale": (_real, 1.0, "(0, inf)"),
+        "exponent": (json_real, 0.6, "(0.5, 1]"),
+        "scale": (json_real, 1.0, "(0, inf)"),
     },
     "reference": (_td_reference, "signed-dp", None),
 }
 _ZEROSHOT = {
-    "reward_draws": (_integer, 10, "[1, inf)"),
+    "reward_draws": (json_integer, 10, "[1, inf)"),
     "nonnegative_orthant": (_flag, False, None),
-    "oracle_samples": (_integer, 10000, "[1, inf)"),
-    "tail_tol": (_real, 1e-3, "(0, inf]"),
+    "oracle_samples": (json_integer, 10000, "[1, inf)"),
+    "tail_tol": (json_real, 1e-3, "(0, inf]"),
     "estimate": {"kind": {"solve": {}, "file": {"path": (_seed_path, _REQUIRED, None)}}},
 }
 # The sections each algorithm reads besides mdp, kernel and seeds; each
@@ -172,7 +151,7 @@ _SECTIONS = {
     "dp-cat": {"support": _SUPPORT, "dp": _DP, "zeroshot": _ZEROSHOT},
     "dp-ewp": {"ewp": _EWP},
     "td-cat": {"support": _SUPPORT, "td": {**_TD, "particles": None}},
-    "td-ewp": {"td": {**_TD, "particles": (_integer, 64, "[1, inf)")}},
+    "td-ewp": {"td": {**_TD, "particles": (json_integer, 64, "[1, inf)")}},
 }
 _TOP_LEVEL = ("format_version", "algorithm", "mdp", "kernel", "seeds", "support",
               "dp", "ewp", "td", "zeroshot")
@@ -242,7 +221,7 @@ def _resolve_config(raw: dict) -> ExperimentConfig:
     seeds = raw.get("seeds", [0])
     _require(isinstance(seeds, list), "seeds must be a JSON list of integers")
     with malformed_as_invalid("seeds"):
-        seeds = resolved["seeds"] = [_integer(s) for s in seeds]
+        seeds = resolved["seeds"] = [json_integer(s) for s in seeds]
     _require(len(seeds) >= 1, "need at least one seed")
     _require(min(seeds) >= 0, "seeds must be nonnegative integers")
     _require(len(set(seeds)) == len(seeds), f"seeds must not repeat, got {seeds}")

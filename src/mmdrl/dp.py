@@ -149,6 +149,9 @@ class CategoricalEngine:
     The backup atom sets r(x) + gamma xi(x') are fixed by the MDP and
     support, so each sweep only reassembles the QP linear terms from the
     current weights and re-solves (warm-started for the simplex case).
+    States with equal atoms share a projector, and the engine keys by it:
+    one cross-kernel block per state and successor support, one batched
+    solve per support.
     """
 
     def __init__(
@@ -174,16 +177,19 @@ class CategoricalEngine:
         self.projection = projection
         cls = SimplexProjector if projection == "simplex" else SignedProjector
         self.projectors = state_projectors(cls, support, spec)
-        self.shared_support = all(p is self.projectors[0] for p in self.projectors)
-        # Cross-kernel blocks: state x sees successor x' atoms shifted by r(x).
+        self._groups = {}  # projector -> the states that share it
+        for x, projector in enumerate(self.projectors):
+            self._groups.setdefault(projector, []).append(x)
         self._blocks = {}
-        for x in range(mdp.n_states):
-            row = mdp.transition[x]
-            for y in np.nonzero(row)[0]:
-                shifted = mdp.cumulants[x] + mdp.gamma * support[int(y)]
-                self._blocks[(x, int(y))] = cross_kernel(
-                    support[x], shifted, spec
-                )
+
+    def _block(self, x: int, y: int) -> np.ndarray:
+        """Cross-kernel block K(xi(x), r(x) + gamma xi(y)), built at first
+        use once per (x, projector of y)."""
+        key = (x, self.projectors[y])
+        if key not in self._blocks:
+            shifted = self.mdp.cumulants[x] + self.mdp.gamma * self.support[y]
+            self._blocks[key] = cross_kernel(self.support[x], shifted, self.spec)
+        return self._blocks[key]
 
     def linear_terms(self, weights: list) -> list:
         """QP linear term per state for the backup of the given weights."""
@@ -192,26 +198,23 @@ class CategoricalEngine:
             row = self.mdp.transition[x]
             q = np.zeros(self.support[x].shape[0])
             for y in np.nonzero(row)[0]:
-                q += row[y] * (self._blocks[(x, int(y))] @ weights[int(y)])
+                q += row[y] * (self._block(x, int(y)) @ weights[int(y)])
             out.append(q)
         return out
 
     def step_weights(self, weights: list) -> list:
+        """One projected backup: a batched solve per distinct support."""
         qs = self.linear_terms(weights)
-        if self.shared_support:
-            q_rows = np.stack(qs, axis=0)
+        out = {}
+        for proj, states in self._groups.items():
+            q_rows = np.stack([qs[x] for x in states], axis=0)
             if self.projection == "simplex":
-                rows, _, _ = solve_simplex_qp_batch(
-                    self.projectors[0].gram, q_rows, np.stack(weights, axis=0)
-                )
+                starts = np.stack([weights[x] for x in states], axis=0)
+                rows, _, _ = solve_simplex_qp_batch(proj.gram, q_rows, starts)
             else:
-                proj = self.projectors[0]
                 rows = q_rows @ proj._s.T + proj.offset[None, :]
-            return [rows[x] for x in range(self.mdp.n_states)]
-        return [
-            self.projectors[x].solve_linear(qs[x], weights[x]).weights
-            for x in range(self.mdp.n_states)
-        ]
+            out.update(zip(states, rows))
+        return [out[x] for x in range(self.mdp.n_states)]
 
     def distance(self, w1: list, w2: list) -> float:
         """sup-MMD between two weight assignments on the engine's support."""

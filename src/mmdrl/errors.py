@@ -53,10 +53,39 @@ def read_json(path, what: str):
         raise InvalidInputError(f"cannot read {what} {path}: {exc}") from exc
 
 
+def json_real(value) -> float:
+    """A JSON number as a float. Booleans, strings and integers beyond the
+    float range raise rather than convert."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"expected a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"number out of the float range: {value!r}") from None
+
+
+def json_integer(value) -> int:
+    """A JSON integer, or a number with an integral value such as 1e4.
+    Booleans, strings and fractions raise rather than truncate."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"expected an integer, got {value!r}")
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
+def json_field(payload: dict, key: str, cast, what: str):
+    """``cast(payload[key])``, where ``cast`` is ``json_real`` or
+    ``json_integer``; a missing key or a value the cast rejects raises
+    ``InvalidInputError`` naming ``what.key``."""
+    with malformed_as_invalid(f"{what}.{key}"):
+        return cast(payload[key])
+
+
 def json_array(value, what: str) -> np.ndarray:
     """Nested lists of JSON numbers as a float64 array. A string, a boolean
-    or ragged lists raise ``InvalidInputError`` naming ``what``, as the
-    config's number rule does."""
+    or ragged lists raise ``InvalidInputError`` naming ``what``, as
+    ``json_real`` does."""
     with malformed_as_invalid(what):
         leaves = np.array(value, dtype=object)
         if not set(map(type, leaves.ravel().tolist())) <= {int, float}:

@@ -18,7 +18,7 @@ import numpy as np
 
 from .config import CONFIG_VERSION, ExperimentConfig
 from .dp import DpReport, EwpConfig, categorical_dp_solve, ewp_random_solve
-from .errors import InvalidInputError, malformed_as_invalid, read_json
+from .errors import InvalidInputError, json_array, malformed_as_invalid, read_json
 from .evaluation import ScalarDist, cramer_distance, zeroshot_scalar
 from .kernels import KernelSpec, mmd
 from .measures import (
@@ -126,8 +126,9 @@ def build_support(sc: dict, mdp: TabularMDP, seed: int) -> SupportMap:
     else:
         payload = read_json(sc["path"], "support file")
         with malformed_as_invalid("support file"):
+            atoms = payload["atoms"]
             support = SupportMap(
-                tuple(np.asarray(a, dtype=np.float64) for a in payload["atoms"])
+                tuple(json_array(a, f"support file atoms[{x}]") for x, a in enumerate(atoms))
             )
     _check_extent("support", np.concatenate(support.atoms), support.dim)
     return support

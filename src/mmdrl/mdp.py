@@ -14,7 +14,15 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import InvalidInputError, malformed_as_invalid, read_json
+from .errors import (
+    InvalidInputError,
+    json_array,
+    json_field,
+    json_integer,
+    json_real,
+    malformed_as_invalid,
+    read_json,
+)
 
 _ROW_TOL = 1e-9
 
@@ -94,12 +102,12 @@ class TabularMDP:
     def from_json(cls, payload: dict) -> "TabularMDP":
         with malformed_as_invalid("MDP"):
             mdp = cls(
-                np.asarray(payload["transition"], dtype=np.float64),
-                np.asarray(payload["cumulants"], dtype=np.float64),
-                float(payload["gamma"]),
-                float(payload["r_max"]),
+                json_array(payload["transition"], "MDP.transition"),
+                json_array(payload["cumulants"], "MDP.cumulants"),
+                json_field(payload, "gamma", json_real, "MDP"),
+                json_field(payload, "r_max", json_real, "MDP"),
             )
-            shape = (payload["n_states"], payload["d"])
+            shape = tuple(json_field(payload, k, json_integer, "MDP") for k in ("n_states", "d"))
         if (mdp.n_states, mdp.dim) != shape:
             raise InvalidInputError("serialized MDP shape fields do not match arrays")
         return mdp

@@ -14,7 +14,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError, json_array, malformed_as_invalid, read_json
+from .errors import (
+    InvalidInputError,
+    json_array,
+    json_field,
+    json_integer,
+    malformed_as_invalid,
+    read_json,
+)
 from .kernels import MASS_TOL, MERGE_TOL, merge_close_atoms
 
 # Negative-weight slack tolerated in probability measures before clamping.
@@ -82,7 +89,7 @@ class DiscreteMeasure:
         atoms = json_array(payload["atoms"], "atoms")
         if atoms.ndim == 1:
             atoms = atoms[:, None]
-        if atoms.shape[1] != payload["dim"]:
+        if atoms.shape[1] != json_field(payload, "dim", json_integer, "measure"):
             raise InvalidInputError("serialized dim does not match atom shape")
         return cls(atoms, json_array(payload["weights"], "weights"))
 
@@ -262,6 +269,9 @@ class SupportMap:
             arr = np.array(a, dtype=np.float64, copy=True)
             if arr.ndim == 1:
                 arr = arr[:, None]
+            if arr.ndim != 2 or arr.shape[1] < 1:
+                raise InvalidInputError(f"support atoms at state {x} must be (n, d) "
+                                        f"with d >= 1, got shape {arr.shape}")
             if arr.shape[0] < 1:
                 raise InvalidInputError(f"state {x} has an empty support")
             if not np.all(np.isfinite(arr)):
@@ -270,6 +280,8 @@ class SupportMap:
             arr.flags.writeable = False
             per_state.append(arr)
         dims = {a.shape[1] for a in per_state}
+        if not dims:
+            raise InvalidInputError("a support map needs at least one state")
         if len(dims) > 1:
             raise InvalidInputError(f"support dimensions differ: {sorted(dims)}")
         object.__setattr__(self, "atoms", tuple(per_state))

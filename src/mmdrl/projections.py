@@ -201,7 +201,7 @@ class SimplexProjector:
     """Repeated simplex projections onto one fixed support.
 
     Caches the Gram matrix so per-call work is the cross-kernel assembly
-    plus the active-set solve (warm-startable).
+    plus the active-set solve.
     """
 
     def __init__(self, support_atoms, spec: KernelSpec):
@@ -213,11 +213,8 @@ class SimplexProjector:
     def linear_term(self, target_atoms, target_weights) -> np.ndarray:
         return cross_kernel(self.atoms, target_atoms, self.spec) @ target_weights
 
-    def solve_linear(self, q: np.ndarray, start=None) -> ProjectionResult:
-        return solve_simplex_qp(self.gram, q, start)
-
     def project(self, target_atoms, target_weights) -> ProjectionResult:
-        return self.solve_linear(self.linear_term(target_atoms, target_weights))
+        return solve_simplex_qp(self.gram, self.linear_term(target_atoms, target_weights))
 
 
 class SignedProjector:
@@ -259,7 +256,7 @@ class SignedProjector:
         p0[-1] = 1.0
         self.offset = p0 - self._s @ (self.gram @ p0)
 
-    def solve_linear(self, q: np.ndarray, start=None) -> ProjectionResult:
+    def solve_linear(self, q: np.ndarray) -> ProjectionResult:
         return ProjectionResult(self._s @ q + self.offset, 0.0, 1)
 
     def project(self, target_atoms, target_weights) -> ProjectionResult:

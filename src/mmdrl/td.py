@@ -15,11 +15,11 @@ from itertools import islice
 
 import numpy as np
 
+from .dp import CategoricalEngine, _ewp_particles, ewp_init
 from .errors import InvalidInputError, checked_array
 from .kernels import KernelSpec, mmd, signed_energy_sum
 from .measures import DiscreteMeasure, ReturnDistFn, SupportMap, empirical, weights_on_support
 from .mdp import TabularMDP, sample_visits
-from .projections import SignedProjector, SimplexProjector, _gram_sup_mmd, state_projectors
 
 # Weight-sum drift beyond which the mass-1 constraint is re-imposed.
 MASS_DRIFT_TOL = 1e-10
@@ -73,16 +73,11 @@ class TdReport:
 
 
 def init_td_state(mdp: TabularMDP, support: SupportMap, spec: KernelSpec) -> TdState:
-    """Probability-weight initialization: project the per-state point mass
-    at r/(1-gamma) onto the support."""
-    from .dp import point_init
-
-    projectors = state_projectors(SimplexProjector, support, spec)
-    measures = tuple(
-        DiscreteMeasure(xi, projector.project(p.atoms, p.weights).weights)
-        for p, projector, xi in zip(point_init(mdp), projectors, support.atoms)
-    )
-    return TdState(ReturnDistFn(measures), np.zeros(mdp.n_states, dtype=np.int64))
+    """Probability-weight initialization: the simplex engine's start, the
+    per-state point mass at r/(1-gamma) projected onto the support."""
+    engine = CategoricalEngine(mdp, support, spec)
+    estimate = engine.to_return_dist(engine.init_weights())
+    return TdState(estimate, np.zeros(mdp.n_states, dtype=np.int64))
 
 
 def categorical_td_run(
@@ -119,7 +114,8 @@ def categorical_td_run(
     _check_run(mdp, steps, report_interval, reference, init)
     state = init if init is not None else init_td_state(mdp, support, spec)
     visits = state.visit_counts.tolist()
-    projectors = state_projectors(SignedProjector, support, spec)
+    engine = CategoricalEngine(mdp, support, spec, "signed")
+    projectors = engine.projectors
     sizes = support.sizes()
     # A state's versions are (2, n + 1) slots: row 0 is [w, 1], row 1 the
     # backup blended into it. A block starts at each state's own slot, and
@@ -129,7 +125,7 @@ def categorical_td_run(
     first = _views(np.stack([np.append(weights_on_support(m, xi), 1.0)] * 2)
                    for m, xi in zip(state.estimate, support.atoms))
     weights = [head[:-1] for _, head, _ in first]
-    maps = {}  # A_xy, built at the first visit to (x, y)
+    maps = {}  # A_xy, built at the first visit to (x, projectors[y])
     coef_rows = list(coefs := np.empty((_CHECK_BLOCK, 2)))
 
     try:
@@ -141,7 +137,7 @@ def categorical_td_run(
         if reference is None:
             return math.nan
         if ref_weights is not None:
-            return _gram_sup_mmd(projectors, weights, ref_weights)
+            return engine.distance(weights, ref_weights)
         return max(
             mmd(DiscreteMeasure(xi, w), m, spec)
             for xi, w, m in zip(support.atoms, weights, reference)
@@ -150,7 +146,8 @@ def categorical_td_run(
     def _blend(keys, start, current):
         """Steps ``start`` on, from the versions in ``current``."""
         for i in range(start, len(keys)):
-            x, y = key = keys[i]
+            x, y = keys[i]
+            key = x, projectors[y]
             if key not in maps:
                 m, b = projectors[x].affine_map(mdp.cumulants[x] + mdp.gamma * support[y])
                 maps[key] = np.block([[m, b[:, None]], [np.zeros(sizes[y]), 1.0]])
@@ -276,8 +273,6 @@ def ewp_td_run(
     that does not fit the MDP and m raises ``InvalidInputError`` before
     any step.
     """
-    from .dp import _ewp_particles, ewp_init
-
     _check_run(mdp, steps, report_interval, reference, init)
     state = init if init is not None else TdState(
         ewp_init(mdp, m), np.zeros(mdp.n_states, dtype=np.int64)

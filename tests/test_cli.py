@@ -34,9 +34,9 @@ def with_string_weights(document):
     return {**document, "measures": [point] * document["n_states"]}
 
 
-# Return-distribution documents with one malformed field, loaded as a
-# zero-shot estimate or a TD reference, and the field an error must name.
-# Each used to load (exit 0).
+# Documents with one malformed field, loaded as an MDP file, a zero-shot
+# estimate or a TD reference, and the field an error must name. Each used
+# to load (exit 0).
 MALFORMED_DOCUMENTS = {
     "estimate-weights-string": (
         {"algorithm": "dp-ewp", "mdp": {"kind": "random", "n_states": 2, "dim": 1},
@@ -59,6 +59,23 @@ MALFORMED_DOCUMENTS = {
                 "reference": {"path": "reference_weights_string.json"}}},
         "weights",
     ),
+    "estimate-dim-true": (
+        {"algorithm": "dp-ewp", "mdp": {"kind": "random", "n_states": 2, "dim": 1},
+         "ewp": {"particles": 4, "iterations": 2},
+         "zeroshot": {"oracle_samples": 10,
+                      "estimate": {"kind": "file", "path": "estimate_dim_true.json"}}},
+        "measure.dim",
+    ),
+    **{
+        f"mdp-file-{name}": (
+            {"algorithm": "dp-ewp", "mdp": {"kind": "file", "path": f"mdp_{field}_{name}.json"},
+             "ewp": {"particles": 4, "iterations": 2}},
+            f"MDP.{field}",
+        )
+        for name, field in [("gamma-string", "gamma"), ("r-max-true", "r_max"),
+                            ("d-true", "d"), ("n-states-true", "n_states"),
+                            ("transition-string", "transition")]
+    },
 }
 
 # TD references that do not fit the 3-state, d = 3 DSM MDP.
@@ -89,6 +106,7 @@ MISMATCHED_REFERENCES = [
 def write_malformed_files(tmp_path):
     """Input files that are not JSON, or JSON missing what a loader needs."""
     mdp = {"n_states": 1, "d": 1, "gamma": 0.5, "r_max": 1.0, "cumulants": [[0.5]]}
+    valid_mdp = {**mdp, "transition": [[1.0]]}
     files = {
         "not_json.json": "{not json",
         "list.json": "[1, 2]",
@@ -104,6 +122,18 @@ def write_malformed_files(tmp_path):
         "estimate_n_states_3.json": json.dumps({**point_masses(2, 1), "n_states": 3}),
         "reference_weights_string.json": json.dumps(with_string_weights(point_masses(3, 3))),
         "support_nan.json": json.dumps({"atoms": [[0.0, float("nan"), 1.0], [0.0, 1.0]]}),
+        "support_nested.json": json.dumps({"atoms": [[[[0.0]]], [[[1.0]]]]}),
+        "support_zero_dim.json": json.dumps({"atoms": [[[]], [[]]]}),
+        "support_no_states.json": json.dumps({"atoms": []}),
+        "support_string.json": json.dumps({"atoms": [[["0"], ["1"]], [[0], [1]]]}),
+        "estimate_dim_true.json": json.dumps(
+            {"n_states": 2, "measures": [{"dim": True, "atoms": [[0.0]], "weights": [1.0]}] * 2}
+        ),
+        "mdp_gamma_gamma-string.json": json.dumps({**valid_mdp, "gamma": "0.5"}),
+        "mdp_r_max_r-max-true.json": json.dumps({**valid_mdp, "r_max": True}),
+        "mdp_d_d-true.json": json.dumps({**valid_mdp, "d": True}),
+        "mdp_n_states_n-states-true.json": json.dumps({**valid_mdp, "n_states": True}),
+        "mdp_transition_transition-string.json": json.dumps({**valid_mdp, "transition": [["1"]]}),
     }
     for name, text in files.items():
         (tmp_path / name).write_text(text)
@@ -231,23 +261,34 @@ class TestRunCommand:
              "td": {"steps": 2000, "report_interval": 100, "reference": "signed-dp"}},
             {"algorithm": "dp-cat", "mdp": {"kind": "random", "n_states": 5, "dim": 2},
              "support": {"kind": "grid", "m": 64}, "dp": {"tol": 1e-3, "max_iter": 250}},
+            {"algorithm": "dp-ewp", "mdp": {"kind": "random", "n_states": 5, "dim": 2},
+             "ewp": {"particles": 64}},
+            {"algorithm": "td-ewp", "mdp": {"kind": "random", "n_states": 5, "dim": 2},
+             "td": {"steps": 2000, "report_interval": 500, "particles": 16}},
+            {"algorithm": "dp-cat", "mdp": {"kind": "random", "n_states": 5, "dim": 2},
+             "support": {"kind": "grid", "m": 64}, "dp": {"tol": 1e-3, "max_iter": 250},
+             "zeroshot": {"reward_draws": 3, "oracle_samples": 2000}},
         ],
-        ids=["td-cat", "dp-cat"],
+        ids=["td-cat", "dp-cat", "dp-ewp", "td-ewp", "zeroshot-eval"],
     )
     def test_outputs_independent_of_blas_thread_count(self, tmp_path, payload):
         # Each run is a fresh process: OpenBLAS reads its thread count once.
         config = write_config(tmp_path, {"format_version": 1, **payload, "seeds": [0, 1]})
         src = str(Path(__file__).resolve().parents[1] / "src")
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        if "zeroshot" in payload:
+            command, names = "zeroshot-eval", ("zeroshot.csv",)
+        else:
+            command, names = "run", ("series.csv", "seed_0/estimate.json", "seed_1/estimate.json")
         outs = [tmp_path / "threads_1", tmp_path / "threads_2"]
         for threads, out in zip("12", outs):
             subprocess.run(
                 [sys.executable, "-c", "import sys; from mmdrl.cli import main; sys.exit(main())",
-                 "run", "--config", config, "--out", str(out)],
+                 command, "--config", config, "--out", str(out)],
                 env={**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": threads},
                 check=True, capture_output=True, timeout=300,
             )
-        for name in ("series.csv", "seed_0/estimate.json", "seed_1/estimate.json"):
+        for name in names:
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
     def test_seed_flag_overrides(self, tmp_path):
@@ -580,6 +621,30 @@ class TestRunCommand:
                  "td": {"steps": 10, "particles": 4},
                  "kernel": {"reference_point": [0, 0, 0]}},
                 id="td-ewp-reference-point-dimension-3",
+            ),
+            # Exited 1: a ValueError from the einsum in pairwise_semimetric.
+            pytest.param(
+                {"algorithm": "dp-cat", "mdp": {"kind": "random", "n_states": 2, "dim": 1},
+                 "support": {"kind": "file", "path": "support_nested.json"}},
+                id="support-atoms-nested-too-deep",
+            ),
+            # Exited 1: a ValueError from a reduction over no coordinates,
+            # and one from concatenating no states.
+            pytest.param(
+                {"algorithm": "dp-cat", "mdp": {"kind": "random", "n_states": 2, "dim": 1},
+                 "support": {"kind": "file", "path": "support_zero_dim.json"}},
+                id="support-atoms-zero-dim",
+            ),
+            pytest.param(
+                {"algorithm": "dp-cat", "mdp": {"kind": "random", "n_states": 2, "dim": 1},
+                 "support": {"kind": "file", "path": "support_no_states.json"}},
+                id="support-no-states",
+            ),
+            # Used to run (exit 0): numpy parsed the strings.
+            pytest.param(
+                {"algorithm": "dp-cat", "mdp": {"kind": "random", "n_states": 2, "dim": 1},
+                 "support": {"kind": "file", "path": "support_string.json"}},
+                id="support-atoms-string",
             ),
             *(pytest.param(payload, id=name) for name, (payload, _) in MALFORMED_DOCUMENTS.items()),
         ],

@@ -29,7 +29,9 @@ from mmdrl import (
     sup_mmd,
     weights_on_support,
 )
-from mmdrl.dp import point_init
+from mmdrl.dp import CategoricalEngine, point_init
+from mmdrl.kernels import cross_kernel
+from mmdrl.projections import SignedProjector, SimplexProjector, solve_simplex_qp
 
 from util import (
     oracle_distance,
@@ -154,6 +156,109 @@ class TestCategoricalDpStep:
                 SPEC,
             )
             assert lhs <= 0.8**0.5 * sup_mmd(eta1, eta2, SPEC) + 1e-7
+
+
+def engine_support(kind, n_states, dim, v_max, seed):
+    """A support on which all states share atoms (grid), none do (random),
+    or states 0 and 2 share while the rest differ (partly shared)."""
+    if kind == "grid":
+        return SupportMap.uniform_grid(n_states, dim, 3**dim, v_max)
+    drawn = SupportMap.random(n_states, dim, 6, v_max, rng_stream(seed))
+    if kind == "random":
+        return drawn
+    return SupportMap(tuple(drawn[0] if x == 2 else drawn[x] for x in range(n_states)))
+
+
+def random_engine_weights(rng, support, signed):
+    """Probability weights per state, or mass-1 signed ones."""
+    out = []
+    for n in support.sizes():
+        if signed:
+            w = rng.normal(size=n)
+            out.append(w - (w.sum() - 1.0) / n)
+        else:
+            out.append(rng.dirichlet(np.ones(n)))
+    return out
+
+
+class TestCategoricalEngine:
+    @pytest.mark.parametrize("projection", ["simplex", "signed"])
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5])
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("kind", ["grid", "random", "partly-shared"])
+    def test_step_is_a_contraction(self, kind, dim, alpha, projection):
+        # The backup contracts sup-MMD by gamma^(alpha/2), and either
+        # projection, onto a convex set of mass-1 weights, does not expand it.
+        mdp = random_mdp(4, dim, 0.8, 1.0, rng_stream(60 + dim))
+        support = engine_support(kind, 4, dim, mdp.v_max, 70 + dim)
+        engine = CategoricalEngine(mdp, support, energy_kernel(alpha), projection)
+        rng = rng_stream(80 + dim)
+        c = mdp.gamma ** (alpha / 2)
+        for signed in (False, True, False, True):
+            w1 = random_engine_weights(rng, support, signed)
+            w2 = random_engine_weights(rng, support, signed)
+            before = engine.distance(w1, w2)
+            after = engine.distance(engine.step_weights(w1), engine.step_weights(w2))
+            assert after <= c * before + 1e-9
+
+    @pytest.mark.parametrize("projection", ["simplex", "signed"])
+    def test_one_cross_kernel_block_per_state_on_a_grid(self, monkeypatch, projection):
+        import mmdrl.dp as dp_module
+
+        n_states = 6
+        mdp = random_mdp(n_states, 2, 0.9, 1.0, rng_stream(90))
+        assert np.count_nonzero(mdp.transition) == n_states**2
+        support = SupportMap.uniform_grid(n_states, 2, 16, mdp.v_max)
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return cross_kernel(*args)
+
+        monkeypatch.setattr(dp_module, "cross_kernel", counted)
+        engine = CategoricalEngine(mdp, support, SPEC, projection)
+        weights = [np.full(16, 1 / 16)] * n_states
+        engine.step_weights(weights)
+        assert len(calls) == n_states
+        engine.step_weights(weights)
+        assert len(calls) == n_states
+
+    @pytest.mark.parametrize("projection", ["simplex", "signed"])
+    def test_partly_shared_support_equals_unshared_loop(self, projection):
+        # States 0 and 2 share atoms, state 1 differs. The loop builds one
+        # fresh projector per state and one block per (state, successor).
+        mdp = random_mdp(3, 2, 0.8, 1.0, rng_stream(91))
+        support = engine_support("partly-shared", 3, 2, mdp.v_max, 92)
+        engine = CategoricalEngine(mdp, support, SPEC, projection)
+        assert engine.projectors[0] is engine.projectors[2]
+        assert engine.projectors[0] is not engine.projectors[1]
+        weights = random_engine_weights(rng_stream(93), support, signed=False)
+        linear, stepped = [], []
+        for x in range(3):
+            row = mdp.transition[x]
+            q = np.zeros(support[x].shape[0])
+            for y in np.nonzero(row)[0]:
+                shifted = mdp.cumulants[x] + mdp.gamma * support[y]
+                q += row[y] * (cross_kernel(support[x], shifted, SPEC) @ weights[y])
+            linear.append(q)
+            if projection == "simplex":
+                fresh = SimplexProjector(support[x], SPEC)
+                stepped.append(solve_simplex_qp(fresh.gram, q, weights[x]).weights)
+            else:
+                stepped.append(SignedProjector(support[x], SPEC).solve_linear(q).weights)
+        for got, want in zip(engine.linear_terms(weights), linear):
+            assert np.array_equal(got, want)
+        got = engine.step_weights(weights)
+        if projection == "simplex":
+            for x in range(3):
+                assert np.array_equal(got[x], stepped[x])
+        else:
+            # State 1 is a group of one, solved as the loop solves it. States
+            # 0 and 2 are one two-row product, which OpenBLAS rounds apart
+            # from two matrix-vector products.
+            assert np.array_equal(got[1], stepped[1])
+            for x in (0, 2):
+                np.testing.assert_allclose(got[x], stepped[x], rtol=0, atol=1e-14)
 
 
 class TestCategoricalDpSolve:

@@ -245,6 +245,19 @@ class TestSupportMap:
         with pytest.raises(InvalidInputError):
             SupportMap((np.array([[0.0], [1e-10]]),))
 
+    @pytest.mark.parametrize(
+        "atoms", [0.5, [[[0.0]], [[1.0]]], [[]]], ids=["scalar", "nested-3d", "zero-dim"]
+    )
+    def test_atoms_must_be_n_by_d(self, atoms):
+        # A 3-d array used to reach the einsum in pairwise_semimetric, and
+        # d = 0 a reduction over no coordinates.
+        with pytest.raises(InvalidInputError, match=r"state 1 must be \(n, d\) with d >= 1"):
+            SupportMap(([[0.0], [1.0]], atoms))
+
+    def test_needs_a_state(self):
+        with pytest.raises(InvalidInputError, match="at least one state"):
+            SupportMap(())
+
     def test_random_supports_distinct(self):
         rng = np.random.default_rng(5)
         support = SupportMap.random(2, 2, 50, 1.0, rng)
