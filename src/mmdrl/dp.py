@@ -358,8 +358,14 @@ def _screen(new: _Merged, old: _Merged, m: int, alpha: float) -> tuple:
 
     * A blockwise entry rho_ij is formed within relative error g_c: one
       rounding per difference, square and coordinate sum, the square root
-      and pow's ulp. ``w_r @ dist @ w`` over an (r, n) block and the
-      running total add g_{r + n + blocks}. So a blockwise sum is within
+      and pow's ulp. A cross sum's ``w_r @ dist @ w`` over an (r, n)
+      block and the running total add g_{r + n + blocks}. An energy sum
+      over n atoms adds, per block of r rows, a diagonal product (sums of
+      r and r terms) and a doubled product with the k < n columns past
+      the block (sums of r and k terms; the doubling is exact), each with
+      one running-total addition: g_{r + n + 2 blocks} <= g_{3 n + 3},
+      since r + 2 ceil(n / r) <= 2 n + 3 for 1 <= r <= n. With the entry's
+      c and n <= n_new + n_old, N covers both. So a blockwise sum is within
       g sum_ij |w_i w'_j| rho_ij <= g W W' D^alpha of its exact value, D
       being the diagonal of the union's bounding box.
     * On the scalar alpha = 1 routes each prefix sum is off by at most g

@@ -66,11 +66,14 @@ def json_real(value) -> float:
 
 def json_integer(value) -> int:
     """A JSON integer, or a number with an integral value such as 1e4.
-    Booleans, strings and fractions raise rather than truncate."""
+    Booleans, strings, fractions and integers beyond the int64 range, which
+    no count or index can take, raise rather than truncate."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise TypeError(f"expected an integer, got {value!r}")
     if isinstance(value, float) and not value.is_integer():
         raise ValueError(f"expected an integer, got {value!r}")
+    if abs(value) > 2**63 - 1:
+        raise ValueError(f"integer out of the int64 range: {value!r}")
     return int(value)
 
 

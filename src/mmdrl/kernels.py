@@ -16,6 +16,11 @@ K = -R / 2 (``gram``, ``cross_kernel``) and no reference point; between
 measures of equal mass
 
     MMD^2(p, q) = -1/2 * sum_ij (p - q)_i (p - q)_j rho(xi_i, xi_j).
+
+The energy and cross sums behind it never hold a whole matrix: one
+budget, ``_BLOCK_ENTRIES``, bounds the row blocks of rho they fill, the
+energy sum walks only the upper triangle, and each call holds at most
+2 ``_BLOCK_ENTRIES`` doubles.
 """
 
 from __future__ import annotations
@@ -33,10 +38,9 @@ MERGE_TOL = 1e-12
 # Round-off window within which a negative squared MMD is clamped to zero.
 NEGATIVE_SQ_TOL = 1e-12
 
-# Entry budget for blockwise pairwise-distance accumulation.
-_BLOCK_ENTRIES = 2**22
-# Entry budget of the row slabs that fill one block (signed_energy_sum).
-_SLAB_ENTRIES = 2**16
+# Entry budget of one row block of semimetric values; each energy or
+# cross sum holds two such blocks.
+_BLOCK_ENTRIES = 2**15
 
 
 @dataclass(frozen=True)
@@ -99,22 +103,34 @@ def _prefix_sums(x: np.ndarray) -> np.ndarray:
     return out
 
 
+def _rho_block(a: np.ndarray, b: np.ndarray, alpha: float, buffer: np.ndarray) -> np.ndarray:
+    """rho_alpha(a_i, b_j) as an ``(len(a), len(b))`` view of ``buffer[0]``:
+    squared differences summed from coordinate 0 on, then the square root
+    and the power. ``buffer[1]`` is scratch for the coordinates past 0."""
+    dist, tmp = (row[: a.shape[0] * b.shape[0]].reshape(a.shape[0], b.shape[0]) for row in buffer)
+    cols_a, cols_b = a.T, b.T
+    np.subtract(cols_a[0, :, None], cols_b[0], out=dist)
+    dist *= dist
+    for col_a, col_b in zip(cols_a[1:], cols_b[1:]):
+        np.subtract(col_a[:, None], col_b, out=tmp)
+        tmp *= tmp
+        dist += tmp
+    np.sqrt(dist, out=dist)
+    if alpha != 1.0:
+        dist **= alpha
+    return dist
+
+
 def signed_energy_sum(atoms: np.ndarray, weights: np.ndarray, alpha: float) -> float:
     """sum_ij w_i w_j rho_alpha(a_i, a_j) for signed weights.
 
     Uses an exact O(n log n) prefix-sum evaluation for scalar atoms with
-    alpha = 1; otherwise accumulates the pairwise matrix in row blocks of
-    at most ``_BLOCK_ENTRIES`` entries. Each block is one ``(rows, n)``
-    array of squared distances, summed one coordinate at a time and
-    filled in row slabs of about ``_SLAB_ENTRIES`` entries. A slab
-    computes the columns before the block and those from its own first
-    row onward; the columns from the block start to the slab start are
-    copied from the transpose of the rows already filled. The copy is
-    bitwise what computing would give, because (a - b)^2 = (b - a)^2
-    exactly and the coordinates are summed in the same order. The square
-    root and the power then run over the whole block, so they and the
-    ``weights @ dist @ weights`` product see the same bytes as a block
-    computed in full.
+    alpha = 1. Otherwise the upper triangle is walked in row blocks
+    B = [s, s + r), r = max(1, ``_BLOCK_ENTRIES`` // n), against the
+    columns [s, n) only: each block adds w_B rho_BB w_B, then
+    2 w_B rho_B,rest w_rest for the columns past the block. The blocks
+    come from ``_rho_block`` in one buffer of at most 2 ``_BLOCK_ENTRIES``
+    doubles, allocated once per call.
     """
     n, d = atoms.shape
     if n == 1:
@@ -126,33 +142,16 @@ def signed_energy_sum(atoms: np.ndarray, weights: np.ndarray, alpha: float) -> f
         prefix_w = _prefix_sums(w)[:-1]
         prefix_wz = _prefix_sums(w * z)[:-1]
         return float(2.0 * np.add.reduce(w * (z * prefix_w - prefix_wz)))
-    block = max(1, _BLOCK_ENTRIES // n)
-    slab = max(1, _SLAB_ENTRIES // n)
-    cols = atoms.T
-    scratch = np.empty(min(slab, n) * n)
+    rows = min(max(1, _BLOCK_ENTRIES // n), n)
+    buffer = np.empty((2, rows * n))
     total = 0.0
-    for start in range(0, n, block):
-        stop = min(start + block, n)
-        dist = np.empty((stop - start, n))
-        for top in range(start, stop, slab):
-            bottom = min(top + slab, stop)
-            rows = dist[top - start : bottom - start]
-            for lo, hi in ((0, start), (top, n)):
-                if lo == hi:
-                    continue
-                out = rows[:, lo:hi]
-                np.subtract(cols[0, top:bottom, None], cols[0, lo:hi], out=out)
-                out *= out
-                tmp = scratch[: out.size].reshape(out.shape)
-                for col in cols[1:]:
-                    np.subtract(col[top:bottom, None], col[lo:hi], out=tmp)
-                    tmp *= tmp
-                    out += tmp
-            rows[:, start:top] = dist[: top - start, top:bottom].T
-        np.sqrt(dist, out=dist)
-        if alpha != 1.0:
-            dist **= alpha
-        total += float(weights[start:stop] @ dist @ weights)
+    for start in range(0, n, rows):
+        stop = min(start + rows, n)
+        dist = _rho_block(atoms[start:stop], atoms[start:], alpha, buffer)
+        w = weights[start:stop]
+        total += float(w @ dist[:, : stop - start] @ w)
+        if stop < n:
+            total += 2.0 * float(w @ dist[:, stop - start :] @ weights[stop:])
     return total
 
 
@@ -165,9 +164,9 @@ def signed_cross_sum(
     route: with b sorted and k the count of b_j below a_i, the prefix
     sums P of wb and Q of wb * b give sum_j wb_j |a_i - b_j| =
     a_i (2 P_k - P_n) + Q_n - 2 Q_k. Otherwise the (n_a, n_b) matrix is
-    accumulated in row blocks of at most ``_BLOCK_ENTRIES`` entries, each
-    entry formed as ``signed_energy_sum`` forms it: squared differences
-    summed from coordinate 0 on, then the square root and the power.
+    accumulated in row blocks of max(1, ``_BLOCK_ENTRIES`` // n_b) rows,
+    each filled by ``_rho_block`` as ``signed_energy_sum`` fills its
+    blocks, in one buffer of at most 2 ``_BLOCK_ENTRIES`` doubles.
     """
     d = a.shape[1]
     if d == 1 and alpha == 1.0:
@@ -181,23 +180,12 @@ def signed_cross_sum(
         above = prefix_wz[-1] - 2.0 * prefix_wz[k]
         return float(np.add.reduce(wa * (a[:, 0] * below + above)))
     na, nb = a.shape[0], b.shape[0]
-    block = max(1, _BLOCK_ENTRIES // nb)
-    coords_a, coords_b = a.T, b.T
-    buffers = np.empty((2, min(block, na) * nb))
+    rows = min(max(1, _BLOCK_ENTRIES // nb), na)
+    buffer = np.empty((2, rows * nb))
     total = 0.0
-    for start in range(0, na, block):
-        stop = min(start + block, na)
-        dist, tmp = (buf[: (stop - start) * nb].reshape(stop - start, nb) for buf in buffers)
-        np.subtract(coords_a[0, start:stop, None], coords_b[0], out=dist)
-        dist *= dist
-        for col_a, col_b in zip(coords_a[1:], coords_b[1:]):
-            np.subtract(col_a[start:stop, None], col_b, out=tmp)
-            tmp *= tmp
-            dist += tmp
-        np.sqrt(dist, out=dist)
-        if alpha != 1.0:
-            dist **= alpha
-        total += float(wa[start:stop] @ dist @ wb)
+    for start in range(0, na, rows):
+        stop = min(start + rows, na)
+        total += float(wa[start:stop] @ _rho_block(a[start:stop], b, alpha, buffer) @ wb)
     return total
 
 

@@ -1,13 +1,18 @@
 """Command-line interface: exit codes, determinism, output formats."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from mmdrl import ReturnDistFn, SolverError, TabularMDP, dsm_mdp, random_mdp, rng_stream
 from mmdrl.cli import main
@@ -150,6 +155,132 @@ def run_then_zeroshot(tmp_path, monkeypatch, payload):
     if code == 0 and "zeroshot" in payload:
         code = main(["zeroshot-eval", "--config", config, "--out", str(tmp_path / "z")])
     return code
+
+
+# Valid input documents for the exit-code fuzz, sized so that any run on
+# them takes a fraction of a second. The configs read the files by name.
+FUZZ_FILES = {
+    "mdp.json": {
+        "n_states": 2, "d": 2, "gamma": 0.8, "r_max": 1.0,
+        "transition": [[0.5, 0.5], [0.25, 0.75]],
+        "cumulants": [[0.5, -0.25], [0.0, 1.0]],
+    },
+    "support.json": {"atoms": [[[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]] * 2},
+    "estimate.json": {
+        "n_states": 2,
+        "measures": [{"dim": 2, "atoms": [[0.0, 0.0], [1.0, 1.0]], "weights": [0.5, 0.5]}] * 2,
+    },
+}
+FUZZ_ZEROSHOT = {"reward_draws": 2, "oracle_samples": 20, "tail_tol": 0.1}
+FUZZ_CONFIGS = [
+    {"algorithm": "dp-cat", "mdp": {"kind": "file", "path": "mdp.json"},
+     "support": {"kind": "file", "path": "support.json"},
+     "dp": {"tol": 1e-6, "max_iter": 30, "projection": "signed"}, "kernel": {"alpha": 1.5},
+     "seeds": [0],
+     "zeroshot": {**FUZZ_ZEROSHOT, "estimate": {"kind": "file", "path": "estimate.json"}}},
+    {"format_version": 1, "algorithm": "dp-cat",
+     "mdp": {"kind": "random", "n_states": 2, "dim": 1, "gamma": 0.5, "r_max": 1.0,
+             "dirichlet_concentration": 1.0},
+     "support": {"kind": "grid", "m": 4}, "dp": {"tol": 1e-6, "max_iter": 30},
+     "seeds": [0, 1], "zeroshot": {**FUZZ_ZEROSHOT, "nonnegative_orthant": True}},
+    {"algorithm": "dp-ewp", "mdp": {"kind": "random", "n_states": 2, "dim": 2, "gamma": 0.5},
+     "ewp": {"particles": 4, "iterations": 2},
+     "kernel": {"alpha": 1.0, "reference_point": [0.0, 0.0]}, "zeroshot": FUZZ_ZEROSHOT},
+    {"algorithm": "td-cat", "mdp": {"kind": "dsm", "n_states": 2, "gamma": 0.5},
+     "support": {"kind": "simplex-grid", "resolution": 2},
+     "td": {"steps": 20, "report_interval": 10, "state_sampler": "trajectory",
+            "schedule": {"exponent": 0.6, "scale": 1.0}, "reference": "signed-dp"}},
+    {"algorithm": "td-ewp", "mdp": {"kind": "file", "path": "mdp.json"},
+     "td": {"steps": 20, "report_interval": 10, "particles": 4,
+            "reference": {"path": "estimate.json"}}},
+]
+# Counts whose huge value asks for a long loop, not an impossible array:
+# the fuzz leaves them below 1e308.
+FUZZ_LOOP_COUNTS = {"steps", "iterations", "max_iter", "reward_draws"}
+FUZZ_MUTATIONS = (
+    "string", "boolean", "object", "nan", "inf", "-inf", "1e308", "-1e308",
+    "negative", "empty-list", "nested", "drop", "add-key",
+)
+FUZZ_NUMERIC = {"nan", "inf", "-inf", "1e308", "-1e308", "negative"}
+
+
+def fuzz_nodes(document, path=()):
+    """Paths of every node below the root of a JSON document."""
+    children = document.items() if isinstance(document, dict) else enumerate(document)
+    for key, value in children:
+        yield path + (key,)
+        if isinstance(value, (dict, list)):
+            yield from fuzz_nodes(value, path + (key,))
+
+
+def mutated(document, path, mutation):
+    """A deep copy of ``document`` with the node at ``path`` changed."""
+    out = json.loads(json.dumps(document))
+    parent = out
+    for key in path[:-1]:
+        parent = parent[key]
+    key, value = path[-1], parent[path[-1]]
+    if mutation == "drop":
+        del parent[key]
+    elif mutation == "add-key" and isinstance(value, dict):
+        value["extra"] = 1
+    elif mutation == "add-key":
+        if isinstance(parent, dict):
+            parent["extra"] = 1
+        else:
+            parent.append(value)
+    elif mutation == "negative":
+        parent[key] = -value if isinstance(value, (int, float)) and not isinstance(value, bool) else -1
+    else:
+        parent[key] = {
+            "string": "x", "boolean": True, "object": {}, "nan": float("nan"),
+            "inf": float("inf"), "-inf": float("-inf"), "1e308": 1e308, "-1e308": -1e308,
+            "empty-list": [], "nested": [value],
+        }[mutation]
+    return out
+
+
+def fuzz_leaf(document, path):
+    """The node of ``document`` at ``path``."""
+    for key in path:
+        document = document[key]
+    return document
+
+
+@st.composite
+def fuzz_cases(draw):
+    """The config and the files, with one node of the config (half the
+    cases) or of one file mutated. A numeric mutation replaces a number."""
+    config = draw(st.sampled_from(FUZZ_CONFIGS))
+    documents = {"config.json": config, **FUZZ_FILES}
+    name = draw(st.one_of(st.just("config.json"), st.sampled_from(sorted(FUZZ_FILES))))
+    mutation = draw(st.sampled_from(FUZZ_MUTATIONS))
+    paths = list(fuzz_nodes(documents[name]))
+    if mutation in FUZZ_NUMERIC:
+        paths = [p for p in paths if type(fuzz_leaf(documents[name], p)) in (int, float)]
+    assume(paths)
+    path = draw(st.sampled_from(paths))
+    assume(not (mutation == "1e308" and path[-1] in FUZZ_LOOP_COUNTS))
+    documents[name] = mutated(documents[name], path, mutation)
+    return documents
+
+
+def exit_codes(directory, documents):
+    """Exit codes of ``run`` on the documents written into ``directory``
+    and, if it succeeds and the config has a zeroshot section, of
+    ``zeroshot-eval``; and what they wrote to stderr."""
+    for name, document in documents.items():
+        (directory / name).write_text(json.dumps(document))
+    cwd, stderr = os.getcwd(), io.StringIO()
+    os.chdir(directory)
+    try:
+        with contextlib.redirect_stderr(stderr):
+            codes = [main(["run", "--config", "config.json", "--out", "o"])]
+            if codes[0] == 0 and "zeroshot" in documents["config.json"]:
+                codes.append(main(["zeroshot-eval", "--config", "config.json", "--out", "z"]))
+    finally:
+        os.chdir(cwd)
+    return codes, stderr.getvalue()
 
 
 def dp_cat_config(tmp_path, **overrides):
@@ -646,6 +777,33 @@ class TestRunCommand:
                  "support": {"kind": "file", "path": "support_string.json"}},
                 id="support-atoms-string",
             ),
+            # Exited 1: a count of 1e308 reached numpy as a size, raising
+            # ValueError ("Maximum allowed dimension exceeded") or
+            # OverflowError. Found by the exit-code fuzz.
+            pytest.param(
+                {"algorithm": "dp-cat", "mdp": {"kind": "random", "n_states": 1e308, "dim": 1}},
+                id="mdp-n-states-1e308",
+            ),
+            pytest.param(
+                {"algorithm": "dp-cat", "mdp": {"kind": "random", "n_states": 2, "dim": 1},
+                 "support": {"kind": "grid", "m": 1e308}},
+                id="support-m-1e308",
+            ),
+            pytest.param(
+                {"algorithm": "td-cat", "mdp": {"kind": "dsm", "n_states": 2},
+                 "support": {"kind": "simplex-grid", "resolution": 1e308}, "td": {"steps": 10}},
+                id="support-resolution-1e308",
+            ),
+            pytest.param(
+                {"algorithm": "dp-ewp", "mdp": {"kind": "random", "n_states": 2, "dim": 1},
+                 "ewp": {"particles": 1e308, "iterations": 2}},
+                id="ewp-particles-1e308",
+            ),
+            pytest.param(
+                {"algorithm": "dp-ewp", "mdp": {"kind": "random", "n_states": 2, "dim": 1},
+                 "ewp": {"particles": 4, "iterations": 2}, "zeroshot": {"oracle_samples": 1e308}},
+                id="zeroshot-oracle-samples-1e308",
+            ),
             *(pytest.param(payload, id=name) for name, (payload, _) in MALFORMED_DOCUMENTS.items()),
         ],
     )
@@ -653,6 +811,18 @@ class TestRunCommand:
         # Every payload is a fault in the inputs, so a config error (2).
         # A payload that run does not read goes on to zeroshot-eval.
         assert run_then_zeroshot(tmp_path, monkeypatch, payload) == 2
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(fuzz_cases())
+    def test_fuzzed_documents_never_exit_1(self, documents):
+        # One node of a valid config, MDP, support or estimate document is
+        # swapped for another type, a non-finite or huge number, a negative,
+        # an empty list or an extra nesting level, or dropped or joined by
+        # an extra key. Whatever it reads, the CLI exits 0, 2 or 3.
+        with tempfile.TemporaryDirectory() as directory:
+            codes, stderr = exit_codes(Path(directory), documents)
+        assert set(codes) <= {0, 2, 3}
+        assert "Traceback" not in stderr
 
     @pytest.mark.parametrize("payload, field", MALFORMED_DOCUMENTS.values(), ids=list(MALFORMED_DOCUMENTS))
     def test_malformed_document_error_names_field(self, tmp_path, monkeypatch, capsys, payload, field):

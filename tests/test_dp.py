@@ -40,6 +40,7 @@ from util import (
     reference_merge_close_atoms,
     reference_signed_cross_sum,
     reference_signed_energy_sum,
+    signed_dp_affine_map,
     signed_dp_fixed_point,
 )
 
@@ -372,6 +373,39 @@ class TestCategoricalDpSolve:
         oracle = categorical(support, signed_dp_fixed_point(mdp, support, alpha))
         c = mdp.gamma ** (alpha / 2)
         assert sup_mmd(report.final, oracle, spec) <= tol * c / (1 - c)
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5])
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("kind", ["grid", "random"])
+    def test_signed_backup_spectral_radius(self, kind, dim, alpha):
+        # The signed backup's linear part A maps into per-state mass-zero
+        # weights, where sup-MMD is a norm that it contracts by
+        # c = gamma^(alpha / 2); so no eigenvalue of A exceeds c in modulus.
+        # The engine's step is read off as A w + b on unit vectors, so this
+        # pins its rate, which random weights far inside the bound in
+        # test_step_is_a_contraction do not.
+        for seed in range(3):
+            mdp = random_mdp(3, dim, 0.8, 1.0, rng_stream(100 + 10 * seed + dim))
+            if kind == "grid":
+                support = SupportMap.uniform_grid(3, dim, 3**dim, mdp.v_max)
+            else:
+                support = SupportMap.random(3, dim, 6, mdp.v_max, rng_stream(130 + seed))
+            a, b, offsets = signed_dp_affine_map(mdp, support, alpha)
+            engine = CategoricalEngine(mdp, support, energy_kernel(alpha), "signed")
+
+            def step(w):
+                split = [w[offsets[x]:offsets[x + 1]] for x in range(mdp.n_states)]
+                return np.concatenate(engine.step_weights(split))
+
+            base = step(np.zeros(offsets[-1]))
+            columns = [step(e) - base for e in np.eye(offsets[-1])]
+            engine_a = np.stack(columns, axis=1)
+            scale = np.max(np.abs(a)) + np.max(np.abs(b))
+            np.testing.assert_allclose(base, b, rtol=0, atol=1e-9 * scale)
+            np.testing.assert_allclose(engine_a, a, rtol=0, atol=1e-9 * scale)
+            for matrix in (a, engine_a):
+                radius = np.max(np.abs(np.linalg.eigvals(matrix)))
+                assert radius <= mdp.gamma ** (alpha / 2) * (1 + 1e-9)
 
 
 class TestEwpRandomStep:

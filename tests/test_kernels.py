@@ -1,5 +1,7 @@
 """Semimetric, induced-kernel, and MMD behavior."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -284,11 +286,9 @@ class TestSignedEnergySumBlocks:
     def small_blocks(self, monkeypatch):
         from mmdrl import kernels as kernels_module
 
-        # 256 entries: 2 to 15 rows per block, several blocks per call; 64
-        # entries: 1 to 3 rows per slab, so a block spans several slabs and
-        # copies a mirrored region.
+        # 256 entries: 2 to 15 rows per block, several blocks per call, so
+        # every sum has diagonal blocks and blocks past them.
         monkeypatch.setattr(kernels_module, "_BLOCK_ENTRIES", 256)
-        monkeypatch.setattr(kernels_module, "_SLAB_ENTRIES", 64)
 
     @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5])
     def test_bitwise_equal_at_d2(self, alpha):
@@ -298,9 +298,11 @@ class TestSignedEnergySumBlocks:
             atoms = rng.normal(size=(n, 2)) * rng.choice([1e-3, 1.0, 1e3])
             w = rng.normal(size=n)
             assert n > 256 // n
-            assert signed_energy_sum(atoms, w, alpha) == difference_tensor_energy_sum(
-                atoms, w, alpha
-            )
+            got = signed_energy_sum(atoms, w, alpha)
+            assert got == reference_signed_energy_sum(atoms, w, alpha)
+            # The full-row order of the difference tensor differs at round-off.
+            ref = difference_tensor_energy_sum(atoms, w, alpha)
+            assert abs(got - ref) <= 1e-12 * abs(ref)
 
     @pytest.mark.parametrize("alpha", [0.5, 1.5])
     def test_bitwise_equal_at_d1(self, alpha):
@@ -309,9 +311,10 @@ class TestSignedEnergySumBlocks:
             n = int(rng.integers(17, 90))
             atoms = rng.normal(size=(n, 1))
             w = rng.normal(size=n)
-            assert signed_energy_sum(atoms, w, alpha) == difference_tensor_energy_sum(
-                atoms, w, alpha
-            )
+            got = signed_energy_sum(atoms, w, alpha)
+            assert got == reference_signed_energy_sum(atoms, w, alpha)
+            ref = difference_tensor_energy_sum(atoms, w, alpha)
+            assert abs(got - ref) <= 1e-12 * abs(ref)
 
     @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5])
     def test_close_at_d3(self, alpha):
@@ -384,19 +387,58 @@ class TestSignedCrossSum:
             assert abs(signed_cross_sum(a, wa, b, wb, 1.0) - dense) <= 1e-13 * scale
 
     @pytest.mark.parametrize("dim, alpha", [(1, 1.0), (1, 0.5), (2, 1.0), (3, 1.5)])
-    def test_joint_energy_splits_into_self_and_cross(self, dim, alpha):
-        # S(a + b) = S(a) + S(b) + 2 C(a, b) for positive weights on both.
+    def test_joint_energy_splits_into_self_and_cross(self, monkeypatch, dim, alpha):
+        # S(a + b) = S(a) + S(b) + 2 C(a, b), for positive weights on both and
+        # for signed ones, within round-off of the sum of |w_i w_j| rho_ij.
+        # With 256 entries the sums span 3 to 14 row blocks.
+        from mmdrl import kernels as kernels_module
+
         rng = np.random.default_rng(17)
-        for _ in range(10):
-            a, b = rng.normal(size=(23, dim)), rng.normal(size=(31, dim))
-            wa, wb = rng.uniform(0.1, 1.0, size=23), rng.uniform(0.1, 1.0, size=31)
-            joint = signed_energy_sum(np.concatenate([a, b]), np.concatenate([wa, wb]), alpha)
-            split = (
-                signed_energy_sum(a, wa, alpha)
-                + signed_energy_sum(b, wb, alpha)
-                + 2.0 * signed_cross_sum(a, wa, b, wb, alpha)
-            )
-            assert split == pytest.approx(joint, rel=1e-12)
+        for budget, signed in [(kernels_module._BLOCK_ENTRIES, False), (256, False), (256, True)]:
+            monkeypatch.setattr(kernels_module, "_BLOCK_ENTRIES", budget)
+            for _ in range(10):
+                a, b = rng.normal(size=(23, dim)), rng.normal(size=(31, dim))
+                wa, wb = rng.uniform(0.1, 1.0, size=23), rng.uniform(0.1, 1.0, size=31)
+                if signed:
+                    wa, wb = wa * rng.choice([-1.0, 1.0], 23), wb * rng.choice([-1.0, 1.0], 31)
+                atoms, weights = np.concatenate([a, b]), np.concatenate([wa, wb])
+                joint = signed_energy_sum(atoms, weights, alpha)
+                split = (
+                    signed_energy_sum(a, wa, alpha)
+                    + signed_energy_sum(b, wb, alpha)
+                    + 2.0 * signed_cross_sum(a, wa, b, wb, alpha)
+                )
+                scale = signed_energy_sum(atoms, np.abs(weights), alpha)
+                assert abs(split - joint) <= 1e-12 * scale
+
+
+class TestBlockMemory:
+    # Besides the two blocks: numpy's iterator buffers for a broadcast
+    # subtraction (at most 3 x 8192 doubles), the products' vectors of
+    # length n and small bookkeeping.
+    SLACK = 256 * 1024
+
+    @pytest.mark.parametrize("alpha", [1.0, 1.5])
+    def test_sums_hold_at_most_two_blocks(self, alpha):
+        from mmdrl import kernels as kernels_module
+
+        rng = np.random.default_rng(18)
+        a, b = rng.normal(size=(2, 3000, 2))
+        wa, wb = rng.normal(size=(2, 3000))
+        bound = 2 * kernels_module._BLOCK_ENTRIES * 8 + self.SLACK
+        # Two blocks stay under 1 MB, against 72 MB for all n^2 entries.
+        assert bound <= 2**20 + self.SLACK
+        for call in (
+            lambda: signed_energy_sum(a, wa, alpha),
+            lambda: signed_cross_sum(a, wa, b, wb, alpha),
+        ):
+            tracemalloc.start()
+            try:
+                call()
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak <= bound
 
 
 @st.composite

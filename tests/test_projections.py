@@ -541,3 +541,66 @@ class TestSimplexSolverProperties:
         )
         assert residuals[0] <= KKT_ACCEPT
         np.testing.assert_allclose(rows[0], cold, atol=1e-9)
+
+
+@st.composite
+def signed_targets(draw, n_atoms, dim):
+    """Mass-1 signed weights on ``n_atoms`` lattice atoms at ``dim``."""
+    atoms = np.array(
+        draw(st.lists(st.tuples(*[st.integers(-8, 24)] * dim), min_size=n_atoms, max_size=n_atoms)),
+        dtype=float,
+    ) / 8.0
+    raw = np.array(draw(st.lists(st.integers(-10, 10), min_size=n_atoms, max_size=n_atoms))) / 10.0
+    return DiscreteMeasure(atoms, raw + (1.0 - raw.sum()) / n_atoms)
+
+
+@st.composite
+def signed_instances(draw):
+    """(support, alpha, two signed targets on one atom set, a third on
+    another) at d in {1, 2, 3} and alpha in {0.5, 1, 1.5}."""
+    dim = draw(st.sampled_from((1, 2, 3)))
+    support, _, alpha = draw(projection_instances(dim=dim))
+    n = draw(st.integers(1, 4))
+    p = draw(signed_targets(n, dim))
+    q = draw(signed_targets(n, dim))
+    q = DiscreteMeasure(p.atoms, q.weights)
+    r = draw(signed_targets(draw(st.integers(1, 4)), dim))
+    return support, alpha, p, q, r
+
+
+class TestSignedProjectorProperties:
+    @PROPERTY_SETTINGS
+    @given(signed_instances(), st.sampled_from((-1.0, 0.3, 0.5, 2.0)))
+    def test_affine_in_target_weights(self, instance, lam):
+        support, alpha, p, q, _ = instance
+        projector = SignedProjector(support, energy_kernel(alpha))
+        blend = projector.project(p.atoms, lam * p.weights + (1 - lam) * q.weights).weights
+        left = projector.project(p.atoms, p.weights).weights
+        right = projector.project(q.atoms, q.weights).weights
+        scale = 1.0 + np.max(np.abs(left)) + np.max(np.abs(right))
+        np.testing.assert_allclose(blend, lam * left + (1 - lam) * right, rtol=0, atol=1e-9 * scale)
+
+    @PROPERTY_SETTINGS
+    @given(signed_instances())
+    def test_stationary_on_the_support(self, instance):
+        # The gradient 2 (K p - q) of p^T K p - 2 p^T q, with K = -R / 2 and
+        # q = K_c w from the test's own distances, is normal to the mass-1
+        # plane: constant across the support up to round-off.
+        support, alpha, p, _, _ = instance
+        out = SignedProjector(support, energy_kernel(alpha)).project(p.atoms, p.weights).weights
+        k = -0.5 * semimetric_matrix(support, support, alpha)
+        q = -0.5 * semimetric_matrix(support, p.atoms, alpha) @ p.weights
+        grad = 2.0 * (k @ out - q)
+        scale = 1.0 + np.max(np.abs(k)) * np.sum(np.abs(out)) + np.max(np.abs(q))
+        assert abs(out.sum() - 1.0) <= 1e-12 * np.sum(np.abs(out))
+        assert np.ptp(grad) <= 1e-9 * scale
+
+    @PROPERTY_SETTINGS
+    @given(signed_instances())
+    def test_mmd_nonexpansive(self, instance):
+        support, alpha, p, _, r = instance
+        spec = energy_kernel(alpha)
+        projector = SignedProjector(support, spec)
+        out_p = DiscreteMeasure(support, projector.project(p.atoms, p.weights).weights)
+        out_r = DiscreteMeasure(support, projector.project(r.atoms, r.weights).weights)
+        assert mmd(out_p, out_r, spec) <= mmd(p, r, spec) + 1e-9

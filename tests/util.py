@@ -110,13 +110,31 @@ def reference_merged_cramer_distance(p, q):
 
 
 # Reference bodies of kernels.signed_energy_sum and kernels.merge_close_atoms
-# before the slab fill and the lexsort merge: each block computed in full,
-# one coordinate at a time, and buckets found by np.unique over rows.
+# before the shared block fill and the lexsort merge: every entry computed
+# directly, one coordinate at a time, and buckets found by np.unique over rows.
+
+
+def _reference_rho(a, b, alpha):
+    dist = None
+    for col_a, col_b in zip(a.T, b.T):
+        dk = col_a[:, None] - col_b[None, :]
+        dk *= dk
+        if dist is None:
+            dist = dk
+        else:
+            dist += dk
+    np.sqrt(dist, out=dist)
+    if alpha != 1.0:
+        dist **= alpha
+    return dist
 
 
 def reference_signed_energy_sum(atoms, weights, alpha):
-    """``signed_energy_sum`` with every block entry computed directly, in
-    blocks of the current ``kernels._BLOCK_ENTRIES``."""
+    """``signed_energy_sum`` with every entry computed directly, summed over
+    the upper triangle in row blocks of the current ``kernels._BLOCK_ENTRIES``:
+    per block, the diagonal block's product, then twice the product with the
+    columns past it, both read from one (rows, columns from the block on)
+    array as the kernel reads them."""
     from mmdrl import kernels
 
     n, d = atoms.shape
@@ -133,18 +151,11 @@ def reference_signed_energy_sum(atoms, weights, alpha):
     total = 0.0
     for start in range(0, n, block):
         stop = min(start + block, n)
-        dist = None
-        for col in atoms.T:
-            dk = col[start:stop, None] - col[None, :]
-            dk *= dk
-            if dist is None:
-                dist = dk
-            else:
-                dist += dk
-        np.sqrt(dist, out=dist)
-        if alpha != 1.0:
-            dist **= alpha
-        total += float(weights[start:stop] @ dist @ weights)
+        w = weights[start:stop]
+        dist = _reference_rho(atoms[start:stop], atoms[start:], alpha)
+        total += float(w @ dist[:, : stop - start] @ w)
+        if stop < n:
+            total += 2.0 * float(w @ dist[:, stop - start :] @ weights[stop:])
     return total
 
 
@@ -157,18 +168,7 @@ def reference_signed_cross_sum(a, wa, b, wb, alpha):
     total = 0.0
     for start in range(0, a.shape[0], block):
         stop = min(start + block, a.shape[0])
-        dist = None
-        for col_a, col_b in zip(a.T, b.T):
-            dk = col_a[start:stop, None] - col_b[None, :]
-            dk *= dk
-            if dist is None:
-                dist = dk
-            else:
-                dist += dk
-        np.sqrt(dist, out=dist)
-        if alpha != 1.0:
-            dist **= alpha
-        total += float(wa[start:stop] @ dist @ wb)
+        total += float(wa[start:stop] @ _reference_rho(a[start:stop], b, alpha) @ wb)
     return total
 
 
@@ -316,8 +316,9 @@ def oracle_distance(report, oracle, spec):
 # fixed point solves (I - A) w = b.
 
 
-def signed_dp_fixed_point(mdp, support, alpha):
-    """Per-state weights of the signed categorical DP fixed point."""
+def signed_dp_affine_map(mdp, support, alpha):
+    """(A, b, offsets) of the signed categorical backup w -> A w + b on the
+    stacked per-state weights, state x's at offsets[x]:offsets[x + 1]."""
     sizes = [support[x].shape[0] for x in range(mdp.n_states)]
     offsets = np.concatenate(([0], np.cumsum(sizes)))
     a = np.zeros((offsets[-1], offsets[-1]))
@@ -337,5 +338,11 @@ def signed_dp_fixed_point(mdp, support, alpha):
             cross = semimetric_matrix(support[x], shifted, alpha)
             block = -mdp.transition[x, y] * gain @ cross
             a[offsets[x]:offsets[x + 1], offsets[y]:offsets[y + 1]] = block
+    return a, b, offsets
+
+
+def signed_dp_fixed_point(mdp, support, alpha):
+    """Per-state weights of the signed categorical DP fixed point."""
+    a, b, offsets = signed_dp_affine_map(mdp, support, alpha)
     w = np.linalg.solve(np.eye(offsets[-1]) - a, b)
     return [w[offsets[x]:offsets[x + 1]] for x in range(mdp.n_states)]
