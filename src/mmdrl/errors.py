@@ -66,14 +66,16 @@ def json_real(value) -> float:
 
 def json_integer(value) -> int:
     """A JSON integer, or a number with an integral value such as 1e4.
-    Booleans, strings, fractions and integers beyond the int64 range, which
-    no count or index can take, raise rather than truncate."""
+    Booleans, strings, fractions and integers of 2^60 or more, which no
+    count can take, raise rather than truncate: numpy refuses an array of
+    more than (2^63 - 1) // 8 doubles with a ValueError before it
+    allocates."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise TypeError(f"expected an integer, got {value!r}")
     if isinstance(value, float) and not value.is_integer():
         raise ValueError(f"expected an integer, got {value!r}")
-    if abs(value) > 2**63 - 1:
-        raise ValueError(f"integer out of the int64 range: {value!r}")
+    if abs(value) >= 2**60:
+        raise ValueError(f"integer beyond any array's length: {value!r}")
     return int(value)
 
 

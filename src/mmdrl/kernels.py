@@ -20,7 +20,8 @@ measures of equal mass
 The energy and cross sums behind it never hold a whole matrix: one
 budget, ``_BLOCK_ENTRIES``, bounds the row blocks of rho they fill, the
 energy sum walks only the upper triangle, and each call holds at most
-2 ``_BLOCK_ENTRIES`` doubles.
+2 ``_BLOCK_ENTRIES`` doubles, filled from contiguous coordinate rows
+without numpy's ufunc buffering.
 """
 
 from __future__ import annotations
@@ -106,15 +107,25 @@ def _prefix_sums(x: np.ndarray) -> np.ndarray:
 def _rho_block(a: np.ndarray, b: np.ndarray, alpha: float, buffer: np.ndarray) -> np.ndarray:
     """rho_alpha(a_i, b_j) as an ``(len(a), len(b))`` view of ``buffer[0]``:
     squared differences summed from coordinate 0 on, then the square root
-    and the power. ``buffer[1]`` is scratch for the coordinates past 0."""
+    and the power. ``buffer[1]`` is scratch for the coordinates past 0.
+
+    The differences, squares and sums run on contiguous coordinate rows
+    with the ufunc buffer size at 16, restored after: at the default 8192,
+    numpy 2.4.6 sends a broadcast subtraction whose block row has at most
+    about 2730 entries through its buffered iterator, which copies it
+    through about 128 KiB of buffers. The bytes are the same either way."""
     dist, tmp = (row[: a.shape[0] * b.shape[0]].reshape(a.shape[0], b.shape[0]) for row in buffer)
-    cols_a, cols_b = a.T, b.T
-    np.subtract(cols_a[0, :, None], cols_b[0], out=dist)
-    dist *= dist
-    for col_a, col_b in zip(cols_a[1:], cols_b[1:]):
-        np.subtract(col_a[:, None], col_b, out=tmp)
-        tmp *= tmp
-        dist += tmp
+    rows_a, rows_b = np.ascontiguousarray(a.T), np.ascontiguousarray(b.T)
+    size = np.setbufsize(16)
+    try:
+        np.subtract(rows_a[0, :, None], rows_b[0], out=dist)
+        dist *= dist
+        for row_a, row_b in zip(rows_a[1:], rows_b[1:]):
+            np.subtract(row_a[:, None], row_b, out=tmp)
+            tmp *= tmp
+            dist += tmp
+    finally:
+        np.setbufsize(size)
     np.sqrt(dist, out=dist)
     if alpha != 1.0:
         dist **= alpha

@@ -163,7 +163,7 @@ FUZZ_FILES = {
     "mdp.json": {
         "n_states": 2, "d": 2, "gamma": 0.8, "r_max": 1.0,
         "transition": [[0.5, 0.5], [0.25, 0.75]],
-        "cumulants": [[0.5, -0.25], [0.0, 1.0]],
+        "cumulants": [[0.5, 0.25], [0.0, 1.0]],
     },
     "support.json": {"atoms": [[[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]] * 2},
     "estimate.json": {
@@ -199,9 +199,18 @@ FUZZ_CONFIGS = [
 FUZZ_LOOP_COUNTS = {"steps", "iterations", "max_iter", "reward_draws"}
 FUZZ_MUTATIONS = (
     "string", "boolean", "object", "nan", "inf", "-inf", "1e308", "-1e308",
-    "negative", "empty-list", "nested", "drop", "add-key",
+    "negative", "miscount", "empty-list", "nested", "drop", "add-key",
 )
 FUZZ_NUMERIC = {"nan", "inf", "-inf", "1e308", "-1e308", "negative"}
+# Each command's exit code for each kind of --out target on valid inputs:
+# run and zeroshot-eval write into a directory, gen-mdp and mesh-report
+# (over)write a file.
+OUT_CODES = {
+    "run": {"new": 0, "file": 2, "below-file": 2, "directory": 0},
+    "zeroshot-eval": {"new": 0, "file": 2, "below-file": 2, "directory": 0},
+    "gen-mdp": {"new": 0, "file": 0, "below-file": 2, "directory": 2},
+    "mesh-report": {"new": 0, "file": 0, "below-file": 2, "directory": 2},
+}
 
 
 def fuzz_nodes(document, path=()):
@@ -231,6 +240,9 @@ def mutated(document, path, mutation):
             parent.append(value)
     elif mutation == "negative":
         parent[key] = -value if isinstance(value, (int, float)) and not isinstance(value, bool) else -1
+    elif mutation == "miscount":
+        # A count one past the length of the list it counts, and so on.
+        parent[key] = value + 1
     else:
         parent[key] = {
             "string": "x", "boolean": True, "object": {}, "nan": float("nan"),
@@ -250,7 +262,8 @@ def fuzz_leaf(document, path):
 @st.composite
 def fuzz_cases(draw):
     """The config and the files, with one node of the config (half the
-    cases) or of one file mutated. A numeric mutation replaces a number."""
+    cases) or of one file mutated, and the kind of --out target. A numeric
+    mutation replaces a number, a miscount an integer."""
     config = draw(st.sampled_from(FUZZ_CONFIGS))
     documents = {"config.json": config, **FUZZ_FILES}
     name = draw(st.one_of(st.just("config.json"), st.sampled_from(sorted(FUZZ_FILES))))
@@ -258,26 +271,46 @@ def fuzz_cases(draw):
     paths = list(fuzz_nodes(documents[name]))
     if mutation in FUZZ_NUMERIC:
         paths = [p for p in paths if type(fuzz_leaf(documents[name], p)) in (int, float)]
+    if mutation == "miscount":
+        paths = [p for p in paths if type(fuzz_leaf(documents[name], p)) is int]
     assume(paths)
     path = draw(st.sampled_from(paths))
     assume(not (mutation == "1e308" and path[-1] in FUZZ_LOOP_COUNTS))
     documents[name] = mutated(documents[name], path, mutation)
-    return documents
+    return documents, draw(st.sampled_from(sorted(OUT_CODES["run"])))
 
 
-def exit_codes(directory, documents):
-    """Exit codes of ``run`` on the documents written into ``directory``
-    and, if it succeeds and the config has a zeroshot section, of
-    ``zeroshot-eval``; and what they wrote to stderr."""
+def out_target(directory, kind, command):
+    """An --out path of ``kind`` in ``directory`` for ``command``: a new
+    path, an existing file, a path below that file or an existing
+    directory."""
+    (directory / "taken").touch()
+    (directory / "dir").mkdir(exist_ok=True)
+    return {"new": f"new-{command}", "file": "taken", "below-file": "taken/out", "directory": "dir"}[kind]
+
+
+def exit_codes(directory, documents, out="new"):
+    """Exit codes of ``run``, ``zeroshot-eval`` (if the config has a zeroshot
+    section), ``gen-mdp`` and ``mesh-report`` (on mdp.json) on the documents
+    written into ``directory``, each with an --out target of kind ``out``;
+    and what they wrote to stderr."""
     for name, document in documents.items():
         (directory / name).write_text(json.dumps(document))
-    cwd, stderr = os.getcwd(), io.StringIO()
+    commands = {
+        "run": ["--config", "config.json"],
+        "zeroshot-eval": ["--config", "config.json"],
+        "gen-mdp": ["--n-states", "2", "--dim", "1"],
+        "mesh-report": ["--mdp", "mdp.json", "--support-m", "4"],
+    }
+    if "zeroshot" not in documents["config.json"]:
+        del commands["zeroshot-eval"]
+    cwd, stderr, codes = os.getcwd(), io.StringIO(), {}
     os.chdir(directory)
     try:
-        with contextlib.redirect_stderr(stderr):
-            codes = [main(["run", "--config", "config.json", "--out", "o"])]
-            if codes[0] == 0 and "zeroshot" in documents["config.json"]:
-                codes.append(main(["zeroshot-eval", "--config", "config.json", "--out", "z"]))
+        with contextlib.redirect_stderr(stderr), contextlib.redirect_stdout(io.StringIO()):
+            for command, args in commands.items():
+                target = out_target(directory, out, command)
+                codes[command] = main([command, *args, "--out", target])
     finally:
         os.chdir(cwd)
     return codes, stderr.getvalue()
@@ -804,6 +837,32 @@ class TestRunCommand:
                  "ewp": {"particles": 4, "iterations": 2}, "zeroshot": {"oracle_samples": 1e308}},
                 id="zeroshot-oracle-samples-1e308",
             ),
+            # Exited 1: counts below 2^63 whose arrays of doubles pass
+            # numpy's largest byte size, raising ValueError ("array is too
+            # big") before any allocation.
+            pytest.param(
+                {"algorithm": "dp-cat", "mdp": {"kind": "random", "n_states": 2**62, "dim": 1}},
+                id="mdp-n-states-2-62",
+            ),
+            pytest.param(
+                {"algorithm": "dp-cat", "mdp": {"kind": "random", "n_states": 2, "dim": 2**62}},
+                id="mdp-dim-2-62",
+            ),
+            pytest.param(
+                {"algorithm": "dp-cat", "mdp": {"kind": "random", "n_states": 2, "dim": 1},
+                 "support": {"kind": "grid", "m": 2**62}},
+                id="support-m-2-62",
+            ),
+            pytest.param(
+                {"algorithm": "dp-ewp", "mdp": {"kind": "random", "n_states": 2, "dim": 1},
+                 "ewp": {"particles": 2**62, "iterations": 2}},
+                id="ewp-particles-2-62",
+            ),
+            pytest.param(
+                {"algorithm": "dp-ewp", "mdp": {"kind": "random", "n_states": 2, "dim": 1},
+                 "ewp": {"particles": 4, "iterations": 2}, "zeroshot": {"oracle_samples": 2**62}},
+                id="zeroshot-oracle-samples-2-62",
+            ),
             *(pytest.param(payload, id=name) for name, (payload, _) in MALFORMED_DOCUMENTS.items()),
         ],
     )
@@ -814,15 +873,30 @@ class TestRunCommand:
 
     @settings(derandomize=True, max_examples=200, deadline=None)
     @given(fuzz_cases())
-    def test_fuzzed_documents_never_exit_1(self, documents):
+    def test_fuzzed_documents_never_exit_1(self, case):
         # One node of a valid config, MDP, support or estimate document is
         # swapped for another type, a non-finite or huge number, a negative,
-        # an empty list or an extra nesting level, or dropped or joined by
-        # an extra key. Whatever it reads, the CLI exits 0, 2 or 3.
+        # a count one too many, an empty list or an extra nesting level, or
+        # dropped or joined by an extra key; --out is a new path, an existing
+        # file, a path below a file or an existing directory. Whatever it
+        # reads, the CLI exits 0, 2 or 3, and an unusable --out is refused
+        # whatever the documents hold.
+        documents, out = case
         with tempfile.TemporaryDirectory() as directory:
-            codes, stderr = exit_codes(Path(directory), documents)
-        assert set(codes) <= {0, 2, 3}
+            codes, stderr = exit_codes(Path(directory), documents, out)
+        assert set(codes.values()) <= {0, 2, 3}
         assert "Traceback" not in stderr
+        assert codes["gen-mdp"] == OUT_CODES["gen-mdp"][out]
+        for command, code in codes.items():
+            if OUT_CODES[command][out] == 2:
+                assert code == 2
+
+    @pytest.mark.parametrize("out", sorted(OUT_CODES["run"]))
+    def test_out_target_exit_codes(self, tmp_path, out):
+        # The fuzz's valid dp-cat documents with a zeroshot section.
+        documents = {"config.json": FUZZ_CONFIGS[0], **FUZZ_FILES}
+        codes, stderr = exit_codes(tmp_path, documents, out)
+        assert codes == {command: OUT_CODES[command][out] for command in OUT_CODES}, stderr
 
     @pytest.mark.parametrize("payload, field", MALFORMED_DOCUMENTS.values(), ids=list(MALFORMED_DOCUMENTS))
     def test_malformed_document_error_names_field(self, tmp_path, monkeypatch, capsys, payload, field):
@@ -883,6 +957,10 @@ class TestRunCommand:
             ({"algorithm": "td-cat", "td": {"steps": "12"}}, "td.steps"),
             ({"algorithm": "dp-cat", "support": {"kind": "grid", "m": 4.5}}, "support.m"),
             ({"algorithm": "dp-cat", "dp": {"max_iter": float("inf")}}, "dp.max_iter"),
+            ({"algorithm": "dp-cat", "mdp": {"kind": "random", "dim": 2**62}}, "mdp.dim"),
+            ({"algorithm": "dp-cat", "support": {"kind": "random", "m": 2**60}}, "support.m"),
+            ({"algorithm": "td-ewp", "td": {"steps": 10, "particles": 2**62}}, "td.particles"),
+            ({"algorithm": "dp-cat", "zeroshot": {"oracle_samples": 2**62}}, "zeroshot.oracle_samples"),
         ],
     )
     def test_out_of_bounds_and_unknown_keys_exit_2(self, tmp_path, capsys, payload, key):

@@ -412,10 +412,20 @@ class TestSignedCrossSum:
                 assert abs(split - joint) <= 1e-12 * scale
 
 
+def peak_traced_bytes(call):
+    """The most memory ``call()`` holds at once, by ``tracemalloc``."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestBlockMemory:
-    # Besides the two blocks: numpy's iterator buffers for a broadcast
-    # subtraction (at most 3 x 8192 doubles), the products' vectors of
-    # length n and small bookkeeping.
+    # Besides the two blocks: the contiguous coordinate rows a block is
+    # filled from ((rows + n) d doubles), the products' vectors of length
+    # n and small bookkeeping.
     SLACK = 256 * 1024
 
     @pytest.mark.parametrize("alpha", [1.0, 1.5])
@@ -428,17 +438,85 @@ class TestBlockMemory:
         bound = 2 * kernels_module._BLOCK_ENTRIES * 8 + self.SLACK
         # Two blocks stay under 1 MB, against 72 MB for all n^2 entries.
         assert bound <= 2**20 + self.SLACK
-        for call in (
-            lambda: signed_energy_sum(a, wa, alpha),
-            lambda: signed_cross_sum(a, wa, b, wb, alpha),
-        ):
-            tracemalloc.start()
-            try:
-                call()
-                _, peak = tracemalloc.get_traced_memory()
-            finally:
-                tracemalloc.stop()
-            assert peak <= bound
+        assert peak_traced_bytes(lambda: signed_energy_sum(a, wa, alpha)) <= bound
+        assert peak_traced_bytes(lambda: signed_cross_sum(a, wa, b, wb, alpha)) <= bound
+
+    @pytest.mark.parametrize("n", [209, 412])
+    def test_sums_hold_no_iterator_buffers(self, n):
+        # particle-dp-d2's sizes: the median and about the largest merged
+        # set. Buffered, each broadcast subtraction held about 128 KB of
+        # iterator buffers; unbuffered, a sum holds its two row blocks, the
+        # contiguous coordinate rows and the products' vectors.
+        from mmdrl import kernels as kernels_module
+
+        rng = np.random.default_rng(21)
+        a, b = rng.normal(size=(2, n, 2))
+        wa, wb = rng.normal(size=(2, n))
+        rows = min(max(1, kernels_module._BLOCK_ENTRIES // n), n)
+        bound = 2 * rows * n * 8 + 32 * 1024
+        assert peak_traced_bytes(lambda: signed_energy_sum(a, wa, 1.0)) <= bound
+        assert peak_traced_bytes(lambda: signed_cross_sum(a, wa, b, wb, 1.0)) <= bound
+
+
+class TestUnbufferedFill:
+    # _rho_block fills its blocks from contiguous coordinate rows with the
+    # ufunc buffer size lowered. The bytes must be those of the reference's
+    # plain broadcast subtractions, which numpy buffers for block rows of at
+    # most 8192 // 3 = 2730 entries at its default buffer size, whatever
+    # the atoms' memory layout.
+    LAYOUTS = {
+        "c": lambda x: x,
+        "fortran": np.asfortranarray,
+        "reversed-columns": lambda x: x[:, ::-1],
+        "every-other-row": lambda x: np.repeat(x, 2, axis=0)[::2],
+    }
+
+    @pytest.mark.parametrize("columns", [2730, 2731])
+    @pytest.mark.parametrize("layout", sorted(LAYOUTS))
+    @pytest.mark.parametrize("dim, alpha", [(1, 0.5), (1, 1.5), (2, 1.0), (2, 1.5), (3, 0.5), (3, 1.0)])
+    def test_bitwise_equal_to_reference(self, columns, layout, dim, alpha):
+        rng = np.random.default_rng(19)
+        view = self.LAYOUTS[layout]
+        atoms = view(rng.normal(size=(columns, dim)))
+        rows = view(rng.normal(size=(40, dim)) * 3.0)
+        w, wr = rng.normal(size=columns), rng.normal(size=40)
+        # The first energy block's rows hold all columns, later ones fewer.
+        assert signed_energy_sum(atoms, w, alpha) == reference_signed_energy_sum(atoms, w, alpha)
+        assert signed_cross_sum(rows, wr, atoms, w, alpha) == reference_signed_cross_sum(
+            rows, wr, atoms, w, alpha
+        )
+
+    def test_buffer_size_restored(self):
+        rng = np.random.default_rng(20)
+        atoms, w = rng.normal(size=(50, 2)), rng.normal(size=50)
+        size = np.getbufsize()
+        try:
+            for caller_size in (size, 4096):
+                np.setbufsize(caller_size)
+                signed_energy_sum(atoms, w, 1.5)
+                assert np.getbufsize() == caller_size
+                signed_cross_sum(atoms, w, atoms[:7], w[:7], 1.0)
+                assert np.getbufsize() == caller_size
+        finally:
+            np.setbufsize(size)
+
+    def test_buffer_size_restored_when_fill_raises(self):
+        # inf - inf is invalid, so with invalid="raise" the fill's first
+        # subtraction raises inside the lowered buffer size. np.errstate is
+        # not used: in numpy 2 it restores the buffer size on its own.
+        atoms = np.array([[np.inf, 0.0], [1.0, 2.0], [0.0, 1.0]])
+        w = np.array([0.5, 0.25, 0.25])
+        size = np.getbufsize()
+        state = np.seterr(invalid="raise")
+        try:
+            with pytest.raises(FloatingPointError):
+                signed_energy_sum(atoms, w, 1.0)
+            assert np.getbufsize() == size
+            with pytest.raises(FloatingPointError):
+                signed_cross_sum(atoms, w, atoms[:1], w[:1], 1.0)
+            assert np.getbufsize() == size
+        finally:
+            np.seterr(**state)
 
 
 @st.composite
