@@ -15,7 +15,7 @@ import os
 import sys
 from pathlib import Path
 
-from .config import ExperimentConfig, load_config, resolve_config, resolve_mdp
+from .config import ExperimentConfig, load_config, resolve_config, resolve_section
 from .errors import (
     ConsistencyError,
     InvalidInputError,
@@ -31,7 +31,6 @@ from .experiments import (
     zeroshot_run,
 )
 from .kernels import KernelSpec
-from .mdp import TabularMDP
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -147,7 +146,7 @@ def _cmd_zeroshot(args) -> int:
 
 
 def _cmd_gen_mdp(args) -> int:
-    section = resolve_mdp({
+    section = resolve_section("mdp", {
         "kind": "dsm" if args.dsm else "random", "n_states": args.n_states,
         "dim": args.dim, "gamma": args.gamma, "r_max": args.r_max,
         "dirichlet_concentration": args.concentration,
@@ -158,16 +157,17 @@ def _cmd_gen_mdp(args) -> int:
 
 
 def _cmd_mesh(args) -> int:
-    mdp = TabularMDP.load(args.mdp)
+    """The flags pass the config's rules for the ``support`` and ``kernel``
+    sections, and the MDP file those for a file MDP (its v_max overflow
+    check included) before any support is built."""
+    support_cfg = resolve_section("support", {
+        "kind": args.support_kind, "m": args.support_m, "resolution": args.support_resolution,
+    })
+    spec = KernelSpec(resolve_section("kernel", {"alpha": args.alpha})["alpha"])
     if args.out:
         _check_out(args.out)
-    support_cfg = {
-        "kind": args.support_kind,
-        "m": args.support_m,
-        "resolution": args.support_resolution,
-    }
-    support = build_support(support_cfg, mdp, args.seed)
-    report = mesh_and_bound(support, mdp, KernelSpec(args.alpha))
+    mdp = build_mdp(resolve_section("mdp", {"kind": "file", "path": args.mdp}), args.seed)
+    report = mesh_and_bound(build_support(support_cfg, mdp, args.seed), mdp, spec)
     text = json.dumps(dataclasses.asdict(report), indent=2)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:

@@ -7,7 +7,6 @@ resolved config.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .errors import InvalidInputError, json_integer, json_real, malformed_as_invalid, read_json
@@ -56,15 +55,6 @@ def _flag(value) -> bool:
     return value
 
 
-def _point(value) -> list:
-    if not isinstance(value, list):
-        raise TypeError(f"expected a list, got {value!r}")
-    point = [json_real(v) for v in value]
-    if not all(map(math.isfinite, point)):
-        raise ValueError(f"expected finite numbers, got {value!r}")
-    return point
-
-
 def _seed_path(value) -> str:
     """A path whose only format field is ``{seed}``: another field or a
     bad format spec fails here, as ``KeyError('run')`` for ``{run}``."""
@@ -107,10 +97,7 @@ _MDP = {"kind": {
     },
     "file": {"path": _PATH},
 }}
-_KERNEL = {
-    "alpha": (json_real, 1.0, "(0, 2)"),
-    "reference_point": (_point, None, None),
-}
+_KERNEL = {"alpha": (json_real, 1.0, "(0, 2)")}
 _SUPPORT = {"kind": {
     "grid": {"m": _ATOMS},
     "random": {"m": _ATOMS},
@@ -187,10 +174,15 @@ def _resolve(raw, table, where: str) -> dict:
     return out
 
 
-def resolve_mdp(raw) -> dict:
-    """The resolved ``mdp`` section of a config, as ``resolve_config`` gives it."""
-    with malformed_as_invalid("mdp"):
-        return _resolve(raw, _MDP, "mdp")
+_TABLES = {"mdp": _MDP, "kernel": _KERNEL, "support": _SUPPORT}
+
+
+def resolve_section(name: str, raw) -> dict:
+    """The resolved ``mdp``, ``kernel`` or ``support`` section of a config,
+    as ``resolve_config`` gives it: the commands that take these fields as
+    flags hold them to the config's rules."""
+    with malformed_as_invalid(name):
+        return _resolve(raw, _TABLES[name], name)
 
 
 def resolve_config(raw: dict) -> ExperimentConfig:

@@ -42,13 +42,7 @@ from .measures import (
     pushforward,
 )
 from .mdp import TabularMDP
-from .projections import (
-    SignedProjector,
-    SimplexProjector,
-    _gram_sup_mmd,
-    solve_simplex_qp_batch,
-    state_projectors,
-)
+from .projections import SignedProjector, SimplexProjector
 
 PROJECTIONS = ("simplex", "signed")
 
@@ -150,8 +144,8 @@ class CategoricalEngine:
     support, so each sweep only reassembles the QP linear terms from the
     current weights and re-solves (warm-started for the simplex case).
     States with equal atoms share a projector, and the engine keys by it:
-    one cross-kernel block per state and successor support, one batched
-    solve per support.
+    one cross-kernel block per state and successor support, one
+    ``solve`` per support.
     """
 
     def __init__(
@@ -174,12 +168,13 @@ class CategoricalEngine:
         self.mdp = mdp
         self.support = support
         self.spec = spec
-        self.projection = projection
         cls = SimplexProjector if projection == "simplex" else SignedProjector
-        self.projectors = state_projectors(cls, support, spec)
+        self.projectors = []  # per state; states with equal atoms share one
         self._groups = {}  # projector -> the states that share it
-        for x, projector in enumerate(self.projectors):
-            self._groups.setdefault(projector, []).append(x)
+        for x, atoms in enumerate(support.atoms):
+            shared = next((p for p in self._groups if np.array_equal(p.atoms, atoms)), None)
+            self.projectors.append(shared if shared is not None else cls(atoms, spec))
+            self._groups.setdefault(self.projectors[x], []).append(x)
         self._blocks = {}
 
     def _block(self, x: int, y: int) -> np.ndarray:
@@ -203,22 +198,25 @@ class CategoricalEngine:
         return out
 
     def step_weights(self, weights: list) -> list:
-        """One projected backup: a batched solve per distinct support."""
+        """One projected backup: one ``solve`` per distinct support, over
+        the states that share it, started from their current weights."""
         qs = self.linear_terms(weights)
         out = {}
         for proj, states in self._groups.items():
-            q_rows = np.stack([qs[x] for x in states], axis=0)
-            if self.projection == "simplex":
-                starts = np.stack([weights[x] for x in states], axis=0)
-                rows, _, _ = solve_simplex_qp_batch(proj.gram, q_rows, starts)
-            else:
-                rows = q_rows @ proj._s.T + proj.offset[None, :]
+            starts = np.stack([weights[x] for x in states])
+            rows = proj.solve(np.stack([qs[x] for x in states]), starts)
             out.update(zip(states, rows))
         return [out[x] for x in range(self.mdp.n_states)]
 
     def distance(self, w1: list, w2: list) -> float:
-        """sup-MMD between two weight assignments on the engine's support."""
-        return _gram_sup_mmd(self.projectors, w1, w2)
+        """sup-MMD between two weight assignments on the engine's support:
+        the largest sqrt(delta^T K delta) over states, delta = w1 - w2."""
+        worst = 0.0
+        for projector, a, b in zip(self.projectors, w1, w2):
+            delta = a - b
+            val = float(delta @ projector.gram @ delta)
+            worst = max(worst, math.sqrt(max(val, 0.0)))
+        return worst
 
     def init_weights(self) -> list:
         init = point_init(self.mdp)

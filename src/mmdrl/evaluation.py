@@ -239,8 +239,7 @@ def _greedy_cell_mesh(atoms: np.ndarray, v_max: float, alpha: float) -> float:
     axis = np.linspace(0.0, v_max, per_axis)
     mesh_pts = np.meshgrid(*([axis] * d), indexing="ij")
     probes = np.stack([m.ravel() for m in mesh_pts], axis=1)
-    diff = probes[:, None, :] - atoms[None, :, :]
-    dist = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+    dist = pairwise_semimetric(probes, atoms, KernelSpec())
     cover = float(np.max(np.min(dist, axis=1)))
     spacing = axis[1] - axis[0] if per_axis > 1 else 0.0
     cover += 0.5 * spacing * math.sqrt(d)

@@ -58,8 +58,8 @@ def _check_extent(what: str, points, dim: int) -> None:
     Coordinates of magnitude at most E are at most 2E apart, so every
     squared distance is at most dim (2E)^2. Where that is finite, so is
     every merge key E / 1e-12. Every file and config value that brings
-    points into a run (the MDP's v_max, support, reference point, TD
-    reference and zero-shot estimate) passes this check.
+    points into a run (the MDP's v_max, support, TD reference and zero-shot
+    estimate) passes this check.
     """
     extent = float(np.max(np.abs(points)))
     if not math.isfinite(dim * (2.0 * extent) * (2.0 * extent)):
@@ -67,24 +67,6 @@ def _check_extent(what: str, points, dim: int) -> None:
             f"{what} reaches {extent:.6g}: squared distances between such "
             f"points overflow in {dim} dimension(s)"
         )
-
-
-def build_kernel(config: ExperimentConfig, dim: int) -> KernelSpec:
-    """The configured kernel for an MDP of cumulant dimension ``dim``.
-
-    No result depends on ``kernel.reference_point`` (see ``kernels``), so
-    it is ignored, but checked like every other point: it must have
-    ``dim`` entries and pass ``_check_extent``.
-    """
-    kc = config["kernel"]
-    ref = kc["reference_point"]
-    if ref is not None:
-        if len(ref) != dim:
-            raise InvalidInputError(
-                f"kernel.reference_point has dimension {len(ref)}, the MDP has {dim}"
-            )
-        _check_extent("kernel.reference_point", np.asarray(ref), dim)
-    return KernelSpec(kc["alpha"])
 
 
 def build_mdp(mc: dict, seed: int) -> TabularMDP:
@@ -227,7 +209,7 @@ def run_seed(config: ExperimentConfig, seed: int) -> SeedResult:
     """
     start = time.perf_counter()
     mdp = build_mdp(config["mdp"], seed)
-    spec = build_kernel(config, mdp.dim)
+    spec = KernelSpec(config["kernel"]["alpha"])
     series, estimate, summary = _RUNNERS[config.algorithm](config, seed, mdp, spec)
     rows = [[str(i), *map(_fmt, values)] for i, *values in zip(*series.values())]
     distances = list(series.values())[1]
@@ -346,7 +328,7 @@ def zeroshot_seed(config: ExperimentConfig, seed: int, estimate: ReturnDistFn | 
     MDP raises ``InvalidInputError`` before any rollout.
     """
     mdp = build_mdp(config["mdp"], seed)
-    spec = build_kernel(config, mdp.dim)
+    spec = KernelSpec(config["kernel"]["alpha"])
     zs = config["zeroshot"]
     if estimate is None:
         if zs["estimate"]["kind"] == "file":

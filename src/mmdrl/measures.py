@@ -22,7 +22,7 @@ from .errors import (
     malformed_as_invalid,
     read_json,
 )
-from .kernels import MASS_TOL, MERGE_TOL, merge_close_atoms
+from .kernels import MASS_TOL, MERGE_TOL, KernelSpec, merge_close_atoms, pairwise_semimetric
 
 # Negative-weight slack tolerated in probability measures before clamping.
 PROBABILITY_TOL = 1e-12
@@ -243,8 +243,7 @@ def _check_distinct(atoms: np.ndarray, state: int) -> None:
     if n < 2:
         return
     # O(n^2) distance check; supports stay small enough for this.
-    diff = atoms[:, None, :] - atoms[None, :, :]
-    dist = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+    dist = pairwise_semimetric(atoms, atoms, KernelSpec())
     dist[np.arange(n), np.arange(n)] = np.inf
     if dist.min() <= SUPPORT_GAP:
         raise InvalidInputError(
@@ -379,14 +378,13 @@ def weights_on_support(p: DiscreteMeasure, support_atoms: np.ndarray, tol: float
     """Weight vector of ``p`` expressed on a support containing its atoms.
 
     Every atom of ``p`` must match a support atom within ``tol``; weights
-    of coinciding atoms are accumulated.
+    of coinciding atoms are accumulated. A support of another dimension
+    raises ``InvalidInputError``.
     """
-    support_atoms = np.atleast_2d(np.asarray(support_atoms, dtype=np.float64))
-    diff = p.atoms[:, None, :] - support_atoms[None, :, :]
-    dist = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+    dist = pairwise_semimetric(p.atoms, support_atoms, KernelSpec())
     nearest = np.argmin(dist, axis=1)
     if np.any(dist[np.arange(p.n_atoms), nearest] > tol):
         raise InvalidInputError("measure carries atoms outside the support")
-    w = np.zeros(support_atoms.shape[0])
+    w = np.zeros(dist.shape[1])
     np.add.at(w, nearest, p.weights)
     return w

@@ -21,18 +21,20 @@ constant on mass-1 weights (see ``kernels``):
   eliminated and the reduced system, positive definite for distinct
   atoms, inverted once per support, making the projection an affine map
   of the target weights.
+
+Both projectors take linear terms in and give weights out through one
+method, ``solve(q_rows, start_rows)``: one QP per row of ``q_rows``.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidInputError, SolverError
 from .kernels import KernelSpec, cross_kernel, gram
-from .measures import DiscreteMeasure, SupportMap, _check_distinct
+from .measures import DiscreteMeasure, _check_distinct
 
 # Residual beyond which a finished solve is reported as failed.
 KKT_ACCEPT = 1e-8
@@ -173,28 +175,20 @@ def solve_simplex_qp_batch(
     linear_rows: np.ndarray,
     start_rows: np.ndarray | None = None,
 ):
-    """Row-wise :func:`solve_simplex_qp` for a shared Gram matrix.
-
-    Each row of ``linear_rows`` defines an independent QP, warm-started
-    from the matching row of ``start_rows`` when given. Returns (weights
-    rows, residuals, equality solves summed over rows).
+    """:func:`solve_simplex_qp` on each row of ``linear_rows``, for a shared
+    Gram matrix, warm-started from the matching row of ``start_rows`` when
+    that has one row per QP. Returns (weights rows, residuals, equality
+    solves summed over rows).
     """
-    k = np.asarray(gram_matrix, dtype=np.float64)
     q = np.atleast_2d(np.asarray(linear_rows, dtype=np.float64))
-    s, n = q.shape
-    if n == 1:
-        return np.ones((s, 1)), np.zeros(s), 0
-    if start_rows is None or start_rows.shape != (s, n):
-        start_rows = [None] * s
-    rows = np.empty((s, n))
-    residuals = np.empty(s)
-    solves = 0
-    for i in range(s):
-        rows[i], row_solves = _active_set(k, q[i], start_rows[i])
-        residuals[i] = _kkt_residual(k, q[i], rows[i])
-        solves += row_solves
-    _accept(float(np.max(residuals)), "batched simplex projection")
-    return rows, residuals, solves
+    if start_rows is None or start_rows.shape != q.shape:
+        start_rows = [None] * q.shape[0]
+    results = [solve_simplex_qp(gram_matrix, row, start) for row, start in zip(q, start_rows)]
+    return (
+        np.array([r.weights for r in results]).reshape(q.shape),
+        np.array([r.kkt_residual for r in results]),
+        sum(r.iterations for r in results),
+    )
 
 
 class SimplexProjector:
@@ -212,6 +206,11 @@ class SimplexProjector:
 
     def linear_term(self, target_atoms, target_weights) -> np.ndarray:
         return cross_kernel(self.atoms, target_atoms, self.spec) @ target_weights
+
+    def solve(self, q_rows: np.ndarray, start_rows: np.ndarray | None = None) -> np.ndarray:
+        """Weight rows of the QPs with linear terms ``q_rows``, warm-started
+        from ``start_rows``."""
+        return solve_simplex_qp_batch(self.gram, q_rows, start_rows)[0]
 
     def project(self, target_atoms, target_weights) -> ProjectionResult:
         return solve_simplex_qp(self.gram, self.linear_term(target_atoms, target_weights))
@@ -256,12 +255,14 @@ class SignedProjector:
         p0[-1] = 1.0
         self.offset = p0 - self._s @ (self.gram @ p0)
 
-    def solve_linear(self, q: np.ndarray) -> ProjectionResult:
-        return ProjectionResult(self._s @ q + self.offset, 0.0, 1)
+    def solve(self, q_rows: np.ndarray, start_rows: np.ndarray | None = None) -> np.ndarray:
+        """Weight rows S q + offset for the linear terms ``q_rows``; the
+        solve is closed-form, so ``start_rows`` is not read."""
+        return q_rows @ self._s.T + self.offset
 
     def project(self, target_atoms, target_weights) -> ProjectionResult:
         q = cross_kernel(self.atoms, target_atoms, self.spec) @ target_weights
-        return self.solve_linear(q)
+        return ProjectionResult(self._s @ q + self.offset, 0.0, 1)
 
     def affine_map(self, target_atoms):
         """(M, b) with projected weights = M @ target_weights + b."""
@@ -285,27 +286,3 @@ def _project(kind, target: DiscreteMeasure, support, spec: KernelSpec):
         raise InvalidInputError(f"projection target must have mass 1, got {target.mass}")
     result = projector.project(target.atoms, target.weights)
     return DiscreteMeasure(projector.atoms, result.weights)
-
-
-def state_projectors(kind, support: SupportMap, spec: KernelSpec) -> list:
-    """One ``kind`` projector per state of ``support``.
-
-    States whose atoms are equal share one projector object, so its Gram
-    matrix (and, for ``SignedProjector``, the reduced inverse) is built
-    once per distinct support.
-    """
-    projectors = []
-    for atoms in support.atoms:
-        shared = next((p for p in projectors if np.array_equal(p.atoms, atoms)), None)
-        projectors.append(shared if shared is not None else kind(atoms, spec))
-    return projectors
-
-
-def _gram_sup_mmd(projectors: list, w1: list, w2: list) -> float:
-    """sup-MMD between two weight assignments on the projectors' supports."""
-    worst = 0.0
-    for projector, a, b in zip(projectors, w1, w2):
-        delta = a - b
-        val = float(delta @ projector.gram @ delta)
-        worst = max(worst, math.sqrt(max(val, 0.0)))
-    return worst

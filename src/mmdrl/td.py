@@ -17,7 +17,8 @@ import numpy as np
 
 from .dp import CategoricalEngine, _ewp_particles, ewp_init
 from .errors import InvalidInputError, checked_array
-from .kernels import KernelSpec, mmd, signed_energy_sum
+from .evaluation import sup_mmd
+from .kernels import KernelSpec, signed_energy_sum
 from .measures import DiscreteMeasure, ReturnDistFn, SupportMap, empirical, weights_on_support
 from .mdp import TabularMDP, sample_visits
 
@@ -133,15 +134,15 @@ def categorical_td_run(
     except InvalidInputError:
         ref_weights = None
 
+    def _estimate() -> ReturnDistFn:
+        return ReturnDistFn(tuple(map(DiscreteMeasure, support.atoms, weights)))
+
     def _distance_to_reference() -> float:
         if reference is None:
             return math.nan
         if ref_weights is not None:
             return engine.distance(weights, ref_weights)
-        return max(
-            mmd(DiscreteMeasure(xi, w), m, spec)
-            for xi, w, m in zip(support.atoms, weights, reference)
-        )
+        return sup_mmd(_estimate(), reference, spec)
 
     def _blend(keys, start, current):
         """Steps ``start`` on, from the versions in ``current``."""
@@ -200,8 +201,7 @@ def categorical_td_run(
             report.mean_step_size.append(float(np.mean(alphas_since_report)))
             alphas_since_report = []
 
-    estimate = ReturnDistFn(tuple(map(DiscreteMeasure, support.atoms, weights)))
-    return TdState(estimate, np.array(visits, dtype=np.int64), state.step + steps), report
+    return TdState(_estimate(), np.array(visits, dtype=np.int64), state.step + steps), report
 
 
 def _views(slots) -> list:
@@ -279,15 +279,14 @@ def ewp_td_run(
     )
     particles = _ewp_particles(state.estimate, m)
     visits = state.visit_counts.tolist()
-    slot_weights = np.full(m, 1.0 / m)
+
+    def _estimate() -> ReturnDistFn:
+        return ReturnDistFn(tuple(empirical(p) for p in particles))
 
     def _distance_to_reference() -> float:
         if reference is None:
             return math.nan
-        return max(
-            mmd(DiscreteMeasure(particles[x], slot_weights), reference[x], spec)
-            for x in range(mdp.n_states)
-        )
+        return sup_mmd(_estimate(), reference, spec)
 
     report = TdReport()
     alphas_since_report = []
@@ -304,5 +303,4 @@ def ewp_td_run(
             report.sup_mmd.append(_distance_to_reference())
             report.mean_step_size.append(float(np.mean(alphas_since_report)))
             alphas_since_report = []
-    estimate = ReturnDistFn(tuple(empirical(p) for p in particles))
-    return TdState(estimate, np.array(visits, dtype=np.int64), state.step + steps), report
+    return TdState(_estimate(), np.array(visits, dtype=np.int64), state.step + steps), report

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -185,7 +186,7 @@ FUZZ_CONFIGS = [
      "seeds": [0, 1], "zeroshot": {**FUZZ_ZEROSHOT, "nonnegative_orthant": True}},
     {"algorithm": "dp-ewp", "mdp": {"kind": "random", "n_states": 2, "dim": 2, "gamma": 0.5},
      "ewp": {"particles": 4, "iterations": 2},
-     "kernel": {"alpha": 1.0, "reference_point": [0.0, 0.0]}, "zeroshot": FUZZ_ZEROSHOT},
+     "kernel": {"alpha": 1.0}, "zeroshot": FUZZ_ZEROSHOT},
     {"algorithm": "td-cat", "mdp": {"kind": "dsm", "n_states": 2, "gamma": 0.5},
      "support": {"kind": "simplex-grid", "resolution": 2},
      "td": {"steps": 20, "report_interval": 10, "state_sampler": "trajectory",
@@ -773,7 +774,9 @@ class TestRunCommand:
                 id="kernel-reference-point-1e200",
             ),
             # A reference point of another dimension than the MDP's; the
-            # particle algorithms used to run on it (exit 0).
+            # particle algorithms used to run on it (exit 0). The schema has
+            # no reference point now, so these and the other reference-point
+            # payloads exit 2 as unknown keys.
             pytest.param(
                 {"algorithm": "dp-ewp", "mdp": {"kind": "random", "n_states": 2, "dim": 2},
                  "ewp": {"particles": 4, "iterations": 2},
@@ -1185,27 +1188,6 @@ class TestZeroshotEval:
         lines = (zs_out / "zeroshot.csv").read_text().splitlines()
         assert len(lines) == 3
 
-    def test_reference_point_of_another_dimension_exits_2(self, tmp_path, capsys, monkeypatch):
-        # Checked before any rollout, as on the run path.
-        import mmdrl.experiments as experiments
-
-        def no_rollout(*args, **kwargs):
-            raise AssertionError("the oracle started")
-
-        monkeypatch.setattr(experiments, "rollout_returns", no_rollout)
-        (tmp_path / "estimate.json").write_text(json.dumps(point_masses(2, 2)))
-        config = write_config(
-            tmp_path,
-            {
-                "algorithm": "dp-cat",
-                "mdp": {"kind": "random", "n_states": 2, "dim": 2},
-                "kernel": {"reference_point": [0.0]},
-                "zeroshot": {"estimate": {"kind": "file", "path": str(tmp_path / "estimate.json")}},
-            },
-        )
-        assert main(["zeroshot-eval", "--config", config, "--out", str(tmp_path / "o")]) == 2
-        assert "kernel.reference_point has dimension 1, the MDP has 2" in capsys.readouterr().err
-
     def test_missing_estimate_file_exits_2(self, tmp_path):
         config = write_config(
             tmp_path,
@@ -1300,6 +1282,27 @@ class TestMeshReport:
         main(["gen-mdp", "--n-states", "2", "--dim", "2", "--out", str(mdp_path)])
         args = ["--support-kind", "random", "--seed", "-1"]
         assert main(["mesh-report", "--mdp", str(mdp_path), *args]) == 2
+
+    def test_support_m_takes_the_config_rule(self, tmp_path, capsys):
+        # 2^62 went to build_support unchecked; at d = 1 numpy then raised
+        # "array is too big" out of main (exit 1).
+        mdp_path = tmp_path / "mdp.json"
+        random_mdp(2, 1, 0.5, 1.0, rng_stream(0)).save(mdp_path)
+        args = ["mesh-report", "--mdp", str(mdp_path), "--support-m", str(2**62)]
+        assert main(args) == 2
+        assert "support.m" in capsys.readouterr().err
+
+    def test_mdp_overflow_refused_before_any_support(self, tmp_path, capsys):
+        # The grid on [0, v_max] used to be built first: np.linspace warned
+        # of an invalid value before the support's atoms were refused.
+        mdp_path = tmp_path / "mdp.json"
+        random_mdp(2, 1, 0.5, 1.0, rng_stream(0)).save(mdp_path)
+        mdp_path.write_text(json.dumps({**json.loads(mdp_path.read_text()), "r_max": 1e308}))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["mesh-report", "--mdp", str(mdp_path)]) == 2
+        assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+        assert "mdp v_max" in capsys.readouterr().err
 
 
 class TestConfigResolution:

@@ -75,14 +75,7 @@ def _resolve_config(raw: dict) -> ExperimentConfig:
         mdp_cfg = {"kind": "file", "path": str(mdp_cfg["path"])}
 
     kernel_cfg = _section(raw, "kernel")
-    ref = kernel_cfg.get("reference_point", None)
-    _require(
-        ref is None or isinstance(ref, list), "reference_point must be null or a list"
-    )
-    kernel_cfg = {
-        "alpha": float(kernel_cfg.get("alpha", 1.0)),
-        "reference_point": None if ref is None else [float(v) for v in ref],
-    }
+    kernel_cfg = {"alpha": float(kernel_cfg.get("alpha", 1.0))}
 
     seeds = raw.get("seeds", [0])
     _require(isinstance(seeds, list), "seeds must be a JSON list of integers")
@@ -244,11 +237,12 @@ VALUES = {
         ],
     },
     "kernel": {
-        "ok": [None, {}, {"alpha": 0.5, "reference_point": [1, 2.0]}, {"reference_point": None}, {"alpha": 1.5}],
-        "bad": [{"reference_point": "abc"}, {"alpha": "x"}, []],
+        "ok": [None, {}, {"alpha": 0.5}, {"alpha": 1.5}],
+        "bad": [{"alpha": "x"}, []],
         "tight": [
-            {"reference_point": [NAN]}, {"alpha": 2.5}, {"alpha": 0}, {"refpoint": None},
-            {"alpha": "1.5"}, {"alpha": True}, {"reference_point": [1, "2"]}, {"reference_point": [False]},
+            {"alpha": 2.5}, {"alpha": 0}, {"refpoint": None}, {"alpha": "1.5"}, {"alpha": True},
+            # The schema no longer has a reference point: no result depended on it.
+            {"reference_point": None}, {"alpha": 0.5, "reference_point": [1, 2.0]},
         ],
     },
     "seeds": {
@@ -398,7 +392,7 @@ def _exotic(algorithm: str) -> dict:
     return {
         "algorithm": algorithm,
         "mdp": {"kind": "dsm", "n_states": 2, "gamma": 0.5, "dirichlet_concentration": 3},
-        "kernel": {"alpha": 1.5, "reference_point": [1, 2]},
+        "kernel": {"alpha": 1.5},
         "support": {"kind": "random", "m": 5},
         "dp": {"tol": 1e-3, "max_iter": 0, "projection": "signed"},
         "ewp": {"particles": 8, "iterations": 2},

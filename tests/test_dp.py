@@ -246,7 +246,7 @@ class TestCategoricalEngine:
                 fresh = SimplexProjector(support[x], SPEC)
                 stepped.append(solve_simplex_qp(fresh.gram, q, weights[x]).weights)
             else:
-                stepped.append(SignedProjector(support[x], SPEC).solve_linear(q).weights)
+                stepped.append(SignedProjector(support[x], SPEC).solve(q[None, :])[0])
         for got, want in zip(engine.linear_terms(weights), linear):
             assert np.array_equal(got, want)
         got = engine.step_weights(weights)
@@ -256,7 +256,7 @@ class TestCategoricalEngine:
         else:
             # State 1 is a group of one, solved as the loop solves it. States
             # 0 and 2 are one two-row product, which OpenBLAS rounds apart
-            # from two matrix-vector products.
+            # from two one-row products.
             assert np.array_equal(got[1], stepped[1])
             for x in (0, 2):
                 np.testing.assert_allclose(got[x], stepped[x], rtol=0, atol=1e-14)

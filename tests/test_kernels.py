@@ -17,8 +17,6 @@ from mmdrl import (
     mmd,
     mmd_squared,
 )
-from mmdrl.config import resolve_config
-from mmdrl.experiments import build_kernel
 from mmdrl.kernels import (
     cross_kernel,
     merge_close_atoms,
@@ -106,14 +104,6 @@ class TestKernelEval:
         for _ in range(20):
             a, b = rng.normal(size=(2, 3, 2))
             assert np.array_equal(cross_kernel(a, b, spec), cross_kernel(b, a, spec).T)
-
-    def test_reference_dimension_checked(self):
-        config = resolve_config(
-            {"algorithm": "dp-cat", "kernel": {"alpha": 1.5, "reference_point": [0, 0, 0]}}
-        )
-        assert build_kernel(config, 3) == KernelSpec(1.5)
-        with pytest.raises(InvalidInputError, match="reference_point has dimension 3"):
-            build_kernel(config, 1)
 
 
 class TestGram:

@@ -274,3 +274,10 @@ class TestSupportMap:
         p = DiscreteMeasure.point([0.5])
         with pytest.raises(InvalidInputError):
             weights_on_support(p, support_atoms)
+        # Measures of another dimension. Before, the first broadcast against
+        # the d = 1 atoms and read as weights [1, 0], the second raised
+        # numpy's broadcast ValueError.
+        for p, atoms in ((DiscreteMeasure.point([0.0, 0.0]), support_atoms),
+                         (DiscreteMeasure.point([0.0, 0.0, 0.0]), np.zeros((2, 2)))):
+            with pytest.raises(InvalidInputError, match="dimension mismatch"):
+                weights_on_support(p, atoms)

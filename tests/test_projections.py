@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mmdrl import (
+    CategoricalEngine,
     DiscreteMeasure,
     InvalidInputError,
     SignedProjector,
@@ -21,6 +22,8 @@ from mmdrl import (
     mmd,
     project_signed,
     project_simplex,
+    random_mdp,
+    rng_stream,
 )
 from mmdrl.evaluation import mesh_and_bound
 from mmdrl.mdp import TabularMDP
@@ -30,7 +33,6 @@ from mmdrl.projections import (
     project_to_simplex,
     solve_simplex_qp,
     solve_simplex_qp_batch,
-    state_projectors,
 )
 
 from util import random_probability_measure, random_signed_measure, semimetric_matrix
@@ -329,11 +331,18 @@ class TestProjectSigned:
             SignedProjector(np.array([[0.0], [1.0], [2.0]]), SPEC)
 
 
+def engine_projectors(kind, support):
+    """The per-state projectors of a ``kind`` engine on ``support``."""
+    mdp = random_mdp(support.n_states, support.dim, 0.5, 1.0, rng_stream(0))
+    projection = "simplex" if kind is SimplexProjector else "signed"
+    return CategoricalEngine(mdp, support, SPEC, projection).projectors
+
+
 class TestProjectorCaches:
     @pytest.mark.parametrize("kind", [SimplexProjector, SignedProjector])
     def test_constant_support_shares_one_projector(self, kind):
         support = SupportMap.constant(np.array([[0.0], [0.5], [1.0]]), 4)
-        projectors = state_projectors(kind, support, SPEC)
+        projectors = engine_projectors(kind, support)
         assert len(projectors) == 4
         assert isinstance(projectors[0], kind)
         assert all(p is projectors[0] for p in projectors)
@@ -341,14 +350,14 @@ class TestProjectorCaches:
     @pytest.mark.parametrize("kind", [SimplexProjector, SignedProjector])
     def test_distinct_supports_get_distinct_projectors(self, kind):
         support = SupportMap.random(3, 2, 5, 1.0, np.random.default_rng(30))
-        projectors = state_projectors(kind, support, SPEC)
+        projectors = engine_projectors(kind, support)
         assert len({id(p) for p in projectors}) == 3
         for x, p in enumerate(projectors):
             assert np.array_equal(p.atoms, support[x])
 
     def test_equal_states_share_among_distinct_ones(self):
         a, b = np.array([[0.0], [1.0]]), np.array([[0.0], [2.0]])
-        projectors = state_projectors(SignedProjector, SupportMap((a, b, a, b)), SPEC)
+        projectors = engine_projectors(SignedProjector, SupportMap((a, b, a, b)))
         assert projectors[0] is projectors[2] and projectors[1] is projectors[3]
         assert projectors[0] is not projectors[1]
 

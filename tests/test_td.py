@@ -843,3 +843,40 @@ class TestEwpTd:
             init=particle_state(np.zeros((1, 4, 1))),
         )
         np.testing.assert_allclose(stacked(state), 1.0, atol=0.05)
+
+
+class TestOffSupportReference:
+    """A reference whose atoms lie off the support: both engines report the
+    distance ``evaluation.sup_mmd`` gives between their estimate and it."""
+
+    @staticmethod
+    def shifted_points(mdp):
+        return ReturnDistFn(tuple(
+            DiscreteMeasure.point(mdp.cumulants[x] + 0.37) for x in range(mdp.n_states)
+        ))
+
+    def test_categorical_distance_is_sup_mmd(self):
+        mdp, support = small_setup(14)
+        reference = self.shifted_points(mdp)
+        # weights_on_support refuses it, so the run cannot take the engine's
+        # distance on the support.
+        with pytest.raises(InvalidInputError, match="outside the support"):
+            weights_on_support(reference[0], support[0])
+        state, report = categorical_td_run(
+            mdp, support, SPEC, StepSchedule(), 200, rng_stream(5),
+            reference=reference, report_interval=50,
+        )
+        assert report.steps == [50, 100, 150, 200]
+        assert all(np.isfinite(report.sup_mmd))
+        assert report.sup_mmd[-1] == sup_mmd(state.estimate, reference, SPEC)
+
+    def test_particle_distance_is_sup_mmd(self):
+        mdp = random_mdp(3, 2, 0.8, 1.0, rng_stream(27))
+        reference = self.shifted_points(mdp)
+        state, report = ewp_td_run(
+            mdp, 6, SPEC, StepSchedule(), 200, rng_stream(28),
+            reference=reference, report_interval=50,
+        )
+        assert report.steps == [50, 100, 150, 200]
+        assert all(np.isfinite(report.sup_mmd))
+        assert report.sup_mmd[-1] == sup_mmd(state.estimate, reference, SPEC)

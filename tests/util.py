@@ -237,11 +237,12 @@ def reference_zeroshot_seed(config, seed, estimate=None):
     and the reward vectors drawn and scored one at a time."""
     from mmdrl import experiments as ex
     from mmdrl.evaluation import ScalarDist, cramer_distance, zeroshot_scalar
+    from mmdrl.kernels import KernelSpec
     from mmdrl.mdp import horizon_for_tail, rng_stream
     from mmdrl.measures import ReturnDistFn
 
     mdp = ex.build_mdp(config["mdp"], seed)
-    spec = ex.build_kernel(config, mdp.dim)
+    spec = KernelSpec(config["kernel"]["alpha"])
     zs = config["zeroshot"]
     if estimate is None:
         if zs["estimate"]["kind"] == "file":
