@@ -160,6 +160,8 @@ def _cmd_mesh(args) -> int:
     """The flags pass the config's rules for the ``support`` and ``kernel``
     sections, and the MDP file those for a file MDP (its v_max overflow
     check included) before any support is built."""
+    if args.seed < 0:
+        raise InvalidInputError(f"--seed must be nonnegative, got {args.seed}")
     support_cfg = resolve_section("support", {
         "kind": args.support_kind, "m": args.support_m, "resolution": args.support_resolution,
     })

@@ -79,6 +79,14 @@ def json_integer(value) -> int:
     return int(value)
 
 
+def check_doubles(count: int, what: str) -> None:
+    """Raise ``InvalidInputError`` naming ``what`` when an array of
+    ``count`` doubles passes numpy's largest byte size, where numpy would
+    raise a ValueError before allocating."""
+    if count * 8 > np.iinfo(np.intp).max:
+        raise InvalidInputError(f"{what}: an array of {count} doubles is too big for numpy")
+
+
 def json_field(payload: dict, key: str, cast, what: str):
     """``cast(payload[key])``, where ``cast`` is ``json_real`` or
     ``json_integer``; a missing key or a value the cast rejects raises

@@ -18,7 +18,7 @@ import numpy as np
 
 from .config import CONFIG_VERSION, ExperimentConfig
 from .dp import DpReport, EwpConfig, categorical_dp_solve, ewp_random_solve
-from .errors import InvalidInputError, json_array, malformed_as_invalid, read_json
+from .errors import InvalidInputError, check_doubles, json_array, malformed_as_invalid, read_json
 from .evaluation import ScalarDist, cramer_distance, zeroshot_scalar
 from .kernels import KernelSpec, mmd
 from .measures import (
@@ -82,6 +82,7 @@ def build_mdp(mc: dict, seed: int) -> TabularMDP:
         )
         mdp = dsm_mdp(rows, mc["gamma"])
     else:
+        check_doubles(mc["n_states"] * mc["dim"], "mdp.n_states * mdp.dim")
         mdp = random_mdp(
             mc["n_states"],
             mc["dim"],
@@ -96,6 +97,11 @@ def build_mdp(mc: dict, seed: int) -> TabularMDP:
 
 def build_support(sc: dict, mdp: TabularMDP, seed: int) -> SupportMap:
     """The support map a resolved ``support`` config section describes."""
+    if sc["kind"] in ("grid", "random"):
+        # A grid has round(m^(1/d))^d atoms, which can be more than m.
+        m = max(sc["m"], 0)
+        atoms = round(m ** (1.0 / mdp.dim)) ** mdp.dim if sc["kind"] == "grid" else m
+        check_doubles(atoms * mdp.dim, "support.m")
     if sc["kind"] == "grid":
         support = SupportMap.uniform_grid(mdp.n_states, mdp.dim, sc["m"], mdp.v_max)
     elif sc["kind"] == "random":
@@ -172,8 +178,7 @@ def _run_td_cat(config, seed, mdp, spec):
         state_sampler=td["state_sampler"], reference=reference,
         report_interval=td["report_interval"],
     )
-    summary = {"steps": state.step, "reference_s": reference_s,
-               "renormalizations": report.renormalizations}
+    summary = {"steps": state.step, "reference_s": reference_s}
     return _td_series(report), state.estimate, summary
 
 

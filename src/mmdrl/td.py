@@ -11,21 +11,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import islice
 
 import numpy as np
 
 from .dp import CategoricalEngine, _ewp_particles, ewp_init
-from .errors import InvalidInputError, checked_array
+from .errors import ConsistencyError, InvalidInputError, checked_array
 from .evaluation import sup_mmd
 from .kernels import KernelSpec, signed_energy_sum
 from .measures import DiscreteMeasure, ReturnDistFn, SupportMap, empirical, weights_on_support
 from .mdp import TabularMDP, sample_visits
-
-# Weight-sum drift beyond which the mass-1 constraint is re-imposed.
-MASS_DRIFT_TOL = 1e-10
-# Most steps per drift check in categorical_td_run (a 34 KB pool at n = 66).
-_CHECK_BLOCK = 32
 
 
 @dataclass(frozen=True)
@@ -69,8 +63,6 @@ class TdReport:
     steps: list = field(default_factory=list)
     sup_mmd: list = field(default_factory=list)
     mean_step_size: list = field(default_factory=list)
-    # Steps whose weight sum drifted beyond MASS_DRIFT_TOL (categorical TD).
-    renormalizations: int = 0
 
 
 def init_td_state(mdp: TabularMDP, support: SupportMap, spec: KernelSpec) -> TdState:
@@ -105,10 +97,13 @@ def categorical_td_run(
     A step from x to y at step size alpha is two BLAS calls on [w, 1]:
     A_xy = [[M, b], [0, 1]] maps [w_y, 1] to the projected backup
     [M w_y + b, 1], and (1 - alpha, alpha) blends that with [w_x, 1].
-    The weight-sum drift is checked once per block of at most
-    ``_CHECK_BLOCK`` steps, ending at report steps; a renormalised step's
-    later steps are redone, as if checked after each step.
-    ``report.renormalizations`` counts those steps.
+    Mass needs no guard: the projection onto mass-1 signed measures has
+    1^T M = 0 and 1^T b = 1, so the backup has mass 1 for any w_y, and the
+    blend maps a mass error e of w_x to (1 - alpha) e. An ``init`` off
+    mass 1 is not renormalised; its error decays as the product of
+    (1 - alpha_k) over each state's visits. Weights that overflow, as
+    steps well above 2 can make them, raise ``ConsistencyError`` at the
+    next report step.
     """
     if state_sampler not in ("uniform", "trajectory"):
         raise InvalidInputError(f"unknown state sampler {state_sampler!r}")
@@ -118,95 +113,57 @@ def categorical_td_run(
     engine = CategoricalEngine(mdp, support, spec, "signed")
     projectors = engine.projectors
     sizes = support.sizes()
-    # A state's versions are (2, n + 1) slots: row 0 is [w, 1], row 1 the
-    # backup blended into it. A block starts at each state's own slot, and
-    # its step i writes slot i of its support size's pool.
-    pools = {n: np.empty((_CHECK_BLOCK, 2, n + 1)) for n in sizes}
-    step_slots = [_views(pools[n]) for n in sizes]
-    first = _views(np.stack([np.append(weights_on_support(m, xi), 1.0)] * 2)
-                   for m, xi in zip(state.estimate, support.atoms))
-    weights = [head[:-1] for _, head, _ in first]
+    # Two (2, n + 1) slots per state: row 0 is [w, 1], row 1 the backup
+    # blended into it. A step blends the current slot into the spare one,
+    # which then becomes current.
+    pairs = [np.array([[np.append(weights_on_support(m, xi), 1.0)] * 2] * 2)
+             for m, xi in zip(state.estimate, support.atoms)]
+    current, spare = map(list, zip(*pairs))
     maps = {}  # A_xy, built at the first visit to (x, projectors[y])
-    coef_rows = list(coefs := np.empty((_CHECK_BLOCK, 2)))
+    coef = np.empty(2)  # (1 - alpha, alpha)
 
     try:
         ref_weights = reference and list(map(weights_on_support, reference, support.atoms))
     except InvalidInputError:
         ref_weights = None
 
+    def _weights() -> list:
+        return [slot[0, :-1] for slot in current]
+
     def _estimate() -> ReturnDistFn:
-        return ReturnDistFn(tuple(map(DiscreteMeasure, support.atoms, weights)))
+        return ReturnDistFn(tuple(map(DiscreteMeasure, support.atoms, _weights())))
 
     def _distance_to_reference() -> float:
         if reference is None:
             return math.nan
         if ref_weights is not None:
-            return engine.distance(weights, ref_weights)
+            return engine.distance(_weights(), ref_weights)
         return sup_mmd(_estimate(), reference, spec)
-
-    def _blend(keys, start, current):
-        """Steps ``start`` on, from the versions in ``current``."""
-        for i in range(start, len(keys)):
-            x, y = keys[i]
-            key = x, projectors[y]
-            if key not in maps:
-                m, b = projectors[x].affine_map(mdp.cumulants[x] + mdp.gamma * support[y])
-                maps[key] = np.block([[m, b[:, None]], [np.zeros(sizes[y]), 1.0]])
-            slot, _, tail = current[x]
-            maps[key].dot(current[y][1], out=tail)
-            current[x] = step_slots[x][i]
-            coef_rows[i].dot(slot, out=current[x][1])
-
-    def _first_drift(keys, start):
-        """First step from ``start`` whose weight sum drifts past the tolerance."""
-        return min((
-            start + i
-            for n, pool in pools.items()
-            for i, total in enumerate(np.add.reduce(pool[start:len(keys), 0, :-1], axis=1).tolist())
-            # A slot that a step of another support size wrote is stale.
-            if abs(total - 1.0) > MASS_DRIFT_TOL and sizes[keys[start + i][0]] == n
-        ), default=None)
 
     report = TdReport()
     alphas_since_report = []
-    visited = sample_visits(mdp, steps, rng, state_sampler)
-    done = 0
-    while done < steps:
-        # A block ends at the next report step at the latest.
-        count = min(_CHECK_BLOCK, report_interval - done % report_interval, steps - done)
-        keys = list(islice(visited, count))
-        for x, _ in keys:
-            visits[x] += 1
-            # StepSchedule.__call__'s expression.
-            alphas_since_report.append(schedule.scale * visits[x] ** -schedule.exponent)
-        coefs[:count] = [(1.0 - a, a) for a in alphas_since_report[-count:]]
-        current, start = first[:], 0
-        _blend(keys, start, current)
-        while (bad := _first_drift(keys, start)) is not None:
-            # Renormalise as a per-step check would, then redo the later steps.
-            row = step_slots[keys[bad][0]][bad][1][:-1]
-            drift = float(np.add.reduce(row)) - 1.0
-            np.divide(row, 1.0 + drift, out=row)
-            report.renormalizations += 1
-            current, start = first[:], bad + 1
-            for i in range(start):
-                current[keys[i][0]] = step_slots[keys[i][0]][i]
-            _blend(keys, start, current)
-        for x in {key[0] for key in keys}:
-            first[x][1][:] = current[x][1]
-        done += count
-        if done % report_interval == 0 or done == steps:
-            report.steps.append(done)
+    for t, (x, y) in enumerate(sample_visits(mdp, steps, rng, state_sampler), 1):
+        visits[x] += 1
+        alpha = schedule.scale * visits[x] ** -schedule.exponent  # StepSchedule.__call__, inline
+        alphas_since_report.append(alpha)
+        key = x, projectors[y]
+        if key not in maps:
+            m, b = projectors[x].affine_map(mdp.cumulants[x] + mdp.gamma * support[y])
+            maps[key] = np.block([[m, b[:, None]], [np.zeros(sizes[y]), 1.0]])
+        slot = current[x]
+        maps[key].dot(current[y][0], out=slot[1])
+        current[x], spare[x] = spare[x], slot
+        coef[0], coef[1] = 1.0 - alpha, alpha
+        coef.dot(slot, out=current[x][0])
+        if t % report_interval == 0 or t == steps:
+            if not all(np.isfinite(w).all() for w in _weights()):
+                raise ConsistencyError(f"categorical TD weights overflowed by step {t} "
+                                       f"at td.schedule.scale = {schedule.scale}")
+            report.steps.append(t)
             report.sup_mmd.append(_distance_to_reference())
             report.mean_step_size.append(float(np.mean(alphas_since_report)))
             alphas_since_report = []
-
     return TdState(_estimate(), np.array(visits, dtype=np.int64), state.step + steps), report
-
-
-def _views(slots) -> list:
-    """(slot, row 0, row 1) for each (2, n + 1) slot."""
-    return [(s, s[0], s[1]) for s in slots]
 
 
 def _check_run(mdp: TabularMDP, steps: int, report_interval: int, reference, init) -> None:

@@ -519,13 +519,15 @@ class TestRunCommand:
         assert 0.0 < per_seed["reference_s"] < per_seed["wall_time_s"]
 
     @pytest.mark.parametrize("off_mass", [False, True])
-    def test_td_cat_summary_counts_renormalizations(self, tmp_path, monkeypatch, off_mass):
+    def test_td_cat_summary_omits_renormalizations(self, tmp_path, monkeypatch, off_mass):
+        # Nothing renormalises categorical TD weights any more, so the
+        # summary has no count of it, from a mass-1 start or from one of
+        # mass 1 + 5e-10, whose error each visit scales by (1 - alpha).
         import mmdrl.experiments as experiments
         from mmdrl import DiscreteMeasure, categorical_td_run, init_td_state
         from mmdrl.td import TdState
 
         def run_from_off_mass_init(mdp, support, spec, *args, **kwargs):
-            # Weights of mass 1 + 5e-10: blends at alpha = 0.5 drift by 2.5e-10.
             state = init_td_state(mdp, support, spec)
             init = TdState(
                 ReturnDistFn(tuple(
@@ -551,10 +553,44 @@ class TestRunCommand:
         out = tmp_path / "out"
         assert main(["run", "--config", config, "--out", str(out)]) == 0
         per_seed = json.loads((out / "summary.json").read_text())["per_seed"][0]
-        if off_mass:
-            assert per_seed["renormalizations"] > 0
-        else:
-            assert per_seed["renormalizations"] == 0
+        assert per_seed["steps"] == 300
+        assert "renormalizations" not in per_seed
+
+    @staticmethod
+    def td_cat_scale_config(tmp_path, scale, seed):
+        return write_config(tmp_path, {
+            "algorithm": "td-cat",
+            "mdp": {"kind": "random", "n_states": 5, "dim": 1},
+            "support": {"kind": "grid", "m": 16},
+            "td": {"steps": 20_000, "schedule": {"scale": scale}},
+            "seeds": [seed],
+        }, name=f"scale_{scale}_{seed}.json")
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_td_cat_steps_above_two_converge(self, tmp_path, seed):
+        # First steps of 20 make the weights grow for a while. A mass check
+        # used to divide them by a near-zero mass here, which made them
+        # non-finite (a RuntimeWarning, then exit 2).
+        config = self.td_cat_scale_config(tmp_path, 20.0, seed)
+        out = tmp_path / "out"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["run", "--config", config, "--out", str(out)]) == 0
+        assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+        rows = (out / "series.csv").read_text().splitlines()[1:]
+        assert len(rows) == 20
+        assert all(np.isfinite(float(cell)) for row in rows for cell in row.split(","))
+        per_seed = json.loads((out / "summary.json").read_text())["per_seed"][0]
+        assert per_seed["final_distance"] < 0.1
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_diverging_td_cat_run_exits_3(self, tmp_path, capsys):
+        # Steps of 100 overflow the weights (numpy warns of the overflow);
+        # the config is valid, so that is an engine error, not a config one.
+        config = self.td_cat_scale_config(tmp_path, 100.0, 0)
+        assert main(["run", "--config", config, "--out", str(tmp_path / "out")]) == 3
+        err = capsys.readouterr().err
+        assert "engine error" in err and "td.schedule.scale" in err
 
     def test_dsm_simplex_grid_converges(self, tmp_path):
         config = write_config(
@@ -866,6 +902,18 @@ class TestRunCommand:
                  "ewp": {"particles": 4, "iterations": 2}, "zeroshot": {"oracle_samples": 2**62}},
                 id="zeroshot-oracle-samples-2-62",
             ),
+            # Exited 1: counts below 2^60 whose arrays of doubles still pass
+            # numpy's largest byte size (2^60 cumulants; 2^60 grid atoms,
+            # as round(m^(1/d)) rounds 2^60 - 1 up).
+            pytest.param(
+                {"algorithm": "dp-cat", "mdp": {"kind": "random", "n_states": 2, "dim": 2**59}},
+                id="mdp-cumulants-2-60",
+            ),
+            pytest.param(
+                {"algorithm": "dp-cat", "mdp": {"kind": "random", "n_states": 2, "dim": 1},
+                 "support": {"kind": "grid", "m": 2**60 - 1}},
+                id="support-m-2-60-minus-1",
+            ),
             *(pytest.param(payload, id=name) for name, (payload, _) in MALFORMED_DOCUMENTS.items()),
         ],
     )
@@ -964,6 +1012,13 @@ class TestRunCommand:
             ({"algorithm": "dp-cat", "support": {"kind": "random", "m": 2**60}}, "support.m"),
             ({"algorithm": "td-ewp", "td": {"steps": 10, "particles": 2**62}}, "td.particles"),
             ({"algorithm": "dp-cat", "zeroshot": {"oracle_samples": 2**62}}, "zeroshot.oracle_samples"),
+            ({"algorithm": "dp-cat", "mdp": {"kind": "random", "n_states": 2, "dim": 2**59}}, "mdp.dim"),
+            ({"algorithm": "dp-cat", "support": {"kind": "grid", "m": 2**60 - 1}}, "support.m"),
+            (
+                {"algorithm": "dp-cat", "mdp": {"kind": "random", "n_states": 2, "dim": 2},
+                 "support": {"kind": "random", "m": 2**59}},
+                "support.m",
+            ),
         ],
     )
     def test_out_of_bounds_and_unknown_keys_exit_2(self, tmp_path, capsys, payload, key):
@@ -1277,11 +1332,14 @@ class TestMeshReport:
     def test_missing_mdp_exits_2(self, tmp_path):
         assert main(["mesh-report", "--mdp", str(tmp_path / "nope.json")]) == 2
 
-    def test_negative_seed_exits_2(self, tmp_path):
+    def test_negative_seed_exits_2(self, tmp_path, capsys):
+        # Only a random support reads the seed; the others used to exit 0.
         mdp_path = tmp_path / "mdp.json"
         main(["gen-mdp", "--n-states", "2", "--dim", "2", "--out", str(mdp_path)])
-        args = ["--support-kind", "random", "--seed", "-1"]
-        assert main(["mesh-report", "--mdp", str(mdp_path), *args]) == 2
+        for kind in ("grid", "random", "simplex-grid"):
+            args = ["--support-kind", kind, "--support-m", "9", "--seed", "-1"]
+            assert main(["mesh-report", "--mdp", str(mdp_path), *args]) == 2, kind
+            assert "seed" in capsys.readouterr().err
 
     def test_support_m_takes_the_config_rule(self, tmp_path, capsys):
         # 2^62 went to build_support unchecked; at d = 1 numpy then raised
