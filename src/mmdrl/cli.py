@@ -21,6 +21,7 @@ from .errors import (
     InvalidInputError,
     SolverError,
     SupportBlowupError,
+    require,
 )
 from .evaluation import mesh_and_bound
 from .experiments import (
@@ -160,8 +161,7 @@ def _cmd_mesh(args) -> int:
     """The flags pass the config's rules for the ``support`` and ``kernel``
     sections, and the MDP file those for a file MDP (its v_max overflow
     check included) before any support is built."""
-    if args.seed < 0:
-        raise InvalidInputError(f"--seed must be nonnegative, got {args.seed}")
+    require(args.seed >= 0, f"--seed must be nonnegative, got {args.seed}")
     support_cfg = resolve_section("support", {
         "kind": args.support_kind, "m": args.support_m, "resolution": args.support_resolution,
     })

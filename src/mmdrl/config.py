@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InvalidInputError, json_integer, json_real, malformed_as_invalid, read_json
+from .errors import json_integer, json_list, json_real, read_fields, read_json, require
 
 CONFIG_VERSION = 1
 ALGORITHMS = ("dp-cat", "dp-ewp", "td-cat", "td-ewp")
@@ -33,22 +33,6 @@ class ExperimentConfig:
         return self.resolved[key]
 
 
-def _require(cond: bool, message: str) -> None:
-    if not cond:
-        raise InvalidInputError(message)
-
-
-def _within(value, bound) -> bool:
-    """Whether ``value`` lies in ``bound``: an interval such as "[0, 1)" or
-    "(0, inf)", or a tuple of choices."""
-    if isinstance(bound, tuple):
-        return value in bound
-    lo, hi = map(float, bound[1:-1].split(","))
-    return (lo <= value if bound[0] == "[" else lo < value) and (
-        value <= hi if bound[-1] == "]" else value < hi
-    )
-
-
 def _flag(value) -> bool:
     if not isinstance(value, bool):
         raise TypeError(f"expected true or false, got {value!r}")
@@ -65,19 +49,14 @@ def _seed_path(value) -> str:
 
 def _td_reference(value):
     if isinstance(value, dict):
-        return _resolve(value, {"path": _PATH}, "td.reference")
-    _require(value in ("signed-dp", None), f"unknown td.reference {value!r}")
+        return read_fields(value, {"path": str}, "td.reference")
+    require(value in ("signed-dp", None), f"unknown td.reference {value!r}")
     return value
 
 
-# The config schema. Per section, each field's (cast, default, bound), in
-# the order the resolved config echoes them. A field whose default is null
-# also takes null, which skips its cast and bound. A nested dict is a
-# subsection; a None entry is a key only another algorithm reads there. A
-# "kind" entry maps each kind to the fields it reads; the first is the
-# default, and a key that any kind reads is known to all of them.
-_REQUIRED = object()
-_PATH = (str, _REQUIRED, None)
+# The config schema: one field table (see ``errors.read_fields``) per
+# section, in the order the resolved config echoes them. A None entry is a
+# key only another algorithm reads there.
 _GAMMA = (json_real, 0.9, "[0, 1)")
 _CONCENTRATION = (json_real, 1.0, "(0, inf)")
 # A grid needs 2^d atoms, two per axis: build_support checks m once d is known.
@@ -95,14 +74,14 @@ _MDP = {"kind": {
         "gamma": _GAMMA,
         "dirichlet_concentration": _CONCENTRATION,
     },
-    "file": {"path": _PATH},
+    "file": {"path": str},
 }}
 _KERNEL = {"alpha": (json_real, 1.0, "(0, 2)")}
 _SUPPORT = {"kind": {
     "grid": {"m": _ATOMS},
     "random": {"m": _ATOMS},
     "simplex-grid": {"resolution": (json_integer, 10, "[1, inf)")},
-    "file": {"path": _PATH},
+    "file": {"path": str},
 }}
 _DP = {
     "tol": (json_real, 1e-8, "(0, inf]"),
@@ -116,7 +95,7 @@ _EWP = {
 _TD = {
     "steps": (json_integer, 10000, "[0, inf)"),
     "report_interval": (json_integer, 1000, "[1, inf)"),
-    "state_sampler": (str, "uniform", None),  # per algorithm, in _resolve_config
+    "state_sampler": (str, "uniform", None),  # per algorithm, in resolve_config
     "schedule": {
         "exponent": (json_real, 0.6, "(0.5, 1]"),
         "scale": (json_real, 1.0, "(0, inf)"),
@@ -128,7 +107,7 @@ _ZEROSHOT = {
     "nonnegative_orthant": (_flag, False, None),
     "oracle_samples": (json_integer, 10000, "[1, inf)"),
     "tail_tol": (json_real, 1e-3, "(0, inf]"),
-    "estimate": {"kind": {"solve": {}, "file": {"path": (_seed_path, _REQUIRED, None)}}},
+    "estimate": {"kind": {"solve": {}, "file": {"path": _seed_path}}},
 }
 # The sections each algorithm reads besides mdp, kernel and seeds; each
 # also reads a zeroshot section when its config carries one. A key that no
@@ -142,38 +121,6 @@ _SECTIONS = {
 }
 _TOP_LEVEL = ("format_version", "algorithm", "mdp", "kernel", "seeds", "support",
               "dp", "ewp", "td", "zeroshot")
-
-
-def _resolve(raw, table, where: str) -> dict:
-    """One config section resolved by its field table."""
-    _require(isinstance(raw, dict), f"{where} must be a JSON object")
-    kinds = table.get("kind", {})
-    unknown = sorted(set(raw).difference(table, *kinds.values()))
-    _require(not unknown, f"{where} has unknown keys {unknown}")
-    out = {}
-    if kinds:
-        kind = out["kind"] = raw.get("kind", next(iter(kinds)))
-        _require(kind in kinds, f"unknown {where} kind {kind!r}")
-        table = kinds[kind]
-    for key, field in table.items():
-        name = f"{where}.{key}"
-        if field is None:
-            continue
-        if isinstance(field, dict):
-            out[key] = _resolve(raw.get(key, {}), field, name)
-            continue
-        cast, default, bound = field
-        _require(key in raw or default is not _REQUIRED, f"{where} needs a {key}")
-        value = out[key] = raw.get(key, default)
-        if value is None and default is None:
-            continue
-        with malformed_as_invalid(name):
-            value = out[key] = cast(value)
-        if bound is not None:
-            _require(_within(value, bound), f"{name} must be in {bound}, got {value!r}")
-    return out
-
-
 _TABLES = {"mdp": _MDP, "kernel": _KERNEL, "support": _SUPPORT}
 
 
@@ -181,8 +128,7 @@ def resolve_section(name: str, raw) -> dict:
     """The resolved ``mdp``, ``kernel`` or ``support`` section of a config,
     as ``resolve_config`` gives it: the commands that take these fields as
     flags hold them to the config's rules."""
-    with malformed_as_invalid(name):
-        return _resolve(raw, _TABLES[name], name)
+    return read_fields(raw, _TABLES[name], name)
 
 
 def resolve_config(raw: dict) -> ExperimentConfig:
@@ -192,43 +138,35 @@ def resolve_config(raw: dict) -> ExperimentConfig:
     that fail their int/float conversion, values out of their bounds and
     keys that no algorithm reads.
     """
-    with malformed_as_invalid("config value"):
-        return _resolve_config(raw)
-
-
-def _resolve_config(raw: dict) -> ExperimentConfig:
-    _require(isinstance(raw, dict), "config must be a JSON object")
+    require(isinstance(raw, dict), "config must be a JSON object")
     unknown = sorted(set(raw).difference(_TOP_LEVEL))
-    _require(not unknown, f"config has unknown keys {unknown}")
+    require(not unknown, f"config has unknown keys {unknown}")
     version = raw.get("format_version", CONFIG_VERSION)
-    _require(version == CONFIG_VERSION, f"unsupported config version {version}")
+    require(version == CONFIG_VERSION, f"unsupported config version {version}")
     algorithm = raw.get("algorithm")
-    _require(algorithm in ALGORITHMS, f"algorithm must be one of {ALGORITHMS}")
+    require(algorithm in ALGORITHMS, f"algorithm must be one of {ALGORITHMS}")
     resolved = {
         "format_version": CONFIG_VERSION,
         "algorithm": algorithm,
-        "mdp": _resolve(raw.get("mdp", {}), _MDP, "mdp"),
-        "kernel": _resolve(raw.get("kernel", {}), _KERNEL, "kernel"),
+        "mdp": read_fields(raw.get("mdp", {}), _MDP, "mdp"),
+        "kernel": read_fields(raw.get("kernel", {}), _KERNEL, "kernel"),
     }
     seeds = raw.get("seeds", [0])
-    _require(isinstance(seeds, list), "seeds must be a JSON list of integers")
-    with malformed_as_invalid("seeds"):
-        seeds = resolved["seeds"] = [json_integer(s) for s in seeds]
-    _require(len(seeds) >= 1, "need at least one seed")
-    _require(min(seeds) >= 0, "seeds must be nonnegative integers")
-    _require(len(set(seeds)) == len(seeds), f"seeds must not repeat, got {seeds}")
+    require(isinstance(seeds, list), "seeds must be a JSON list of integers")
+    seeds = resolved["seeds"] = list(json_list(json_integer, "seeds")(seeds))
+    require(len(seeds) >= 1, "need at least one seed")
+    require(min(seeds) >= 0, "seeds must be nonnegative integers")
+    require(len(set(seeds)) == len(seeds), f"seeds must not repeat, got {seeds}")
 
     sections = dict(_SECTIONS[algorithm])
     if "zeroshot" in raw:
         sections["zeroshot"] = _ZEROSHOT
     for name, table in sections.items():
-        resolved[name] = _resolve(raw.get(name, {}), table, name)
+        resolved[name] = read_fields(raw.get(name, {}), table, name)
     if "td" in resolved:
         td = resolved["td"]
         samplers = ("uniform", "trajectory") if algorithm == "td-cat" else ("uniform",)
-        _require(
-            td["state_sampler"] in samplers, f"{algorithm} td.state_sampler: {samplers}"
-        )
+        require(td["state_sampler"] in samplers, f"{algorithm} td.state_sampler: {samplers}")
         if algorithm == "td-ewp" and td["reference"] == "signed-dp":
             td["reference"] = None
     return ExperimentConfig(resolved)

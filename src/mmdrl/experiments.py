@@ -18,7 +18,7 @@ import numpy as np
 
 from .config import CONFIG_VERSION, ExperimentConfig
 from .dp import DpReport, EwpConfig, categorical_dp_solve, ewp_random_solve
-from .errors import InvalidInputError, check_doubles, json_array, malformed_as_invalid, read_json
+from .errors import check_doubles, json_array, json_list, read_fields, read_json, require
 from .evaluation import ScalarDist, cramer_distance, zeroshot_scalar
 from .kernels import KernelSpec, mmd
 from .measures import (
@@ -62,11 +62,9 @@ def _check_extent(what: str, points, dim: int) -> None:
     estimate) passes this check.
     """
     extent = float(np.max(np.abs(points)))
-    if not math.isfinite(dim * (2.0 * extent) * (2.0 * extent)):
-        raise InvalidInputError(
+    require(math.isfinite(dim * (2.0 * extent) * (2.0 * extent)),
             f"{what} reaches {extent:.6g}: squared distances between such "
-            f"points overflow in {dim} dimension(s)"
-        )
+            f"points overflow in {dim} dimension(s)")
 
 
 def build_mdp(mc: dict, seed: int) -> TabularMDP:
@@ -95,6 +93,9 @@ def build_mdp(mc: dict, seed: int) -> TabularMDP:
     return mdp
 
 
+_SUPPORT_FILE = {"atoms": json_list(json_array("points"), "support file atoms")}
+
+
 def build_support(sc: dict, mdp: TabularMDP, seed: int) -> SupportMap:
     """The support map a resolved ``support`` config section describes."""
     if sc["kind"] in ("grid", "random"):
@@ -113,11 +114,7 @@ def build_support(sc: dict, mdp: TabularMDP, seed: int) -> SupportMap:
         )
     else:
         payload = read_json(sc["path"], "support file")
-        with malformed_as_invalid("support file"):
-            atoms = payload["atoms"]
-            support = SupportMap(
-                tuple(json_array(a, f"support file atoms[{x}]") for x, a in enumerate(atoms))
-            )
+        support = SupportMap(read_fields(payload, _SUPPORT_FILE, "support file")["atoms"])
     _check_extent("support", np.concatenate(support.atoms), support.dim)
     return support
 
@@ -359,9 +356,11 @@ def zeroshot_seed(config: ExperimentConfig, seed: int, estimate: ReturnDistFn | 
         samples = rollout_returns(mdp, x, horizon, zs["oracle_samples"], oracle_rng)
         scoring_start = time.perf_counter()
         n = samples.shape[0]
+        # ScalarDist never writes to its inputs, so the draws share these.
+        truth_weights = np.full(n, 1.0 / n)
         for w, draw_errors in zip(draws, errors):
             predicted = zeroshot_scalar(probability_estimate[x], w)
-            truth = ScalarDist(samples @ w, np.full(n, 1.0 / n))
+            truth = ScalarDist(samples @ w, truth_weights)
             draw_errors.append(cramer_distance(predicted, truth))
             del truth
         del samples
@@ -376,8 +375,7 @@ def zeroshot_seed(config: ExperimentConfig, seed: int, estimate: ReturnDistFn | 
 
 def zeroshot_run(config: ExperimentConfig, out_dir) -> dict:
     """Zero-shot evaluation across seeds; writes per-draw CSV and a summary."""
-    if "zeroshot" not in config.resolved:
-        raise InvalidInputError("config carries no zeroshot section")
+    require("zeroshot" in config.resolved, "config carries no zeroshot section")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     results = [zeroshot_seed(config, s) for s in config.seeds]

@@ -200,10 +200,10 @@ def signed_cross_sum(
     return total
 
 
-def merge_close_atoms(atoms: np.ndarray, weights: np.ndarray, tol: float = MERGE_TOL):
-    """Sum weights of atoms that coincide within ``tol`` componentwise.
+def merge_close_atoms(atoms: np.ndarray, weights: np.ndarray):
+    """Sum weights of atoms that coincide within ``MERGE_TOL`` componentwise.
 
-    Atoms are bucketed on a ``tol``-spaced lattice, which is how float
+    Atoms are bucketed on a ``MERGE_TOL``-spaced lattice, which is how float
     pushforwards produce near-duplicates in practice. Returns the first
     representative of each bucket and the summed weights, buckets in
     lexicographic order of their lattice keys (coordinate 0 first). One
@@ -213,7 +213,7 @@ def merge_close_atoms(atoms: np.ndarray, weights: np.ndarray, tol: float = MERGE
     ``np.unique(keys, axis=0)``. ``atoms`` needs at least one row.
     """
     # Keys compare as floats, so -0.0 and +0.0 fall in one bucket.
-    keys = (atoms / tol).round()
+    keys = (atoms / MERGE_TOL).round()
     order = np.lexsort(keys.T[::-1])
     ranked = keys[order]
     new = np.empty(order.shape[0], dtype=bool)

@@ -7,7 +7,6 @@ are deterministic per-state cumulant vectors in [0, r_max]^d.
 from __future__ import annotations
 
 import bisect
-import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -17,14 +16,18 @@ import numpy as np
 from .errors import (
     InvalidInputError,
     json_array,
-    json_field,
     json_integer,
     json_real,
-    malformed_as_invalid,
+    read_fields,
     read_json,
+    require,
+    write_json,
 )
 
 _ROW_TOL = 1e-9
+# The fields of an MDP file, as ``TabularMDP.to_json`` writes them.
+_FIELDS = {"n_states": json_integer, "d": json_integer, "gamma": json_real, "r_max": json_real,
+           "transition": json_array("matrix"), "cumulants": json_array("points")}
 
 
 def rng_stream(seed: int, stream: int = 0) -> np.random.Generator:
@@ -46,26 +49,17 @@ class TabularMDP:
     def __post_init__(self):
         p = np.array(self.transition, dtype=np.float64, copy=True)
         r = np.array(self.cumulants, dtype=np.float64, copy=True)
-        if p.ndim != 2 or p.shape[0] != p.shape[1]:
-            raise InvalidInputError(f"transition matrix must be square, got {p.shape}")
+        require(p.ndim == 2 and p.shape[0] == p.shape[1],
+                f"transition matrix must be square, got {p.shape}")
         if r.ndim == 1:
             r = r[:, None]
-        if p.shape[0] < 1 or r.ndim != 2 or r.shape[0] != p.shape[0] or r.shape[1] < 1:
-            raise InvalidInputError(
-                f"need n_states, d >= 1 and (n_states, d) cumulants: {p.shape}, {r.shape}"
-            )
-        if (
-            not np.all(np.isfinite(p))
-            or np.any(p < 0.0)
-            or np.any(np.abs(p.sum(axis=1) - 1.0) > _ROW_TOL)
-        ):
-            raise InvalidInputError(
-                "transition rows must be finite, nonnegative and sum to 1"
-            )
-        if not 0.0 <= self.gamma < 1.0:
-            raise InvalidInputError(f"gamma must lie in [0, 1), got {self.gamma}")
-        if not np.all((r >= 0.0) & (r <= self.r_max)):
-            raise InvalidInputError(f"cumulants must lie in [0, {self.r_max}]")
+        require(p.shape[0] >= 1 and r.ndim == 2 and r.shape[0] == p.shape[0] and r.shape[1] >= 1,
+                f"need n_states, d >= 1 and (n_states, d) cumulants: {p.shape}, {r.shape}")
+        require(np.all(np.isfinite(p)) and not np.any(p < 0.0)
+                and not np.any(np.abs(p.sum(axis=1) - 1.0) > _ROW_TOL),
+                "transition rows must be finite, nonnegative and sum to 1")
+        require(0.0 <= self.gamma < 1.0, f"gamma must lie in [0, 1), got {self.gamma}")
+        require(np.all((r >= 0.0) & (r <= self.r_max)), f"cumulants must lie in [0, {self.r_max}]")
         p.flags.writeable = False
         r.flags.writeable = False
         object.__setattr__(self, "transition", p)
@@ -100,23 +94,14 @@ class TabularMDP:
 
     @classmethod
     def from_json(cls, payload: dict) -> "TabularMDP":
-        with malformed_as_invalid("MDP"):
-            mdp = cls(
-                json_array(payload["transition"], "MDP.transition"),
-                json_array(payload["cumulants"], "MDP.cumulants"),
-                json_field(payload, "gamma", json_real, "MDP"),
-                json_field(payload, "r_max", json_real, "MDP"),
-            )
-            shape = tuple(json_field(payload, k, json_integer, "MDP") for k in ("n_states", "d"))
-        if (mdp.n_states, mdp.dim) != shape:
-            raise InvalidInputError("serialized MDP shape fields do not match arrays")
+        f = read_fields(payload, _FIELDS, "MDP")
+        mdp = cls(f["transition"], f["cumulants"], f["gamma"], f["r_max"])
+        require((mdp.n_states, mdp.dim) == (f["n_states"], f["d"]),
+                "serialized MDP shape fields do not match arrays")
         return mdp
 
     def save(self, path) -> None:
-        # json.dumps runs the C encoder; json.dump always takes the pure-Python
-        # one. Both write the same bytes.
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(self.to_json()))
+        write_json(path, self.to_json())
 
     @classmethod
     def load(cls, path) -> "TabularMDP":

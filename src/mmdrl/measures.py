@@ -9,7 +9,6 @@ fixes the finite per-state atom sets used by the categorical algorithms.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,17 +16,24 @@ import numpy as np
 from .errors import (
     InvalidInputError,
     json_array,
-    json_field,
     json_integer,
-    malformed_as_invalid,
+    json_list,
+    read_fields,
     read_json,
+    require,
+    write_json,
 )
-from .kernels import MASS_TOL, MERGE_TOL, KernelSpec, merge_close_atoms, pairwise_semimetric
+from .kernels import MASS_TOL, KernelSpec, merge_close_atoms, pairwise_semimetric
 
 # Negative-weight slack tolerated in probability measures before clamping.
 PROBABILITY_TOL = 1e-12
 # Minimum pairwise gap between support atoms.
 SUPPORT_GAP = 1e-9
+
+# The fields of a measure and of a return-distribution file, as the
+# ``to_json`` methods below write them.
+_MEASURE_FIELDS = {"dim": json_integer, "atoms": json_array("points"),
+                   "weights": json_array("vector")}
 
 
 @dataclass(frozen=True)
@@ -45,15 +51,13 @@ class DiscreteMeasure:
         atoms = np.array(self.atoms, dtype=np.float64, copy=True)
         if atoms.ndim == 1:
             atoms = atoms[:, None]
-        if atoms.ndim != 2 or atoms.shape[0] < 1:
-            raise InvalidInputError(f"atoms must be (n, d) with n >= 1, got {atoms.shape}")
+        require(atoms.ndim == 2 and atoms.shape[0] >= 1,
+                f"atoms must be (n, d) with n >= 1, got {atoms.shape}")
         weights = np.array(self.weights, dtype=np.float64, copy=True).ravel()
-        if weights.shape[0] != atoms.shape[0]:
-            raise InvalidInputError(
-                f"{weights.shape[0]} weights for {atoms.shape[0]} atoms"
-            )
-        if not (np.all(np.isfinite(atoms)) and np.all(np.isfinite(weights))):
-            raise InvalidInputError("atoms and weights must be finite")
+        require(weights.shape[0] == atoms.shape[0],
+                f"{weights.shape[0]} weights for {atoms.shape[0]} atoms")
+        require(np.all(np.isfinite(atoms)) and np.all(np.isfinite(weights)),
+                "atoms and weights must be finite")
         atoms.flags.writeable = False
         weights.flags.writeable = False
         object.__setattr__(self, "atoms", atoms)
@@ -86,12 +90,9 @@ class DiscreteMeasure:
 
     @classmethod
     def from_json(cls, payload: dict) -> "DiscreteMeasure":
-        atoms = json_array(payload["atoms"], "atoms")
-        if atoms.ndim == 1:
-            atoms = atoms[:, None]
-        if atoms.shape[1] != json_field(payload, "dim", json_integer, "measure"):
-            raise InvalidInputError("serialized dim does not match atom shape")
-        return cls(atoms, json_array(payload["weights"], "weights"))
+        f = read_fields(payload, _MEASURE_FIELDS, "measure")
+        require(f["atoms"].shape[1] == f["dim"], "serialized dim does not match atom shape")
+        return cls(f["atoms"], f["weights"])
 
 
 def as_probability(p: DiscreteMeasure) -> DiscreteMeasure:
@@ -143,7 +144,7 @@ def mixture(components) -> DiscreteMeasure:
         raise InvalidInputError(f"mixed dimensions in mixture: {sorted(dims)}")
     atoms = np.concatenate([c[1].atoms for c in components], axis=0)
     weights = np.concatenate([a * c.weights for a, c in components])
-    atoms, weights = merge_close_atoms(atoms, weights, MERGE_TOL)
+    atoms, weights = merge_close_atoms(atoms, weights)
     keep = weights != 0.0
     if np.any(keep) and not np.all(keep):
         atoms, weights = atoms[keep], weights[keep]
@@ -161,6 +162,10 @@ def empirical(samples) -> DiscreteMeasure:
     return DiscreteMeasure(pts, np.full(m, 1.0 / m))
 
 
+_RETURN_DIST_FIELDS = {"n_states": json_integer,
+                       "measures": json_list(DiscreteMeasure.from_json, "measures")}
+
+
 @dataclass(frozen=True)
 class ReturnDistFn:
     """Per-state return distributions: one mass-1 measure per state."""
@@ -169,11 +174,9 @@ class ReturnDistFn:
 
     def __post_init__(self):
         measures = tuple(self.measures)
-        if not measures:
-            raise InvalidInputError("return-distribution function over zero states")
+        require(measures, "return-distribution function over zero states")
         dims = {m.dim for m in measures}
-        if len(dims) > 1:
-            raise InvalidInputError(f"states carry mixed dimensions: {sorted(dims)}")
+        require(len(dims) == 1, f"states carry mixed dimensions: {sorted(dims)}")
         for x, m in enumerate(measures):
             if abs(m.mass - 1.0) > MASS_TOL:
                 raise InvalidInputError(
@@ -198,11 +201,9 @@ class ReturnDistFn:
     def check_fits(self, mdp, what: str) -> None:
         """Raise ``InvalidInputError``, naming ``what``, unless this holds
         one measure per state of ``mdp``, of its cumulant dimension."""
-        if (self.n_states, self.dim) != (mdp.n_states, mdp.dim):
-            raise InvalidInputError(
+        require((self.n_states, self.dim) == (mdp.n_states, mdp.dim),
                 f"{what} holds {self.n_states} measures of dimension {self.dim}; "
-                f"the MDP has {mdp.n_states} states of dimension {mdp.dim}"
-            )
+                f"the MDP has {mdp.n_states} states of dimension {mdp.dim}")
 
     def replace(self, x: int, measure: DiscreteMeasure) -> "ReturnDistFn":
         updated = list(self.measures)
@@ -217,21 +218,13 @@ class ReturnDistFn:
 
     @classmethod
     def from_json(cls, payload: dict) -> "ReturnDistFn":
-        with malformed_as_invalid("return distribution"):
-            measures = tuple(DiscreteMeasure.from_json(m) for m in payload["measures"])
-            n_states = payload["n_states"]
-        if isinstance(n_states, bool) or n_states != len(measures):
-            raise InvalidInputError(
-                f"return distribution n_states is {n_states!r}, but it holds "
-                f"{len(measures)} measures"
-            )
-        return cls(measures)
+        f = read_fields(payload, _RETURN_DIST_FIELDS, "return distribution")
+        require(f["n_states"] == len(f["measures"]), f"return distribution n_states is "
+                f"{f['n_states']}, but it holds {len(f['measures'])} measures")
+        return cls(f["measures"])
 
     def save(self, path) -> None:
-        # json.dumps runs the C encoder; json.dump always takes the pure-Python
-        # one. Both write the same bytes.
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(self.to_json()))
+        write_json(path, self.to_json())
 
     @classmethod
     def load(cls, path) -> "ReturnDistFn":
@@ -268,21 +261,16 @@ class SupportMap:
             arr = np.array(a, dtype=np.float64, copy=True)
             if arr.ndim == 1:
                 arr = arr[:, None]
-            if arr.ndim != 2 or arr.shape[1] < 1:
-                raise InvalidInputError(f"support atoms at state {x} must be (n, d) "
-                                        f"with d >= 1, got shape {arr.shape}")
-            if arr.shape[0] < 1:
-                raise InvalidInputError(f"state {x} has an empty support")
-            if not np.all(np.isfinite(arr)):
-                raise InvalidInputError(f"support atoms at state {x} must be finite")
+            require(arr.ndim == 2 and arr.shape[1] >= 1, f"support atoms at state {x} must "
+                    f"be (n, d) with d >= 1, got shape {arr.shape}")
+            require(arr.shape[0] >= 1, f"state {x} has an empty support")
+            require(np.all(np.isfinite(arr)), f"support atoms at state {x} must be finite")
             _check_distinct(arr, x)
             arr.flags.writeable = False
             per_state.append(arr)
         dims = {a.shape[1] for a in per_state}
-        if not dims:
-            raise InvalidInputError("a support map needs at least one state")
-        if len(dims) > 1:
-            raise InvalidInputError(f"support dimensions differ: {sorted(dims)}")
+        require(dims, "a support map needs at least one state")
+        require(len(dims) == 1, f"support dimensions differ: {sorted(dims)}")
         object.__setattr__(self, "atoms", tuple(per_state))
 
     @property
@@ -374,16 +362,16 @@ def categorical(support: SupportMap, weights) -> ReturnDistFn:
     return ReturnDistFn(tuple(measures))
 
 
-def weights_on_support(p: DiscreteMeasure, support_atoms: np.ndarray, tol: float = SUPPORT_GAP) -> np.ndarray:
+def weights_on_support(p: DiscreteMeasure, support_atoms: np.ndarray) -> np.ndarray:
     """Weight vector of ``p`` expressed on a support containing its atoms.
 
-    Every atom of ``p`` must match a support atom within ``tol``; weights
-    of coinciding atoms are accumulated. A support of another dimension
-    raises ``InvalidInputError``.
+    Every atom of ``p`` must match a support atom within ``SUPPORT_GAP``;
+    weights of coinciding atoms are accumulated. A support of another
+    dimension raises ``InvalidInputError``.
     """
     dist = pairwise_semimetric(p.atoms, support_atoms, KernelSpec())
     nearest = np.argmin(dist, axis=1)
-    if np.any(dist[np.arange(p.n_atoms), nearest] > tol):
+    if np.any(dist[np.arange(p.n_atoms), nearest] > SUPPORT_GAP):
         raise InvalidInputError("measure carries atoms outside the support")
     w = np.zeros(dist.shape[1])
     np.add.at(w, nearest, p.weights)

@@ -40,9 +40,9 @@ def with_string_weights(document):
     return {**document, "measures": [point] * document["n_states"]}
 
 
-# Documents with one malformed field, loaded as an MDP file, a zero-shot
-# estimate or a TD reference, and the field an error must name. Each used
-# to load (exit 0).
+# Documents with one malformed field or one unknown key, loaded as an MDP
+# file, a support file, a zero-shot estimate or a TD reference, and the
+# field or key an error must name. Each used to load (exit 0).
 MALFORMED_DOCUMENTS = {
     "estimate-weights-string": (
         {"algorithm": "dp-ewp", "mdp": {"kind": "random", "n_states": 2, "dim": 1},
@@ -71,6 +71,37 @@ MALFORMED_DOCUMENTS = {
          "zeroshot": {"oracle_samples": 10,
                       "estimate": {"kind": "file", "path": "estimate_dim_true.json"}}},
         "measure.dim",
+    ),
+    # The weights' extra level of lists used to be flattened away.
+    "estimate-weights-nested": (
+        {"algorithm": "dp-ewp", "mdp": {"kind": "random", "n_states": 2, "dim": 1},
+         "ewp": {"particles": 4, "iterations": 2},
+         "zeroshot": {"oracle_samples": 10,
+                      "estimate": {"kind": "file", "path": "estimate_weights_nested.json"}}},
+        "weights",
+    ),
+    "estimate-unknown-key": (
+        {"algorithm": "dp-ewp", "mdp": {"kind": "random", "n_states": 2, "dim": 1},
+         "ewp": {"particles": 4, "iterations": 2},
+         "zeroshot": {"oracle_samples": 10,
+                      "estimate": {"kind": "file", "path": "estimate_unknown_key.json"}}},
+        "label",
+    ),
+    "mdp-file-unknown-key": (
+        {"algorithm": "dp-ewp", "mdp": {"kind": "file", "path": "mdp_unknown_key.json"},
+         "ewp": {"particles": 4, "iterations": 2}},
+        "discount",
+    ),
+    "support-file-unknown-key": (
+        {"algorithm": "dp-cat", "mdp": {"kind": "random", "n_states": 2, "dim": 1},
+         "support": {"kind": "file", "path": "support_unknown_key.json"}},
+        "points",
+    ),
+    # This one exited 2 before too: a support file's errors name the state.
+    "support-file-state-1-string": (
+        {"algorithm": "dp-cat", "mdp": {"kind": "random", "n_states": 2, "dim": 1},
+         "support": {"kind": "file", "path": "support_state_1_string.json"}},
+        "atoms[1]",
     ),
     **{
         f"mdp-file-{name}": (
@@ -140,6 +171,14 @@ def write_malformed_files(tmp_path):
         "mdp_d_d-true.json": json.dumps({**valid_mdp, "d": True}),
         "mdp_n_states_n-states-true.json": json.dumps({**valid_mdp, "n_states": True}),
         "mdp_transition_transition-string.json": json.dumps({**valid_mdp, "transition": [["1"]]}),
+        "mdp_unknown_key.json": json.dumps({**valid_mdp, "discount": 0.5}),
+        "support_unknown_key.json": json.dumps({"atoms": [[0.0, 1.0]] * 2, "points": 2}),
+        "support_state_1_string.json": json.dumps({"atoms": [[0.0, 1.0], [["0"], ["1"]]]}),
+        "estimate_weights_nested.json": json.dumps(
+            {"n_states": 2, "measures": [{"dim": 1, "atoms": [[0.0], [1.0]],
+                                          "weights": [[0.5], [0.5]]}] * 2}
+        ),
+        "estimate_unknown_key.json": json.dumps({**point_masses(2, 1), "label": "x"}),
     }
     for name, text in files.items():
         (tmp_path / name).write_text(text)
@@ -915,6 +954,12 @@ class TestRunCommand:
                 id="support-m-2-60-minus-1",
             ),
             *(pytest.param(payload, id=name) for name, (payload, _) in MALFORMED_DOCUMENTS.items()),
+            # Kinds that cannot be hashed, so cannot be looked up in a table.
+            pytest.param({"algorithm": "dp-cat", "mdp": {"kind": ["random"]}}, id="mdp-kind-list"),
+            pytest.param(
+                {"algorithm": "dp-cat", "zeroshot": {"estimate": {"kind": {}}}},
+                id="zeroshot-estimate-kind-object",
+            ),
         ],
     )
     def test_malformed_values_never_exit_1(self, tmp_path, monkeypatch, payload):

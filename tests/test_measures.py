@@ -52,6 +52,16 @@ class TestDiscreteMeasure:
         np.testing.assert_array_equal(p.atoms, q.atoms)
         np.testing.assert_array_equal(p.weights, q.weights)
 
+    @pytest.mark.parametrize(
+        "payload",
+        [{"dim": 1, "weights": [1.0]}, [{"dim": 1, "atoms": [[0.0]], "weights": [1.0]}]],
+        ids=["no-atoms", "list"],
+    )
+    def test_from_json_rejects_malformed_payload(self, payload):
+        # These used to raise a bare KeyError and a TypeError.
+        with pytest.raises(InvalidInputError):
+            DiscreteMeasure.from_json(payload)
+
     def test_as_probability_clamps(self):
         p = DiscreteMeasure(np.array([[0.0], [1.0]]), np.array([1.0 + 1e-13, -1e-13]))
         q = as_probability(p)
