@@ -9,7 +9,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import json_integer, json_list, json_real, read_fields, read_json, require
+from .errors import (
+    json_integer,
+    json_list,
+    json_real,
+    malformed_as_invalid,
+    read_fields,
+    read_json,
+    require,
+)
 
 CONFIG_VERSION = 1
 ALGORITHMS = ("dp-cat", "dp-ewp", "td-cat", "td-ewp")
@@ -141,7 +149,8 @@ def resolve_config(raw: dict) -> ExperimentConfig:
     require(isinstance(raw, dict), "config must be a JSON object")
     unknown = sorted(set(raw).difference(_TOP_LEVEL))
     require(not unknown, f"config has unknown keys {unknown}")
-    version = raw.get("format_version", CONFIG_VERSION)
+    with malformed_as_invalid("format_version"):
+        version = json_integer(raw.get("format_version", CONFIG_VERSION))
     require(version == CONFIG_VERSION, f"unsupported config version {version}")
     algorithm = raw.get("algorithm")
     require(algorithm in ALGORITHMS, f"algorithm must be one of {ALGORITHMS}")

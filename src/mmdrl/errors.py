@@ -124,14 +124,18 @@ def json_array(form: str):
 
 def json_list(cast, what: str):
     """The cast of a JSON list to a tuple, item by item through ``cast``; an
-    item it rejects raises ``InvalidInputError`` naming ``what[i]``."""
+    item it rejects raises ``InvalidInputError`` naming ``what[i]``, also
+    when the cast raised that error itself."""
     def read(value) -> tuple:
         if not isinstance(value, list):
             raise TypeError(f"expected a list, got {value!r}")
         items = []
         for i, item in enumerate(value):
             with malformed_as_invalid(f"{what}[{i}]"):
-                items.append(cast(item))
+                try:
+                    items.append(cast(item))
+                except InvalidInputError as exc:
+                    raise InvalidInputError(f"{what}[{i}]: {exc}") from exc
         return tuple(items)
     return read
 

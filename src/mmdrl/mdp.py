@@ -289,6 +289,14 @@ def sample_visits(mdp: "TabularMDP", steps: int, rng: np.random.Generator,
     ``rng.random()`` per step. Draws are taken in blocks, and the pairs
     and the generator's state are those of the scalar calls.
     """
+    for states, successors in _visit_blocks(mdp, steps, rng, state_sampler):
+        yield from zip(states, successors)
+
+
+def _visit_blocks(mdp: "TabularMDP", steps: int, rng: np.random.Generator,
+                  state_sampler: str):
+    """``sample_visits``'s pairs, a block of at most ``_VISIT_BLOCK`` at a
+    time, as (states, successors) lists."""
     n = mdp.n_states
     successors = mdp._successors
     x = int(rng.integers(n)) if state_sampler == "trajectory" else 0
@@ -296,12 +304,14 @@ def sample_visits(mdp: "TabularMDP", steps: int, rng: np.random.Generator,
         count = min(_VISIT_BLOCK, steps - start)
         if state_sampler == "uniform":
             states, u = _uniform_states(rng, n, count)
-            yield from zip(states.tolist(), successors.many(states, u).tolist())
+            yield states.tolist(), successors.many(states, u).tolist()
             continue
+        states, after = [], []
         for u in rng.random(count).tolist():
-            y = successors.one(x, u)
-            yield x, y
-            x = y
+            states.append(x)
+            x = successors.one(x, u)
+            after.append(x)
+        yield states, after
 
 
 def random_mdp(

@@ -66,10 +66,12 @@ def _free_set_solve(k: np.ndarray, q: np.ndarray, free: np.ndarray):
     """
     idx = np.flatnonzero(free)
     r = idx.size
-    border = np.ones((r + 1, r + 1))
-    border[:r, :r] = 2.0 * k[np.ix_(idx, idx)]
+    border = np.empty((r + 1, r + 1))
+    rhs = np.empty(r + 1)
+    np.multiply(k.take(idx, axis=0).take(idx, axis=1), 2.0, out=border[:r, :r])
+    border[:r, r] = border[r, :r] = rhs[r] = 1.0
     border[r, r] = 0.0
-    rhs = np.append(2.0 * q[idx], 1.0)
+    np.multiply(q.take(idx), 2.0, out=rhs[:r])
     try:
         sol = np.linalg.solve(border, rhs)
     except np.linalg.LinAlgError as exc:
@@ -95,20 +97,20 @@ def _active_set(k: np.ndarray, q: np.ndarray, start: np.ndarray | None):
     n = q.size
     p = None
     solves = 0
-    if start is not None and start.shape == (n,) and np.all(np.isfinite(start)):
+    if start is not None and start.shape == (n,) and np.isfinite(start).all():
         p = np.maximum(start, 0.0)
         mass = p.sum()
         p = p / mass if mass > 0.0 else None
     if p is None:
         p, _ = _free_set_solve(k, q, np.ones(n, dtype=bool))
         solves = 1
-        if np.all(p >= 0.0):
+        if (p >= 0.0).all():
             return p, solves
         p = np.maximum(p, 0.0)
         p /= p.sum()
     free = p > 0.0
     # Round-off floor for reduced gradients: below it an atom is not added.
-    floor = 1e-14 * (1.0 + float(np.max(np.abs(k))) + float(np.max(np.abs(q))))
+    floor = 1e-14 * (1.0 + float(abs(k).max()) + float(abs(q).max()))
     added = None
     # Free sets at full steps never repeat, so the loop is finite; the cap
     # only stops round-off cycling, which the caller's KKT check reports.
@@ -116,12 +118,12 @@ def _active_set(k: np.ndarray, q: np.ndarray, start: np.ndarray | None):
         x, mu = _free_set_solve(k, q, free)
         solves += 1
         neg = free & (x < 0.0)
-        if np.any(neg):
+        if neg.any():
             if added is not None and x[added] <= 0.0:
                 # The added atom's reduced gradient was round-off.
                 break
             ratios = p[neg] / (p[neg] - x[neg])
-            step = float(np.min(ratios))
+            step = float(ratios.min())
             p = np.maximum(p + step * (x - p), 0.0)
             blocking = np.flatnonzero(neg)[ratios <= step]
             p[blocking] = 0.0
@@ -129,9 +131,13 @@ def _active_set(k: np.ndarray, q: np.ndarray, start: np.ndarray | None):
             added = None
             continue
         p = x
-        reduced = 2.0 * (k @ p - q) + mu
+        # 2 (K p - q) + mu, rounded as written, in one buffer.
+        reduced = k @ p
+        reduced -= q
+        reduced *= 2.0
+        reduced += mu
         reduced[free] = 0.0
-        added = int(np.argmin(reduced))
+        added = int(reduced.argmin())
         if reduced[added] >= -floor:
             break
         free[added] = True

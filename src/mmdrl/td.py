@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import count
 
 import numpy as np
 
@@ -19,7 +20,7 @@ from .errors import ConsistencyError, InvalidInputError, checked_array
 from .evaluation import sup_mmd
 from .kernels import KernelSpec, signed_energy_sum
 from .measures import DiscreteMeasure, ReturnDistFn, SupportMap, empirical, weights_on_support
-from .mdp import TabularMDP, sample_visits
+from .mdp import TabularMDP, _visit_blocks, sample_visits
 
 
 @dataclass(frozen=True)
@@ -113,14 +114,16 @@ def categorical_td_run(
     engine = CategoricalEngine(mdp, support, spec, "signed")
     projectors = engine.projectors
     sizes = support.sizes()
-    # Two (2, n + 1) slots per state: row 0 is [w, 1], row 1 the backup
-    # blended into it. A step blends the current slot into the spare one,
-    # which then becomes current.
+    # Two (2, n + 1) slots per state, each with its rows: row 0 is [w, 1],
+    # row 1 the backup blended into it. A step blends the current slot
+    # into the spare one, which then becomes current.
     pairs = [np.array([[np.append(weights_on_support(m, xi), 1.0)] * 2] * 2)
              for m, xi in zip(state.estimate, support.atoms)]
-    current, spare = map(list, zip(*pairs))
-    maps = {}  # A_xy, built at the first visit to (x, projectors[y])
+    current, spare = ([(slot, slot[0], slot[1]) for slot in slots] for slots in zip(*pairs))
+    maps = {}  # A_xy, one per (x, projectors[y]), built at its first visit
+    table = [[None] * mdp.n_states for _ in range(mdp.n_states)]  # maps by (x, y)
     coef = np.empty(2)  # (1 - alpha, alpha)
+    scale, power = schedule.scale, -schedule.exponent
 
     try:
         ref_weights = reference and list(map(weights_on_support, reference, support.atoms))
@@ -128,7 +131,7 @@ def categorical_td_run(
         ref_weights = None
 
     def _weights() -> list:
-        return [slot[0, :-1] for slot in current]
+        return [row[:-1] for _, row, _ in current]
 
     def _estimate() -> ReturnDistFn:
         return ReturnDistFn(tuple(map(DiscreteMeasure, support.atoms, _weights())))
@@ -142,27 +145,34 @@ def categorical_td_run(
 
     report = TdReport()
     alphas_since_report = []
-    for t, (x, y) in enumerate(sample_visits(mdp, steps, rng, state_sampler), 1):
-        visits[x] += 1
-        alpha = schedule.scale * visits[x] ** -schedule.exponent  # StepSchedule.__call__, inline
-        alphas_since_report.append(alpha)
-        key = x, projectors[y]
-        if key not in maps:
-            m, b = projectors[x].affine_map(mdp.cumulants[x] + mdp.gamma * support[y])
-            maps[key] = np.block([[m, b[:, None]], [np.zeros(sizes[y]), 1.0]])
-        slot = current[x]
-        maps[key].dot(current[y][0], out=slot[1])
-        current[x], spare[x] = spare[x], slot
-        coef[0], coef[1] = 1.0 - alpha, alpha
-        coef.dot(slot, out=current[x][0])
-        if t % report_interval == 0 or t == steps:
-            if not all(np.isfinite(w).all() for w in _weights()):
-                raise ConsistencyError(f"categorical TD weights overflowed by step {t} "
-                                       f"at td.schedule.scale = {schedule.scale}")
-            report.steps.append(t)
-            report.sup_mmd.append(_distance_to_reference())
-            report.mean_step_size.append(float(np.mean(alphas_since_report)))
-            alphas_since_report = []
+    ticks = count(1)
+    next_report = min(report_interval, steps)
+    for xs, ys in _visit_blocks(mdp, steps, rng, state_sampler):
+        for x, y, t in zip(xs, ys, ticks):
+            k = visits[x] = visits[x] + 1
+            alpha = scale * k ** power  # StepSchedule.__call__, inline
+            alphas_since_report.append(alpha)
+            a_xy = table[x][y]
+            if a_xy is None:
+                key = x, projectors[y]
+                if key not in maps:
+                    m, b = projectors[x].affine_map(mdp.cumulants[x] + mdp.gamma * support[y])
+                    maps[key] = np.block([[m, b[:, None]], [np.zeros(sizes[y]), 1.0]])
+                a_xy = table[x][y] = maps[key]
+            slot, _, backup = current[x]
+            a_xy.dot(current[y][1], out=backup)
+            current[x], spare[x] = spare[x], current[x]
+            coef[0], coef[1] = 1.0 - alpha, alpha
+            coef.dot(slot, out=current[x][1])
+            if t == next_report:
+                if not all(np.isfinite(w).all() for w in _weights()):
+                    raise ConsistencyError(f"categorical TD weights overflowed by step {t} "
+                                           f"at td.schedule.scale = {schedule.scale}")
+                report.steps.append(t)
+                report.sup_mmd.append(_distance_to_reference())
+                report.mean_step_size.append(float(np.mean(alphas_since_report)))
+                alphas_since_report.clear()
+                next_report = min(t + report_interval, steps)
     return TdState(_estimate(), np.array(visits, dtype=np.int64), state.step + steps), report
 
 

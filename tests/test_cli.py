@@ -87,6 +87,14 @@ MALFORMED_DOCUMENTS = {
                       "estimate": {"kind": "file", "path": "estimate_unknown_key.json"}}},
         "label",
     ),
+    # Exited 2 before too, but named only measure.weights, not the state.
+    "estimate-state-1-weights-string": (
+        {"algorithm": "dp-ewp", "mdp": {"kind": "random", "n_states": 2, "dim": 1},
+         "ewp": {"particles": 4, "iterations": 2},
+         "zeroshot": {"oracle_samples": 10,
+                      "estimate": {"kind": "file", "path": "estimate_state_1_weights_string.json"}}},
+        "measures[1]",
+    ),
     "mdp-file-unknown-key": (
         {"algorithm": "dp-ewp", "mdp": {"kind": "file", "path": "mdp_unknown_key.json"},
          "ewp": {"particles": 4, "iterations": 2}},
@@ -157,6 +165,11 @@ def write_malformed_files(tmp_path):
         "estimate_1e308.json": json.dumps(point_masses(2, 1, 1e308)),
         "estimate_weights_string.json": json.dumps(with_string_weights(point_masses(2, 1))),
         "estimate_n_states_3.json": json.dumps({**point_masses(2, 1), "n_states": 3}),
+        "estimate_state_1_weights_string.json": json.dumps({
+            **point_masses(2, 1),
+            "measures": [point_masses(1, 1)["measures"][0],
+                         with_string_weights(point_masses(1, 1))["measures"][0]],
+        }),
         "reference_weights_string.json": json.dumps(with_string_weights(point_masses(3, 3))),
         "support_nan.json": json.dumps({"atoms": [[0.0, float("nan"), 1.0], [0.0, 1.0]]}),
         "support_nested.json": json.dumps({"atoms": [[[[0.0]]], [[[1.0]]]]}),
@@ -954,6 +967,9 @@ class TestRunCommand:
                 id="support-m-2-60-minus-1",
             ),
             *(pytest.param(payload, id=name) for name, (payload, _) in MALFORMED_DOCUMENTS.items()),
+            # Exited 0 and echoed version 1, as True == 1.
+            pytest.param({"format_version": True, "algorithm": "dp-cat"},
+                         id="config-format-version-true"),
             # Kinds that cannot be hashed, so cannot be looked up in a table.
             pytest.param({"algorithm": "dp-cat", "mdp": {"kind": ["random"]}}, id="mdp-kind-list"),
             pytest.param(

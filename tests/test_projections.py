@@ -26,16 +26,23 @@ from mmdrl import (
     rng_stream,
 )
 from mmdrl.evaluation import mesh_and_bound
+from mmdrl.kernels import cross_kernel
 from mmdrl.mdp import TabularMDP
 from mmdrl.projections import (
     KKT_ACCEPT,
     ProjectionResult,
+    _active_set,
     project_to_simplex,
     solve_simplex_qp,
     solve_simplex_qp_batch,
 )
 
-from util import random_probability_measure, random_signed_measure, semimetric_matrix
+from util import (
+    random_probability_measure,
+    random_signed_measure,
+    reference_active_set,
+    semimetric_matrix,
+)
 
 SPEC = energy_kernel(1.0)
 
@@ -550,6 +557,66 @@ class TestSimplexSolverProperties:
         )
         assert residuals[0] <= KKT_ACCEPT
         np.testing.assert_allclose(rows[0], cold, atol=1e-9)
+
+
+# Warm starts as a caller may pass them: a sparse probability vector, as a
+# previous sweep leaves, and the rows the solver must clip or ignore.
+WARM_STARTS = ("cold", "feasible", "mixed", "negative", "zero", "nan", "inf", "short")
+
+
+@st.composite
+def active_set_instances(draw):
+    """(K, q, start) of a simplex QP on n in [2, 64] distinct lattice atoms
+    at d in {1, 2, 3} and alpha in {0.5, 1, 1.5}, with a mass-1 target of
+    up to 8 atoms reaching past the support."""
+    dim = draw(st.sampled_from((1, 2, 3)))
+    spec = energy_kernel(draw(st.sampled_from((0.5, 1.0, 1.5))))
+    n = draw(st.integers(2, 64))
+    kind = draw(st.sampled_from(WARM_STARTS))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    side = {1: 128, 2: 16, 3: 8}[dim]
+    cells = rng.choice(side**dim, size=n, replace=False)
+    support = np.stack(np.unravel_index(cells, (side,) * dim), axis=1) / side
+    target = random_probability_measure(rng, int(rng.integers(1, 9)), dim, low=-0.5, high=1.5)
+    q = cross_kernel(support, target.atoms, spec) @ target.weights
+    start = {
+        "cold": None,
+        "feasible": rng.dirichlet(np.ones(n)) * (rng.random(n) < 0.5),
+        "mixed": rng.standard_normal(n),
+        "negative": -rng.random(n),
+        "zero": np.zeros(n),
+        "nan": np.where(np.arange(n) == rng.integers(n), np.nan, rng.random(n)),
+        "inf": np.where(np.arange(n) == rng.integers(n), np.inf, rng.random(n)),
+        "short": rng.random(n - 1),
+    }[kind]
+    return gram(support, spec), q, start
+
+
+class TestActiveSetOracle:
+    """``_active_set`` against the body it had before its free-set systems
+    were filled in place (``util.reference_active_set``): the same weights
+    to the bit and the same number of equality solves."""
+
+    @settings(derandomize=True, max_examples=400, deadline=None)
+    @given(active_set_instances())
+    def test_bitwise_equal_to_reference(self, instance):
+        k, q, start = instance
+        weights, solves = _active_set(k, q, start)
+        want, want_solves = reference_active_set(k, q, start)
+        assert weights.shape == want.shape
+        assert weights.tobytes() == want.tobytes()
+        assert solves == want_solves
+
+    @pytest.mark.parametrize("start", [None, np.array([0.5, 0.5, 0.0])])
+    @pytest.mark.parametrize("k", [
+        np.zeros((3, 3)),
+        gram(np.array([[0.0], [0.0], [1.0]]), SPEC),  # a repeated atom
+    ], ids=["zero", "repeated-atom"])
+    def test_singular_system_raises_on_both_sides(self, k, start):
+        q = np.array([0.1, 0.2, 0.3])
+        for solve in (_active_set, reference_active_set):
+            with pytest.raises(SolverError, match="singular free-set system"):
+                solve(k, q, start)
 
 
 @st.composite

@@ -34,6 +34,7 @@ from mmdrl import (
 )
 from mmdrl.kernels import gram
 from mmdrl.mdp import sample_visits
+from mmdrl.projections import SignedProjector
 from mmdrl.td import TdState
 
 from util import reference_ewp_td_run, semimetric_matrix, signed_dp_fixed_point
@@ -546,6 +547,62 @@ class TestSharedProjectors:
                     init[x].atoms, init[x].weights
                 )
                 assert np.array_equal(state.estimate[x].weights, own.weights)
+
+
+class TestMapTable:
+    """categorical_td_run builds A_xy once per (x, projectors[y]) and reads
+    it from its per-(x, y) table after that: S maps on a shared support,
+    not S^2."""
+
+    @staticmethod
+    def built_maps(monkeypatch, mdp, support, sampler):
+        """(projector atoms, target atoms) of each ``affine_map`` call in a
+        2,000-step run, as bytes."""
+        calls = []
+        affine_map = SignedProjector.affine_map
+
+        def recording(self, target_atoms):
+            calls.append((self.atoms.tobytes(), target_atoms.tobytes()))
+            return affine_map(self, target_atoms)
+
+        monkeypatch.setattr(SignedProjector, "affine_map", recording)
+        categorical_td_run(
+            mdp, support, SPEC, StepSchedule(), 2000, rng_stream(41),
+            state_sampler=sampler, report_interval=2000,
+        )
+        return calls
+
+    @staticmethod
+    def expected_maps(mdp, support, sampler):
+        """The (projector atoms, target atoms) pairs of the visited (x, y)."""
+        visits = set(sample_visits(mdp, 2000, rng_stream(41), sampler))
+        return visits, {
+            (support[x].tobytes(), (mdp.cumulants[x] + mdp.gamma * support[y]).tobytes())
+            for x, y in visits
+        }
+
+    def test_dense_grid_builds_one_map_per_state(self, monkeypatch):
+        mdp = random_mdp(6, 2, 0.8, 20.0, rng_stream(40))
+        support = SupportMap.uniform_grid(6, 2, 9, mdp.v_max)
+        assert np.all(mdp.transition > 0.0)
+        visits, expected = self.expected_maps(mdp, support, "uniform")
+        assert len(visits) == 36
+        calls = self.built_maps(monkeypatch, mdp, support, "uniform")
+        assert len(calls) == 6
+        assert set(calls) == expected
+
+    @pytest.mark.parametrize("sampler", ["uniform", "trajectory"])
+    def test_partly_shared_support_builds_one_map_per_projector_pair(self, monkeypatch, sampler):
+        # States 0-2 share one atom set and 3-4 another; state 5 has its own.
+        mdp = random_mdp(6, 2, 0.8, 20.0, rng_stream(40))
+        rng = rng_stream(42)
+        own = [rng.uniform(0.0, mdp.v_max, size=(5 + k, 2)) for k in range(3)]
+        support = SupportMap((own[0], own[0], own[0], own[1], own[1], own[2]))
+        visits, expected = self.expected_maps(mdp, support, sampler)
+        assert mdp.n_states < len(expected) < len(visits)
+        calls = self.built_maps(monkeypatch, mdp, support, sampler)
+        assert len(calls) == len(set(calls)) == len(expected)
+        assert set(calls) == expected
 
 
 class TestRoundOffGuard:

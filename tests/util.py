@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from mmdrl import DiscreteMeasure
+from mmdrl import DiscreteMeasure, SolverError
 from mmdrl.evaluation import _ATOM_MERGE
 from mmdrl.kernels import MERGE_TOL
 
@@ -347,3 +347,68 @@ def signed_dp_fixed_point(mdp, support, alpha):
     a, b, offsets = signed_dp_affine_map(mdp, support, alpha)
     w = np.linalg.solve(np.eye(offsets[-1]) - a, b)
     return [w[offsets[x]:offsets[x + 1]] for x in range(mdp.n_states)]
+
+
+# The simplex active set as written before its free-set systems were
+# filled in place: the bitwise oracle of ``projections._active_set``.
+
+
+def _reference_free_set_solve(k, q, free):
+    idx = np.flatnonzero(free)
+    r = idx.size
+    border = np.ones((r + 1, r + 1))
+    border[:r, :r] = 2.0 * k[np.ix_(idx, idx)]
+    border[r, r] = 0.0
+    rhs = np.append(2.0 * q[idx], 1.0)
+    try:
+        sol = np.linalg.solve(border, rhs)
+    except np.linalg.LinAlgError as exc:
+        raise SolverError("simplex projection hit a singular free-set system") from exc
+    p = np.zeros(q.size)
+    p[idx] = sol[:r]
+    return p, sol[r]
+
+
+def reference_active_set(k, q, start):
+    """(weights, equality solves) of the simplex QP min p^T K p - 2 p^T q,
+    cold or warm started, as ``projections._active_set`` returns them."""
+    n = q.size
+    p = None
+    solves = 0
+    if start is not None and start.shape == (n,) and np.all(np.isfinite(start)):
+        p = np.maximum(start, 0.0)
+        mass = p.sum()
+        p = p / mass if mass > 0.0 else None
+    if p is None:
+        p, _ = _reference_free_set_solve(k, q, np.ones(n, dtype=bool))
+        solves = 1
+        if np.all(p >= 0.0):
+            return p, solves
+        p = np.maximum(p, 0.0)
+        p /= p.sum()
+    free = p > 0.0
+    floor = 1e-14 * (1.0 + float(np.max(np.abs(k))) + float(np.max(np.abs(q))))
+    added = None
+    for _ in range(4 * n + 8):
+        x, mu = _reference_free_set_solve(k, q, free)
+        solves += 1
+        neg = free & (x < 0.0)
+        if np.any(neg):
+            if added is not None and x[added] <= 0.0:
+                break
+            ratios = p[neg] / (p[neg] - x[neg])
+            step = float(np.min(ratios))
+            p = np.maximum(p + step * (x - p), 0.0)
+            blocking = np.flatnonzero(neg)[ratios <= step]
+            p[blocking] = 0.0
+            free[blocking] = False
+            added = None
+            continue
+        p = x
+        reduced = 2.0 * (k @ p - q) + mu
+        reduced[free] = 0.0
+        added = int(np.argmin(reduced))
+        if reduced[added] >= -floor:
+            break
+        free[added] = True
+    return p, solves
