@@ -61,9 +61,9 @@ from .mdp import (
     successor_feature_means,
 )
 from .projections import (
-    ProjectionResult,
     SignedProjector,
     SimplexProjector,
+    project,
     project_signed,
     project_simplex,
 )

@@ -42,7 +42,7 @@ from .measures import (
     pushforward,
 )
 from .mdp import TabularMDP
-from .projections import SignedProjector, SimplexProjector
+from .projections import SignedProjector, SimplexProjector, project
 
 PROJECTIONS = ("simplex", "signed")
 
@@ -220,10 +220,7 @@ class CategoricalEngine:
 
     def init_weights(self) -> list:
         init = point_init(self.mdp)
-        return [
-            self.projectors[x].project(init[x].atoms, init[x].weights).weights
-            for x in range(self.mdp.n_states)
-        ]
+        return [project(p, target) for p, target in zip(self.projectors, init)]
 
     def to_return_dist(self, weights: list) -> ReturnDistFn:
         return categorical(self.support, weights)

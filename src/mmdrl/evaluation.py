@@ -15,12 +15,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError
-from .kernels import KernelSpec, mmd, pairwise_semimetric
-from .measures import DiscreteMeasure, ReturnDistFn, SupportMap, empirical
+from .kernels import MASS_TOL, MERGE_TOL, KernelSpec, mmd, pairwise_semimetric
+from .measures import PROBABILITY_TOL, DiscreteMeasure, ReturnDistFn, SupportMap, empirical
 from .mdp import TabularMDP, horizon_for_tail, rollout_returns
 
-_ATOM_MERGE = 1e-12
-_WEIGHT_TOL = 1e-12
 _HULL_TOL = 1e-9
 
 
@@ -37,9 +35,9 @@ class ScalarDist:
         if atoms.shape != weights.shape or atoms.size < 1:
             raise InvalidInputError("scalar distribution needs matching atoms/weights")
         low = np.min(weights)
-        if low < -_WEIGHT_TOL:
+        if low < -PROBABILITY_TOL:
             raise InvalidInputError("scalar distributions take probability weights")
-        if abs(float(np.sum(weights)) - 1.0) > 1e-9:
+        if abs(float(np.sum(weights)) - 1.0) > MASS_TOL:
             raise InvalidInputError(
                 f"scalar distribution mass must be 1, got {np.sum(weights)}"
             )
@@ -59,7 +57,7 @@ class ScalarDist:
         # atom starts a new one where its key exceeds the key before, which
         # is where np.diff(keys) > 0 (a -0.0 key included). rint is what
         # np.round does at 0 decimals.
-        keys = np.divide(atoms, _ATOM_MERGE)
+        keys = np.divide(atoms, MERGE_TOL)
         np.rint(keys, out=keys)
         starts = np.empty(atoms.size, dtype=bool)
         starts[0] = True
@@ -122,7 +120,7 @@ def zeroshot_scalar(eta_x: DiscreteMeasure, w) -> ScalarDist:
         raise InvalidInputError(
             f"weight vector has dimension {w.shape[0]}, measure has {eta_x.dim}"
         )
-    if np.min(eta_x.weights) < -_WEIGHT_TOL:
+    if np.min(eta_x.weights) < -PROBABILITY_TOL:
         raise InvalidInputError(
             "zero-shot evaluation needs probability weights; project first"
         )
@@ -135,16 +133,14 @@ def cramer_distance(p: ScalarDist, q: ScalarDist) -> float:
     Both CDFs are piecewise constant, so the integral is a finite sum over
     the merged breakpoints: every atom of ``q``, and each atom of ``p``
     that no atom of ``q`` equals (a lone atom). Atoms are sorted and
-    distinct, so a stable merge of both arrays, ``p``'s first, ranks each
-    atom of ``p`` after the k atoms of ``q`` below it; a lone atom with i
-    lone atoms before it is breakpoint k + i. The breakpoints, the CDF
-    values and their differences are those read off the merge itself,
-    element by element, so the sum has the same bits.
+    distinct, so a left ``searchsorted`` counts the k atoms of ``q`` below
+    each atom of ``p``; a lone atom with i lone atoms before it is
+    breakpoint k + i. The breakpoints, the CDF values and their
+    differences are those a stable merge of both arrays, ``p``'s first,
+    would give element by element, so the sum has the same bits.
     """
     a, b = p.atoms, q.atoms
-    order = np.argsort(np.concatenate([a, b]), kind="stable")
-    below = np.flatnonzero(order < a.size) - np.arange(a.size)
-    del order
+    below = b.searchsorted(a)
     # Past q's largest atom, clip compares with that atom, which is smaller.
     lone = b.take(below, mode="clip") != a
     place = below[lone]

@@ -26,6 +26,7 @@ from .measures import (
     DiscreteMeasure,
     ReturnDistFn,
     SupportMap,
+    _check_distinct,
     as_probability,
 )
 from .mdp import (
@@ -313,10 +314,14 @@ def _sample_reward_vector(rng: np.random.Generator, dim: int, nonnegative: bool)
 
 def _as_probability_fn(estimate: ReturnDistFn, spec: KernelSpec) -> ReturnDistFn:
     """Project any signed state estimates onto probability weights."""
-    return ReturnDistFn(tuple(
-        as_probability(m) if np.min(m.weights) >= -PROBABILITY_TOL
-        else project_simplex(m, m.atoms, spec) for m in estimate
-    ))
+    measures = []
+    for x, m in enumerate(estimate):
+        if np.min(m.weights) >= -PROBABILITY_TOL:
+            measures.append(as_probability(m))
+        else:
+            _check_distinct(m.atoms, f"zeroshot.estimate atoms at state {x}")
+            measures.append(project_simplex(m, m.atoms, spec))
+    return ReturnDistFn(tuple(measures))
 
 
 def zeroshot_seed(config: ExperimentConfig, seed: int, estimate: ReturnDistFn | None = None):

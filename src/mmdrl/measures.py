@@ -231,7 +231,8 @@ class ReturnDistFn:
         return cls.from_json(read_json(path, "return distribution file"))
 
 
-def _check_distinct(atoms: np.ndarray, state: int) -> None:
+def _check_distinct(atoms: np.ndarray, what: str) -> None:
+    """Refuse atoms closer than ``SUPPORT_GAP``; ``what`` names them."""
     n = atoms.shape[0]
     if n < 2:
         return
@@ -239,9 +240,7 @@ def _check_distinct(atoms: np.ndarray, state: int) -> None:
     dist = pairwise_semimetric(atoms, atoms, KernelSpec())
     dist[np.arange(n), np.arange(n)] = np.inf
     if dist.min() <= SUPPORT_GAP:
-        raise InvalidInputError(
-            f"support atoms at state {state} are closer than {SUPPORT_GAP}"
-        )
+        raise InvalidInputError(f"{what} are closer than {SUPPORT_GAP}")
 
 
 @dataclass(frozen=True)
@@ -265,7 +264,7 @@ class SupportMap:
                     f"be (n, d) with d >= 1, got shape {arr.shape}")
             require(arr.shape[0] >= 1, f"state {x} has an empty support")
             require(np.all(np.isfinite(arr)), f"support atoms at state {x} must be finite")
-            _check_distinct(arr, x)
+            _check_distinct(arr, f"support atoms at state {x}")
             arr.flags.writeable = False
             per_state.append(arr)
         dims = {a.shape[1] for a in per_state}
@@ -342,7 +341,7 @@ class SupportMap:
             for _ in range(64):
                 pts = rng.uniform(0.0, v_max, size=(n_atoms, dim))
                 try:
-                    _check_distinct(pts, 0)
+                    _check_distinct(pts, "random support atoms")
                 except InvalidInputError:
                     continue
                 break

@@ -24,6 +24,9 @@ constant on mass-1 weights (see ``kernels``):
 
 Both projectors take linear terms in and give weights out through one
 method, ``solve(q_rows, start_rows)``: one QP per row of ``q_rows``.
+``project(projector, target)`` is the one way from a target measure to
+its projected weights: it forms the target's linear term and solves it as
+one row.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError, SolverError
-from .kernels import KernelSpec, cross_kernel, gram
+from .kernels import MASS_TOL, KernelSpec, cross_kernel, gram
 from .measures import DiscreteMeasure, _check_distinct
 
 # Residual beyond which a finished solve is reported as failed.
@@ -200,26 +203,19 @@ def solve_simplex_qp_batch(
 class SimplexProjector:
     """Repeated simplex projections onto one fixed support.
 
-    Caches the Gram matrix so per-call work is the cross-kernel assembly
-    plus the active-set solve.
+    Caches the Gram matrix so per-row work is the active-set solve.
     """
 
     def __init__(self, support_atoms, spec: KernelSpec):
         self.atoms = np.atleast_2d(np.asarray(support_atoms, dtype=np.float64))
-        _check_distinct(self.atoms, 0)
+        _check_distinct(self.atoms, "projection support atoms")
         self.spec = spec
         self.gram = gram(self.atoms, spec)
-
-    def linear_term(self, target_atoms, target_weights) -> np.ndarray:
-        return cross_kernel(self.atoms, target_atoms, self.spec) @ target_weights
 
     def solve(self, q_rows: np.ndarray, start_rows: np.ndarray | None = None) -> np.ndarray:
         """Weight rows of the QPs with linear terms ``q_rows``, warm-started
         from ``start_rows``."""
         return solve_simplex_qp_batch(self.gram, q_rows, start_rows)[0]
-
-    def project(self, target_atoms, target_weights) -> ProjectionResult:
-        return solve_simplex_qp(self.gram, self.linear_term(target_atoms, target_weights))
 
 
 class SignedProjector:
@@ -233,7 +229,7 @@ class SignedProjector:
 
     def __init__(self, support_atoms, spec: KernelSpec):
         self.atoms = np.atleast_2d(np.asarray(support_atoms, dtype=np.float64))
-        _check_distinct(self.atoms, 0)
+        _check_distinct(self.atoms, "projection support atoms")
         self.spec = spec
         self.gram = gram(self.atoms, spec)
         n = self.atoms.shape[0]
@@ -266,29 +262,28 @@ class SignedProjector:
         solve is closed-form, so ``start_rows`` is not read."""
         return q_rows @ self._s.T + self.offset
 
-    def project(self, target_atoms, target_weights) -> ProjectionResult:
-        q = cross_kernel(self.atoms, target_atoms, self.spec) @ target_weights
-        return ProjectionResult(self._s @ q + self.offset, 0.0, 1)
-
     def affine_map(self, target_atoms):
         """(M, b) with projected weights = M @ target_weights + b."""
         m = self._s @ cross_kernel(self.atoms, target_atoms, self.spec)
         return m, self.offset
 
 
+def project(projector: SimplexProjector | SignedProjector, target: DiscreteMeasure) -> np.ndarray:
+    """Weights of the MMD projection of the mass-1 ``target`` by ``projector``:
+    its linear term K(support, target atoms) @ target weights, solved as one row."""
+    if abs(target.mass - 1.0) > MASS_TOL:
+        raise InvalidInputError(f"projection target must have mass 1, got {target.mass}")
+    q = cross_kernel(projector.atoms, target.atoms, projector.spec) @ target.weights
+    return projector.solve(q[None])[0]
+
+
 def project_simplex(target: DiscreteMeasure, support, spec: KernelSpec) -> DiscreteMeasure:
     """MMD projection of ``target`` onto probability weights over ``support``."""
-    return _project(SimplexProjector, target, support, spec)
+    projector = SimplexProjector(support, spec)
+    return DiscreteMeasure(projector.atoms, project(projector, target))
 
 
 def project_signed(target: DiscreteMeasure, support, spec: KernelSpec) -> DiscreteMeasure:
     """MMD projection of ``target`` onto mass-1 signed weights over ``support``."""
-    return _project(SignedProjector, target, support, spec)
-
-
-def _project(kind, target: DiscreteMeasure, support, spec: KernelSpec):
-    projector = kind(support, spec)
-    if abs(target.mass - 1.0) > 1e-9:
-        raise InvalidInputError(f"projection target must have mass 1, got {target.mass}")
-    result = projector.project(target.atoms, target.weights)
-    return DiscreteMeasure(projector.atoms, result.weights)
+    projector = SignedProjector(support, spec)
+    return DiscreteMeasure(projector.atoms, project(projector, target))

@@ -95,6 +95,14 @@ MALFORMED_DOCUMENTS = {
                       "estimate": {"kind": "file", "path": "estimate_state_1_weights_string.json"}}},
         "measures[1]",
     ),
+    # Named state 0 and no input: the projector checked the atoms.
+    "estimate-state-1-close-signed-atoms": (
+        {"algorithm": "dp-ewp", "mdp": {"kind": "random", "n_states": 2, "dim": 1},
+         "ewp": {"particles": 4, "iterations": 2},
+         "zeroshot": {"oracle_samples": 10,
+                      "estimate": {"kind": "file", "path": "estimate_close_signed_atoms.json"}}},
+        "zeroshot.estimate atoms at state 1",
+    ),
     "mdp-file-unknown-key": (
         {"algorithm": "dp-ewp", "mdp": {"kind": "file", "path": "mdp_unknown_key.json"},
          "ewp": {"particles": 4, "iterations": 2}},
@@ -192,6 +200,12 @@ def write_malformed_files(tmp_path):
                                           "weights": [[0.5], [0.5]]}] * 2}
         ),
         "estimate_unknown_key.json": json.dumps({**point_masses(2, 1), "label": "x"}),
+        "estimate_close_signed_atoms.json": json.dumps({
+            **point_masses(2, 1),
+            "measures": [point_masses(1, 1)["measures"][0],
+                         {"dim": 1, "atoms": [[0.25], [0.25 + 1e-10], [0.5]],
+                          "weights": [-0.5, 0.5, 1.0]}],
+        }),
     }
     for name, text in files.items():
         (tmp_path / name).write_text(text)

@@ -20,6 +20,8 @@ from mmdrl import (
     gram,
     mixture,
     mmd,
+    point_init,
+    project,
     project_signed,
     project_simplex,
     random_mdp,
@@ -48,10 +50,11 @@ SPEC = energy_kernel(1.0)
 
 
 def projection_qp(target, support, spec):
-    """Gram matrix and linear term of the projection QP, as the projector builds them."""
+    """Gram matrix and linear term of the projection QP, as ``project`` builds them."""
     projector = SimplexProjector(support, spec)
     return SimpleNamespace(
-        gram=projector.gram, linear=projector.linear_term(target.atoms, target.weights)
+        gram=projector.gram,
+        linear=cross_kernel(projector.atoms, target.atoms, spec) @ target.weights,
     )
 
 
@@ -369,16 +372,15 @@ class TestProjectorCaches:
         assert projectors[0] is not projectors[1]
 
     def test_simplex_projector_matches_one_shot(self):
+        # One projector reused over several targets gives the weights of
+        # a fresh projector per target, bit for bit.
         rng = np.random.default_rng(13)
         support = rng.uniform(0, 2, size=(9, 2))
         projector = SimplexProjector(support, SPEC)
         for _ in range(5):
             target = random_probability_measure(rng, 4, 2, low=0.0, high=2.0)
-            cached = projector.project(target.atoms, target.weights)
             one_shot = project_simplex(target, support, SPEC)
-            assert (
-                mmd(DiscreteMeasure(support, cached.weights), one_shot, SPEC) <= 1e-7
-            )
+            assert np.array_equal(project(projector, target), one_shot.weights)
 
     def test_signed_projector_matches_one_shot(self):
         rng = np.random.default_rng(14)
@@ -386,9 +388,8 @@ class TestProjectorCaches:
         projector = SignedProjector(support, SPEC)
         for _ in range(5):
             target = random_signed_measure(rng, 4, 2)
-            cached = projector.project(target.atoms, target.weights)
             one_shot = project_signed(target, support, SPEC)
-            np.testing.assert_allclose(cached.weights, one_shot.weights, atol=1e-9)
+            assert np.array_equal(project(projector, target), one_shot.weights)
 
     def test_signed_affine_map(self):
         rng = np.random.default_rng(15)
@@ -397,7 +398,7 @@ class TestProjectorCaches:
         target_atoms = rng.uniform(0, 2, size=(4, 2))
         m_map, b_map = projector.affine_map(target_atoms)
         w = _mass_one(rng, 4)
-        direct = projector.project(target_atoms, w).weights
+        direct = project(projector, DiscreteMeasure(target_atoms, w))
         np.testing.assert_allclose(m_map @ w + b_map, direct, atol=1e-12)
 
     def test_batch_matches_serial(self):
@@ -407,7 +408,7 @@ class TestProjectorCaches:
         q_rows = []
         for _ in range(4):
             target = random_probability_measure(rng, 3, 2, low=0.0, high=2.0)
-            q_rows.append(projector.linear_term(target.atoms, target.weights))
+            q_rows.append(cross_kernel(projector.atoms, target.atoms, SPEC) @ target.weights)
         q_rows = np.stack(q_rows)
         batch_w, residuals, _ = solve_simplex_qp_batch(projector.gram, q_rows)
         assert np.all(residuals <= 1e-8)
@@ -415,6 +416,39 @@ class TestProjectorCaches:
             serial = solve_simplex_qp(projector.gram, q)
             delta = row - serial.weights
             assert float(delta @ projector.gram @ delta) <= 1e-14
+
+
+def route_supports(mdp):
+    """Grid, random and partly shared supports for ``mdp``'s four states."""
+    a, b = SupportMap.random(2, 2, 7, mdp.v_max, rng_stream(42)).atoms
+    return {
+        "grid": SupportMap.uniform_grid(4, 2, 16, mdp.v_max),
+        "random": SupportMap.random(4, 2, 9, mdp.v_max, rng_stream(41)),
+        "partly-shared": SupportMap((a, b, a, a)),
+    }
+
+
+class TestOneRoute:
+    """``init_weights``, ``project_simplex`` and ``project_signed`` reach
+    the projectors only through ``solve``: each equals ``solve`` of a
+    hand-formed linear term, one row per state, bit for bit."""
+
+    @pytest.mark.parametrize("kind", [SimplexProjector, SignedProjector])
+    @pytest.mark.parametrize("shape", ["grid", "random", "partly-shared"])
+    def test_equals_solve_of_hand_linear_term(self, kind, shape):
+        mdp = random_mdp(4, 2, 0.8, 1.0, rng_stream(40))
+        support = route_supports(mdp)[shape]
+        projection = "simplex" if kind is SimplexProjector else "signed"
+        one_shot = project_simplex if kind is SimplexProjector else project_signed
+        init = CategoricalEngine(mdp, support, SPEC, projection).init_weights()
+        rng = np.random.default_rng(43)
+        for x, point in enumerate(point_init(mdp)):
+            for target in (point, random_signed_measure(rng, 3, 2)):
+                q = cross_kernel(support[x], target.atoms, SPEC) @ target.weights
+                want = kind(support[x], SPEC).solve(q[None, :])[0]
+                assert np.array_equal(one_shot(target, support[x], SPEC).weights, want)
+            q = cross_kernel(support[x], point.atoms, SPEC) @ point.weights
+            assert np.array_equal(init[x], kind(support[x], SPEC).solve(q[None, :])[0])
 
 
 def _mass_one(rng, n):
@@ -517,9 +551,7 @@ class TestSimplexSolverProperties:
     def test_equals_signed_when_signed_is_feasible(self, instance):
         support, target, alpha = instance
         qp = projection_qp(target, support, energy_kernel(alpha))
-        signed = SignedProjector(support, energy_kernel(alpha)).project(
-            target.atoms, target.weights
-        ).weights
+        signed = project(SignedProjector(support, energy_kernel(alpha)), target)
         if np.min(signed) >= 0.0:
             res = solve_simplex_qp(qp.gram, qp.linear)
             np.testing.assert_allclose(res.weights, signed, atol=1e-9)
@@ -650,9 +682,11 @@ class TestSignedProjectorProperties:
     def test_affine_in_target_weights(self, instance, lam):
         support, alpha, p, q, _ = instance
         projector = SignedProjector(support, energy_kernel(alpha))
-        blend = projector.project(p.atoms, lam * p.weights + (1 - lam) * q.weights).weights
-        left = projector.project(p.atoms, p.weights).weights
-        right = projector.project(q.atoms, q.weights).weights
+        blend = project(
+            projector, DiscreteMeasure(p.atoms, lam * p.weights + (1 - lam) * q.weights)
+        )
+        left = project(projector, p)
+        right = project(projector, q)
         scale = 1.0 + np.max(np.abs(left)) + np.max(np.abs(right))
         np.testing.assert_allclose(blend, lam * left + (1 - lam) * right, rtol=0, atol=1e-9 * scale)
 
@@ -663,7 +697,7 @@ class TestSignedProjectorProperties:
         # q = K_c w from the test's own distances, is normal to the mass-1
         # plane: constant across the support up to round-off.
         support, alpha, p, _, _ = instance
-        out = SignedProjector(support, energy_kernel(alpha)).project(p.atoms, p.weights).weights
+        out = project(SignedProjector(support, energy_kernel(alpha)), p)
         k = -0.5 * semimetric_matrix(support, support, alpha)
         q = -0.5 * semimetric_matrix(support, p.atoms, alpha) @ p.weights
         grad = 2.0 * (k @ out - q)
@@ -677,6 +711,6 @@ class TestSignedProjectorProperties:
         support, alpha, p, _, r = instance
         spec = energy_kernel(alpha)
         projector = SignedProjector(support, spec)
-        out_p = DiscreteMeasure(support, projector.project(p.atoms, p.weights).weights)
-        out_r = DiscreteMeasure(support, projector.project(r.atoms, r.weights).weights)
+        out_p = DiscreteMeasure(support, project(projector, p))
+        out_r = DiscreteMeasure(support, project(projector, r))
         assert mmd(out_p, out_r, spec) <= mmd(p, r, spec) + 1e-9

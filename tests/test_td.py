@@ -369,15 +369,12 @@ def per_state_projector_td_run(
     the loop as it was before projectors were shared between states, taking
     each step by ``step``. Returns (weights, visits, sup-MMD series, mean
     step sizes); the series is empty without a reference."""
-    from mmdrl import SignedProjector, SimplexProjector, point_init
+    from mmdrl import SignedProjector, SimplexProjector, point_init, project
 
     n = mdp.n_states
     if init is None:
         points = point_init(mdp)
-        weights = [
-            SimplexProjector(support[x], spec).project(points[x].atoms, points[x].weights).weights
-            for x in range(n)
-        ]
+        weights = [project(SimplexProjector(support[x], spec), points[x]) for x in range(n)]
         visits = np.zeros(n, dtype=np.int64)
     else:
         weights = [weights_on_support(init.estimate[x], support[x]) for x in range(n)]
@@ -533,7 +530,7 @@ class TestSharedProjectors:
         )
 
     def test_init_equals_per_state_projection(self):
-        from mmdrl import SimplexProjector, point_init
+        from mmdrl import SimplexProjector, point_init, project
 
         mdp = random_mdp(3, 2, 0.8, 1.0, rng_stream(24))
         init = point_init(mdp)
@@ -543,10 +540,8 @@ class TestSharedProjectors:
         ):
             state = init_td_state(mdp, support, SPEC)
             for x in range(3):
-                own = SimplexProjector(support[x], SPEC).project(
-                    init[x].atoms, init[x].weights
-                )
-                assert np.array_equal(state.estimate[x].weights, own.weights)
+                own = project(SimplexProjector(support[x], SPEC), init[x])
+                assert np.array_equal(state.estimate[x].weights, own)
 
 
 class TestMapTable:

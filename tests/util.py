@@ -3,7 +3,6 @@
 import numpy as np
 
 from mmdrl import DiscreteMeasure, SolverError
-from mmdrl.evaluation import _ATOM_MERGE
 from mmdrl.kernels import MERGE_TOL
 
 
@@ -45,7 +44,7 @@ def reference_scalar_dist(atoms, weights):
     weights = np.asarray(weights, dtype=np.float64).ravel()
     order = np.argsort(atoms, kind="stable")
     atoms, weights = atoms[order], weights[order]
-    keys = np.round(atoms / _ATOM_MERGE) + 0.0
+    keys = np.round(atoms / MERGE_TOL) + 0.0
     boundaries = np.concatenate(([True], np.diff(keys) > 0))
     idx = np.nonzero(boundaries)[0]
     merged_atoms = atoms[idx]
@@ -84,7 +83,7 @@ def reference_sorted_scalar_dist(atoms, weights):
     else:
         order = np.argsort(atoms, kind="stable")
         atoms, weights = atoms[order], weights[order]
-    keys = np.round(atoms / _ATOM_MERGE) + 0.0
+    keys = np.round(atoms / MERGE_TOL) + 0.0
     boundaries = np.concatenate(([True], np.diff(keys) > 0))
     idx = np.nonzero(boundaries)[0]
     merged_atoms = atoms[idx]
