@@ -10,7 +10,6 @@ support.
 from .dp import (
     CategoricalEngine,
     DpReport,
-    EwpConfig,
     categorical_dp_solve,
     ewp_init,
     ewp_random_solve,
@@ -36,7 +35,6 @@ from .evaluation import (
 )
 from .kernels import (
     KernelSpec,
-    energy_kernel,
     gram,
     mmd,
     mmd_squared,

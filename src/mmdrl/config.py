@@ -103,7 +103,7 @@ _EWP = {
 _TD = {
     "steps": (json_integer, 10000, "[0, inf)"),
     "report_interval": (json_integer, 1000, "[1, inf)"),
-    "state_sampler": (str, "uniform", None),  # per algorithm, in resolve_config
+    "state_sampler": (str, "uniform", ("uniform", "trajectory")),
     "schedule": {
         "exponent": (json_real, 0.6, "(0.5, 1]"),
         "scale": (json_real, 1.0, "(0, inf)"),
@@ -125,7 +125,8 @@ _SECTIONS = {
     "dp-cat": {"support": _SUPPORT, "dp": _DP, "zeroshot": _ZEROSHOT},
     "dp-ewp": {"ewp": _EWP},
     "td-cat": {"support": _SUPPORT, "td": {**_TD, "particles": None}},
-    "td-ewp": {"td": {**_TD, "particles": (json_integer, 64, "[1, inf)")}},
+    "td-ewp": {"td": {**_TD, "state_sampler": (str, "uniform", ("uniform",)),
+                      "particles": (json_integer, 64, "[1, inf)")}},
 }
 _TOP_LEVEL = ("format_version", "algorithm", "mdp", "kernel", "seeds", "support",
               "dp", "ewp", "td", "zeroshot")
@@ -172,12 +173,8 @@ def resolve_config(raw: dict) -> ExperimentConfig:
         sections["zeroshot"] = _ZEROSHOT
     for name, table in sections.items():
         resolved[name] = read_fields(raw.get(name, {}), table, name)
-    if "td" in resolved:
-        td = resolved["td"]
-        samplers = ("uniform", "trajectory") if algorithm == "td-cat" else ("uniform",)
-        require(td["state_sampler"] in samplers, f"{algorithm} td.state_sampler: {samplers}")
-        if algorithm == "td-ewp" and td["reference"] == "signed-dp":
-            td["reference"] = None
+    if algorithm == "td-ewp" and resolved["td"]["reference"] == "signed-dp":
+        resolved["td"]["reference"] = None
     return ExperimentConfig(resolved)
 
 

@@ -16,7 +16,6 @@ Three flavours:
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -53,7 +52,6 @@ class DpReport:
 
     distances: list
     iterations: int
-    wall_time_s: float
     final: ReturnDistFn
     converged: bool
 
@@ -62,31 +60,6 @@ class DpReport:
         for prev, cur in zip(self.distances, self.distances[1:]):
             out.append(cur / prev if prev > 0 else 0.0)
         return out
-
-
-@dataclass(frozen=True)
-class EwpConfig:
-    """Particle-DP configuration; ``iterations=None`` uses the default
-
-    K = ceil(log m / log gamma^-alpha), the horizon at which the sampling
-    noise and the residual contraction error are balanced.
-    """
-
-    m: int
-    iterations: int | None = None
-
-    def __post_init__(self):
-        if self.m < 1:
-            raise InvalidInputError("need at least one particle per state")
-        if self.iterations is not None and self.iterations < 0:
-            raise InvalidInputError("iteration count must be >= 0")
-
-    def resolved_iterations(self, gamma: float, alpha: float) -> int:
-        if self.iterations is not None:
-            return self.iterations
-        if self.m == 1 or gamma == 0.0:
-            return 0
-        return int(math.ceil(math.log(self.m) / math.log(gamma**-alpha)))
 
 
 def point_init(mdp: TabularMDP) -> ReturnDistFn:
@@ -222,9 +195,6 @@ class CategoricalEngine:
         init = point_init(self.mdp)
         return [project(p, target) for p, target in zip(self.projectors, init)]
 
-    def to_return_dist(self, weights: list) -> ReturnDistFn:
-        return categorical(self.support, weights)
-
 
 def categorical_dp_solve(
     mdp: TabularMDP,
@@ -243,7 +213,6 @@ def categorical_dp_solve(
     """
     if not tol > 0:
         raise InvalidInputError(f"tolerance must be positive, got {tol}")
-    start_time = time.perf_counter()
     engine = CategoricalEngine(mdp, support, spec, projection)
     if init_weights is None:
         weights = engine.init_weights()
@@ -267,14 +236,7 @@ def categorical_dp_solve(
         if dist <= tol:
             converged = True
             break
-    wall = time.perf_counter() - start_time
-    return DpReport(
-        distances=distances,
-        iterations=iterations,
-        wall_time_s=wall,
-        final=engine.to_return_dist(weights),
-        converged=converged,
-    )
+    return DpReport(distances, iterations, categorical(support, weights), converged)
 
 
 def _ewp_particles(eta: ReturnDistFn, m: int) -> np.ndarray:
@@ -387,7 +349,7 @@ def _screen(new: _Merged, old: _Merged, m: int, alpha: float) -> tuple:
     In all |v - J| <= 15 g s + 2 L. The bound returned, 16 g s + 3 L,
     leaves room for rounding delta and the comparisons it enters. delta
     is infinite where a bound could overflow: the union's partial sums
-    (up to 4 s) or the keys x / tol.
+    (up to 4 s).
     """
     low = [min(x, y) for x, y in zip(new.low, old.low)]
     high = [max(x, y) for x, y in zip(new.high, old.high)]
@@ -408,7 +370,7 @@ def _screen(new: _Merged, old: _Merged, m: int, alpha: float) -> tuple:
             shift = alpha * diameter ** (alpha - 1.0) * move
     except OverflowError:
         return v, math.inf
-    if not (math.isfinite(4.0 * scale) and math.isfinite(top / MERGE_TOL)):
+    if not math.isfinite(4.0 * scale):
         return v, math.inf
     return v, 16.0 * g * scale + 3.0 * shift
 
@@ -446,12 +408,17 @@ def _sup_mmd(new_eta, eta, new_sets, old_sets, spec: KernelSpec) -> float:
 
 def ewp_random_solve(
     mdp: TabularMDP,
-    config: EwpConfig,
+    m: int,
     spec: KernelSpec,
     *,
     rng: np.random.Generator,
+    iterations: int | None = None,
 ) -> DpReport:
-    """Run the randomized particle DP for its configured iteration count.
+    """Run ``iterations`` sweeps of the randomized particle DP on m
+    particles per state. ``iterations=None`` runs the default
+    K = ceil(log m / log gamma^-alpha), the horizon at which the sampling
+    noise and the residual contraction error are balanced (0 for m = 1 or
+    gamma = 0).
 
     The distance series is the sup-MMD between successive iterates, the
     values of ``max(mmd(new[x], old[x], spec) for x in states)`` bit for
@@ -462,21 +429,19 @@ def ewp_random_solve(
     can attain the maximum: usually one per sweep. Every draw comes from
     ``rng``; ``mmdrl run`` passes ``rng_stream(seed, 2)``.
     """
-    start_time = time.perf_counter()
-    iterations = config.resolved_iterations(mdp.gamma, spec.alpha)
-    eta = ewp_init(mdp, config.m)
+    if m < 1:
+        raise InvalidInputError("need at least one particle per state")
+    if iterations is None:
+        iterations = 0 if m == 1 or mdp.gamma == 0.0 else math.ceil(
+            math.log(m) / math.log(mdp.gamma**-spec.alpha))
+    elif iterations < 0:
+        raise InvalidInputError("iteration count must be >= 0")
+    eta = ewp_init(mdp, m)
     sets = [_merge(measure, spec.alpha) for measure in eta]
     distances = []
     for _ in range(iterations):
-        new_eta = ewp_random_step(eta, mdp, config.m, rng)
+        new_eta = ewp_random_step(eta, mdp, m, rng)
         new_sets = [_merge(measure, spec.alpha) for measure in new_eta]
         distances.append(_sup_mmd(new_eta, eta, new_sets, sets, spec))
         eta, sets = new_eta, new_sets
-    wall = time.perf_counter() - start_time
-    return DpReport(
-        distances=distances,
-        iterations=iterations,
-        wall_time_s=wall,
-        final=eta,
-        converged=True,
-    )
+    return DpReport(distances, iterations, eta, converged=True)

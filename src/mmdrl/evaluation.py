@@ -56,9 +56,13 @@ class ScalarDist:
         # Merge atoms equal within the tolerance (they arrive sorted): an
         # atom starts a new one where its key exceeds the key before, which
         # is where np.diff(keys) > 0 (a -0.0 key included). rint is what
-        # np.round does at 0 decimals.
-        keys = np.divide(atoms, MERGE_TOL)
+        # np.round does at 0 decimals. NaN sorts last, so the end keys
+        # show whether every key is finite, as merging needs.
+        with np.errstate(over="ignore"):
+            keys = np.divide(atoms, MERGE_TOL)
         np.rint(keys, out=keys)
+        if not (math.isfinite(keys[0]) and math.isfinite(keys[-1])):
+            raise InvalidInputError(f"scalar atoms / {MERGE_TOL} must be finite to merge atoms")
         starts = np.empty(atoms.size, dtype=bool)
         starts[0] = True
         np.greater(keys[1:], keys[:-1], out=starts[1:])

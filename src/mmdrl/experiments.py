@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import CONFIG_VERSION, ExperimentConfig
-from .dp import DpReport, EwpConfig, categorical_dp_solve, ewp_random_solve
+from .dp import DpReport, categorical_dp_solve, ewp_random_solve
 from .errors import check_doubles, json_array, json_list, read_fields, read_json, require
 from .evaluation import ScalarDist, cramer_distance, zeroshot_scalar
 from .kernels import KernelSpec, mmd
@@ -157,8 +157,9 @@ def _run_dp_cat(config, seed, mdp, spec):
 
 
 def _run_dp_ewp(config, seed, mdp, spec):
-    ewp = EwpConfig(config["ewp"]["particles"], config["ewp"]["iterations"])
-    report = ewp_random_solve(mdp, ewp, spec, rng=rng_stream(seed, _STREAM_ALGO))
+    ewp = config["ewp"]
+    report = ewp_random_solve(mdp, ewp["particles"], spec, rng=rng_stream(seed, _STREAM_ALGO),
+                              iterations=ewp["iterations"])
     summary = {"iterations": report.iterations, "converged": True}
     return _dp_series(report), report.final, summary
 

@@ -58,11 +58,6 @@ class KernelSpec:
             )
 
 
-def energy_kernel(alpha: float = 1.0) -> KernelSpec:
-    """Convenience constructor for the energy-distance kernel."""
-    return KernelSpec(alpha)
-
-
 def pairwise_semimetric(a: np.ndarray, b: np.ndarray, spec: KernelSpec) -> np.ndarray:
     """Matrix of rho(a_i, b_j) for row stacks of points.
 
@@ -210,10 +205,15 @@ def merge_close_atoms(atoms: np.ndarray, weights: np.ndarray):
     stable ``np.lexsort`` of the keys gives that order and, within a
     bucket, the original row order, so the representatives, the bucket
     order and the ``np.add.at`` sums are those of
-    ``np.unique(keys, axis=0)``. ``atoms`` needs at least one row.
+    ``np.unique(keys, axis=0)``. ``atoms`` needs at least one row. A key
+    that is not finite (an atom past about 1.8e296 in size, or not finite
+    itself) would merge atoms that differ, and raises ``InvalidInputError``.
     """
     # Keys compare as floats, so -0.0 and +0.0 fall in one bucket.
-    keys = (atoms / MERGE_TOL).round()
+    with np.errstate(over="ignore"):
+        keys = (atoms / MERGE_TOL).round()
+    if not np.isfinite(keys).all():
+        raise InvalidInputError(f"atoms / {MERGE_TOL} must be finite to merge atoms")
     order = np.lexsort(keys.T[::-1])
     ranked = keys[order]
     new = np.empty(order.shape[0], dtype=bool)

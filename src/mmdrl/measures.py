@@ -205,11 +205,6 @@ class ReturnDistFn:
                 f"{what} holds {self.n_states} measures of dimension {self.dim}; "
                 f"the MDP has {mdp.n_states} states of dimension {mdp.dim}")
 
-    def replace(self, x: int, measure: DiscreteMeasure) -> "ReturnDistFn":
-        updated = list(self.measures)
-        updated[x] = measure
-        return ReturnDistFn(tuple(updated))
-
     def to_json(self) -> dict:
         return {
             "n_states": self.n_states,

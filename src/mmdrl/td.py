@@ -19,7 +19,14 @@ from .dp import CategoricalEngine, _ewp_particles, ewp_init
 from .errors import ConsistencyError, InvalidInputError, checked_array
 from .evaluation import sup_mmd
 from .kernels import KernelSpec, signed_energy_sum
-from .measures import DiscreteMeasure, ReturnDistFn, SupportMap, empirical, weights_on_support
+from .measures import (
+    DiscreteMeasure,
+    ReturnDistFn,
+    SupportMap,
+    categorical,
+    empirical,
+    weights_on_support,
+)
 from .mdp import TabularMDP, _visit_blocks, sample_visits
 
 
@@ -39,8 +46,8 @@ class StepSchedule:
             raise InvalidInputError(
                 f"schedule exponent must lie in (1/2, 1], got {self.exponent}"
             )
-        if self.scale <= 0.0:
-            raise InvalidInputError("schedule scale must be positive")
+        if not 0.0 < self.scale < math.inf:
+            raise InvalidInputError(f"schedule scale must lie in (0, inf), got {self.scale}")
 
     def __call__(self, visit: int) -> float:
         if visit < 1:
@@ -69,8 +76,7 @@ class TdReport:
 def init_td_state(mdp: TabularMDP, support: SupportMap, spec: KernelSpec) -> TdState:
     """Probability-weight initialization: the simplex engine's start, the
     per-state point mass at r/(1-gamma) projected onto the support."""
-    engine = CategoricalEngine(mdp, support, spec)
-    estimate = engine.to_return_dist(engine.init_weights())
+    estimate = categorical(support, CategoricalEngine(mdp, support, spec).init_weights())
     return TdState(estimate, np.zeros(mdp.n_states, dtype=np.int64))
 
 

@@ -14,7 +14,7 @@ import pytest
 
 from mmdrl import (
     DiscreteMeasure,
-    EwpConfig,
+    KernelSpec,
     ReturnDistFn,
     ScalarDist,
     StepSchedule,
@@ -23,7 +23,6 @@ from mmdrl import (
     categorical_td_run,
     cramer_distance,
     dsm_mdp,
-    energy_kernel,
     ewp_mmd_sq_gradient,
     ewp_mmd_sq_objective,
     ewp_random_solve,
@@ -43,7 +42,7 @@ from mmdrl.mdp import horizon_for_tail
 
 from util import random_probability_measure, random_signed_measure
 
-SPEC = energy_kernel(1.0)
+SPEC = KernelSpec(1.0)
 
 
 def loglog_slope(sizes, values):
@@ -194,11 +193,8 @@ def test_criterion_05_ewp_dp_scaling(d1_suite):
         errors = {m: [] for m in sizes}
         for idx, (mdp, oracle, floor) in enumerate(d1_suite):
             for m in sizes:
-                config = EwpConfig(m=m)
-                report = ewp_random_solve(
-                    mdp, config, SPEC, rng=rng_stream(4000 + idx, m)
-                )
-                assert report.iterations == config.resolved_iterations(mdp.gamma, 1.0)
+                report = ewp_random_solve(mdp, m, SPEC, rng=rng_stream(4000 + idx, m))
+                assert report.iterations == int(np.ceil(np.log(m) / np.log(1 / mdp.gamma)))
                 raw = sup_mmd(report.final, oracle, SPEC)
                 errors[m].append(max(raw - floor, 1e-4))
         medians = [float(np.median(errors[m])) for m in sizes]

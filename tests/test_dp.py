@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from mmdrl import (
     ConsistencyError,
     DiscreteMeasure,
-    EwpConfig,
     InvalidInputError,
+    KernelSpec,
     ReturnDistFn,
     SupportBlowupError,
     SupportMap,
@@ -17,7 +17,6 @@ from mmdrl import (
     categorical,
     categorical_dp_solve,
     dsm_mdp,
-    energy_kernel,
     ewp_init,
     ewp_random_solve,
     ewp_random_step,
@@ -44,7 +43,7 @@ from util import (
     signed_dp_fixed_point,
 )
 
-SPEC = energy_kernel(1.0)
+SPEC = KernelSpec(1.0)
 
 
 def self_loop_mdp(reward, gamma):
@@ -192,7 +191,7 @@ class TestCategoricalEngine:
         # projection, onto a convex set of mass-1 weights, does not expand it.
         mdp = random_mdp(4, dim, 0.8, 1.0, rng_stream(60 + dim))
         support = engine_support(kind, 4, dim, mdp.v_max, 70 + dim)
-        engine = CategoricalEngine(mdp, support, energy_kernel(alpha), projection)
+        engine = CategoricalEngine(mdp, support, KernelSpec(alpha), projection)
         rng = rng_stream(80 + dim)
         c = mdp.gamma ** (alpha / 2)
         for signed in (False, True, False, True):
@@ -364,7 +363,7 @@ class TestCategoricalDpSolve:
             support = SupportMap.uniform_grid(3, dim, 3**dim, mdp.v_max)
         else:
             support = SupportMap.random(3, dim, 6, mdp.v_max, rng_stream(50 + dim))
-        spec = energy_kernel(alpha)
+        spec = KernelSpec(alpha)
         tol = 1e-7
         report = categorical_dp_solve(
             mdp, support, spec, tol=tol, max_iter=2000, projection="signed"
@@ -391,7 +390,7 @@ class TestCategoricalDpSolve:
             else:
                 support = SupportMap.random(3, dim, 6, mdp.v_max, rng_stream(130 + seed))
             a, b, offsets = signed_dp_affine_map(mdp, support, alpha)
-            engine = CategoricalEngine(mdp, support, energy_kernel(alpha), "signed")
+            engine = CategoricalEngine(mdp, support, KernelSpec(alpha), "signed")
 
             def step(w):
                 split = [w[offsets[x]:offsets[x + 1]] for x in range(mdp.n_states)]
@@ -458,8 +457,7 @@ class TestEwpRandomStep:
 class TestEwpRandomSolve:
     def test_zero_iterations_returns_initialization(self):
         mdp = random_mdp(3, 2, 0.9, 1.0, rng_stream(17))
-        config = EwpConfig(m=16, iterations=0)
-        report = ewp_random_solve(mdp, config, SPEC, rng=rng_stream(0))
+        report = ewp_random_solve(mdp, 16, SPEC, rng=rng_stream(0), iterations=0)
         init = ewp_init(mdp, 16)
         assert sup_mmd(report.final, init, SPEC) == 0.0
 
@@ -468,27 +466,32 @@ class TestEwpRandomSolve:
         # generator rather than falling back to another stream.
         mdp = random_mdp(2, 1, 0.9, 1.0, rng_stream(17))
         with pytest.raises(TypeError, match="rng"):
-            ewp_random_solve(mdp, EwpConfig(m=4, iterations=1), SPEC)
+            ewp_random_solve(mdp, 4, SPEC, iterations=1)
 
     def test_default_iteration_count(self):
-        config = EwpConfig(m=64)
-        assert config.resolved_iterations(0.9, 1.0) == int(
+        mdp = random_mdp(2, 1, 0.9, 1.0, rng_stream(17))
+        report = ewp_random_solve(mdp, 64, SPEC, rng=rng_stream(0))
+        assert report.iterations == len(report.distances) == int(
             np.ceil(np.log(64) / np.log(1 / 0.9))
         )
-        assert EwpConfig(m=1).resolved_iterations(0.9, 1.0) == 0
+        assert ewp_random_solve(mdp, 1, SPEC, rng=rng_stream(0)).iterations == 0
+
+    @pytest.mark.parametrize("m, iterations", [(0, None), (0, 3), (4, -1)])
+    def test_counts_checked(self, m, iterations):
+        mdp = random_mdp(2, 1, 0.9, 1.0, rng_stream(17))
+        with pytest.raises(InvalidInputError, match="particle" if m < 1 else "iteration"):
+            ewp_random_solve(mdp, m, SPEC, rng=rng_stream(0), iterations=iterations)
 
     def test_backup_gap_diagnostic(self):
         mdp = random_mdp(3, 1, 0.8, 1.0, rng_stream(18))
-        config = EwpConfig(m=32, iterations=5)
-        _, backup_gaps, _ = reference_ewp_sweeps(mdp, config, SPEC, rng_stream(1, 2))
+        _, backup_gaps, _ = reference_ewp_sweeps(mdp, 32, 5, SPEC, rng_stream(1, 2))
         assert len(backup_gaps) == 5
         assert all(np.isfinite(g) for g in backup_gaps)
 
     def test_oracle_distance_reported(self):
         mdp = random_mdp(2, 1, 0.8, 1.0, rng_stream(19))
         oracle = point_init(mdp)
-        config = EwpConfig(m=8, iterations=3)
-        report = ewp_random_solve(mdp, config, SPEC, rng=rng_stream(2))
+        report = ewp_random_solve(mdp, 8, SPEC, rng=rng_stream(2), iterations=3)
         distance = oracle_distance(report, oracle, SPEC)
         assert distance is not None
         assert np.isfinite(distance)
@@ -496,8 +499,7 @@ class TestEwpRandomSolve:
     def test_mean_consistency(self):
         mdp = random_mdp(4, 2, 0.9, 1.0, rng_stream(20))
         m = 1024
-        config = EwpConfig(m=m)
-        report = ewp_random_solve(mdp, config, SPEC, rng=rng_stream(3, 2))
+        report = ewp_random_solve(mdp, m, SPEC, rng=rng_stream(3, 2))
         means = np.array([report.final[x].atoms.mean(axis=0) for x in range(4)])
         expected = successor_feature_means(mdp)
         tol = 5 / np.sqrt(m) * mdp.r_max / (1 - mdp.gamma)
@@ -505,9 +507,8 @@ class TestEwpRandomSolve:
 
     def test_seed_determinism(self):
         mdp = random_mdp(3, 1, 0.9, 1.0, rng_stream(21))
-        config = EwpConfig(m=16, iterations=4)
-        a = ewp_random_solve(mdp, config, SPEC, rng=rng_stream(9))
-        b = ewp_random_solve(mdp, config, SPEC, rng=rng_stream(9))
+        a = ewp_random_solve(mdp, 16, SPEC, rng=rng_stream(9), iterations=4)
+        b = ewp_random_solve(mdp, 16, SPEC, rng=rng_stream(9), iterations=4)
         for x in range(3):
             np.testing.assert_array_equal(a.final[x].atoms, b.final[x].atoms)
 
@@ -520,12 +521,11 @@ class TestEwpRandomSolve:
         from mmdrl import dp, kernels, measures
 
         mdp = random_mdp(3, dim, 0.9, 1.0, rng_stream(22))
-        config = EwpConfig(m=64, iterations=8)
-        spec = energy_kernel(alpha)
+        spec = KernelSpec(alpha)
 
         def solve():
-            report = ewp_random_solve(mdp, config, spec, rng=rng_stream(4, 2))
-            _, gaps, _ = reference_ewp_sweeps(mdp, config, spec, rng_stream(4, 2))
+            report = ewp_random_solve(mdp, 64, spec, rng=rng_stream(4, 2), iterations=8)
+            _, gaps, _ = reference_ewp_sweeps(mdp, 64, 8, spec, rng_stream(4, 2))
             return report, gaps
 
         shipped, shipped_gaps = solve()
@@ -581,10 +581,9 @@ class TestSupMmdScreen:
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_series_equals_every_state_mmd(self, dim, alpha, r_max):
         mdp = random_mdp(4, dim, 0.9, 1.0, rng_stream(30 + dim), r_max)
-        config = EwpConfig(m=32, iterations=6)
-        spec = energy_kernel(alpha)
-        report = ewp_random_solve(mdp, config, spec, rng=rng_stream(5, 2))
-        distances, _, final = reference_ewp_sweeps(mdp, config, spec, rng_stream(5, 2))
+        spec = KernelSpec(alpha)
+        report = ewp_random_solve(mdp, 32, spec, rng=rng_stream(5, 2), iterations=6)
+        distances, _, final = reference_ewp_sweeps(mdp, 32, 6, spec, rng_stream(5, 2))
         assert np.array(report.distances).tobytes() == np.array(distances).tobytes()
         for x in range(mdp.n_states):
             assert report.final[x].atoms.tobytes() == final[x].atoms.tobytes()
@@ -593,13 +592,19 @@ class TestSupMmdScreen:
     @pytest.mark.parametrize("r_max", [1e150, 1e200, 1e250, 1e300])
     @pytest.mark.parametrize("dim, alpha", [(1, 1.0), (1, 0.5), (2, 1.0), (2, 1.5)])
     def test_series_equals_every_state_mmd_where_sums_overflow(self, dim, alpha, r_max):
-        # Squared distances, powers or merge keys overflow: distances read
-        # inf, nan or 0, and the screen must keep every state.
+        # Squared distances or powers overflow: distances read inf or nan,
+        # and the screen must keep every state. At 1e300 the particles pass
+        # 1.8e296, where the merge keys x / tol overflow, and both refuse.
         mdp = random_mdp(3, dim, 0.9, 1.0, rng_stream(3), r_max)
-        config = EwpConfig(m=8, iterations=3)
-        spec = energy_kernel(alpha)
-        report = ewp_random_solve(mdp, config, spec, rng=rng_stream(1, 2))
-        distances, _, _ = reference_ewp_sweeps(mdp, config, spec, rng_stream(1, 2))
+        spec = KernelSpec(alpha)
+        if r_max == 1e300:
+            with pytest.raises(InvalidInputError, match="merge"):
+                ewp_random_solve(mdp, 8, spec, rng=rng_stream(1, 2), iterations=3)
+            with pytest.raises(InvalidInputError, match="merge"):
+                reference_ewp_sweeps(mdp, 8, 3, spec, rng_stream(1, 2))
+            return
+        report = ewp_random_solve(mdp, 8, spec, rng=rng_stream(1, 2), iterations=3)
+        distances, _, _ = reference_ewp_sweeps(mdp, 8, 3, spec, rng_stream(1, 2))
         assert np.array(report.distances).tobytes() == np.array(distances).tobytes()
 
     @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5])
@@ -610,7 +615,7 @@ class TestSupMmdScreen:
         monkeypatch.setattr(dp, "mmd", lambda p, q, spec: calls.append(1) or mmd(p, q, spec))
         mdp = random_mdp(5, 2, 0.9, 1.0, rng_stream(7))
         report = ewp_random_solve(
-            mdp, EwpConfig(m=64), energy_kernel(alpha), rng=rng_stream(1, 2)
+            mdp, 64, KernelSpec(alpha), rng=rng_stream(1, 2)
         )
         assert len(calls) == report.iterations > 0
 
@@ -619,9 +624,8 @@ class TestSupMmdScreen:
         # The weights of m equal particles do not cancel exactly for some
         # m, and then the distance reads -0.0: the series keeps its sign.
         mdp = cycle_mdp(3, 0.25, 0.5)
-        config = EwpConfig(m=m, iterations=4)
-        report = ewp_random_solve(mdp, config, SPEC, rng=rng_stream(0, 2))
-        distances, _, _ = reference_ewp_sweeps(mdp, config, SPEC, rng_stream(0, 2))
+        report = ewp_random_solve(mdp, m, SPEC, rng=rng_stream(0, 2), iterations=4)
+        distances, _, _ = reference_ewp_sweeps(mdp, m, 4, SPEC, rng_stream(0, 2))
         assert distances == [0.0] * 4
         assert np.array(report.distances).tobytes() == np.array(distances).tobytes()
 
@@ -641,23 +645,19 @@ class TestSupMmdScreen:
             expected = max(mmd(eta[x], eta[x], SPEC) for x in range(len(order)))
             assert np.copysign(1.0, got) == np.copysign(1.0, expected) == (1.0 if order[0] == 2 else -1.0)
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_overflowing_merge_keys_keep_every_state(self):
-        # Past 1.8e296 the keys x / tol are infinite, so mmd merges 1e300
-        # with 1e307 and state 0 reads 0 although its screened v is 1e307.
-        from mmdrl.dp import _merge, _sup_mmd
+    def test_overflowing_merge_keys_are_refused(self):
+        # Past 1.8e296 the keys x / tol are infinite, which would merge 1e300
+        # with 1e307 and read state 0 at distance 0: the screen's merge
+        # refuses such particles, as mmd does, before any screen is formed.
+        from mmdrl.dp import _merge
 
         def particles(*atoms):
             return DiscreteMeasure(np.array(atoms)[:, None], np.full(len(atoms), 1.0 / len(atoms)))
 
-        new_eta = ReturnDistFn((particles(1e300, 1e300), particles(0.0, 1.0)))
-        eta = ReturnDistFn((particles(1e307, 1e307), particles(0.5, 3.0)))
-        expected = max(mmd(new_eta[x], eta[x], SPEC) for x in range(2))
-        assert expected == mmd(new_eta[1], eta[1], SPEC) > 0.0
-        got = _sup_mmd(
-            new_eta, eta, [_merge(p, 1.0) for p in new_eta], [_merge(p, 1.0) for p in eta], SPEC
-        )
-        assert got == expected
+        for atoms in ((1e300, 1e300), (1e307, 1e307), (0.0, -1e300)):
+            with pytest.raises(InvalidInputError, match="merge"):
+                _merge(particles(*atoms), 1.0)
+        assert _merge(particles(1e296, -1e296), 1.0).weights.tolist() == [0.5, 0.5]
 
     def test_kept_states_run_in_order(self, monkeypatch):
         from mmdrl import dp

@@ -8,12 +8,12 @@ from hypothesis import strategies as st
 from mmdrl import (
     DiscreteMeasure,
     InvalidInputError,
+    KernelSpec,
     ReturnDistFn,
     ScalarDist,
     SupportMap,
     TabularMDP,
     cramer_distance,
-    energy_kernel,
     mc_oracle_fn,
     mesh_and_bound,
     mmd,
@@ -36,7 +36,7 @@ from util import (
     reference_sorted_scalar_dist,
 )
 
-SPEC = energy_kernel(1.0)
+SPEC = KernelSpec(1.0)
 
 
 def random_scalar_dist(rng, n_atoms=5, spread=2.0):
@@ -59,6 +59,20 @@ class TestScalarDist:
     def test_signed_rejected(self):
         with pytest.raises(InvalidInputError):
             ScalarDist([0.0, 1.0], [1.5, -0.5])
+
+    @pytest.mark.parametrize(
+        "atoms, weights",
+        [
+            ([1e300, 1e307], [0.5, 0.5]),  # one infinite key: one atom
+            ([0.0, np.nan, 1.0], [1 / 3] * 3),  # NaN would fold into 1.0
+            ([0.0, np.nan, 1.0], [0.2, 0.3, 0.5]),
+            ([1.0, -np.inf], [0.5, 0.5]),
+            ([-2e296, 0.0], [0.25, 0.75]),
+        ],
+    )
+    def test_atoms_whose_keys_are_not_finite_refused(self, atoms, weights):
+        with pytest.raises(InvalidInputError, match="merge"):
+            ScalarDist(atoms, weights)
 
 
 class TestSupMmd:

@@ -12,7 +12,6 @@ from mmdrl import (
     DiscreteMeasure,
     InvalidInputError,
     KernelSpec,
-    energy_kernel,
     gram,
     mmd,
     mmd_squared,
@@ -95,7 +94,7 @@ class TestKernelEval:
 
     def test_hand_value(self):
         # d=1, alpha=1: -rho(1, 2) / 2 = -1/2.
-        k = cross_kernel([[1.0]], [[2.0]], energy_kernel(1.0))
+        k = cross_kernel([[1.0]], [[2.0]], KernelSpec(1.0))
         assert k[0, 0] == pytest.approx(-0.5)
 
     def test_symmetric(self):
@@ -108,7 +107,7 @@ class TestKernelEval:
 
 class TestGram:
     def test_single_atom(self):
-        spec = energy_kernel(1.0)
+        spec = KernelSpec(1.0)
         k = gram(np.array([[2.0, 0.0]]), spec)
         assert k.shape == (1, 1)
         assert k[0, 0] == 0.0
@@ -117,14 +116,14 @@ class TestGram:
         # Recentred at atom 0, -rho / 2 becomes the kernel with reference
         # point 0, whose row at the reference vanishes; the signed
         # projector's reduced system is this recentring at its last atom.
-        spec = energy_kernel(1.0)
+        spec = KernelSpec(1.0)
         k = gram(np.array([[0.0], [3.0]]), spec)
         np.testing.assert_allclose(k, [[0.0, -1.5], [-1.5, 0.0]], atol=1e-12)
         recentred = k - k[:, :1] - k[:1, :] + k[0, 0]
         np.testing.assert_allclose(recentred, [[0.0, 0.0], [0.0, 3.0]], atol=1e-12)
 
     def test_hand_matrix(self):
-        spec = energy_kernel(1.0)
+        spec = KernelSpec(1.0)
         k = gram(np.array([[0.0], [1.0], [2.0]]), spec)
         np.testing.assert_allclose(
             k, [[0.0, -0.5, -1.0], [-0.5, 0.0, -0.5], [-1.0, -0.5, 0.0]], atol=1e-12
@@ -144,31 +143,36 @@ class TestGram:
 class TestMmdSquared:
     def test_identity(self):
         rng = np.random.default_rng(6)
-        spec = energy_kernel(1.0)
+        spec = KernelSpec(1.0)
         p = random_probability_measure(rng, 5, 2)
         assert mmd_squared(p, p, spec) == 0.0
 
     def test_point_masses(self):
-        spec = energy_kernel(1.0)
+        spec = KernelSpec(1.0)
         p = DiscreteMeasure.point([0.0])
         q = DiscreteMeasure.point([1.0])
         assert mmd_squared(p, q, spec) == pytest.approx(1.0)
 
     def test_uniform_vs_midpoint(self):
-        spec = energy_kernel(1.0)
+        spec = KernelSpec(1.0)
         p = DiscreteMeasure(np.array([[0.0], [1.0]]), np.array([0.5, 0.5]))
         q = DiscreteMeasure.point([0.5])
         assert mmd_squared(p, q, spec) == pytest.approx(0.25)
 
     def test_mass_checked(self):
-        spec = energy_kernel(1.0)
+        spec = KernelSpec(1.0)
         p = DiscreteMeasure(np.array([[0.0]]), np.array([0.5]))
         q = DiscreteMeasure.point([1.0])
         with pytest.raises(InvalidInputError):
             mmd_squared(p, q, spec)
 
+    def test_points_past_the_merge_range_refused(self):
+        # 1e300 and 1e307 would share the infinite key and read MMD 0.
+        with pytest.raises(InvalidInputError, match="merge"):
+            mmd(DiscreteMeasure.point([1e300]), DiscreteMeasure.point([1e307]), KernelSpec(1.0))
+
     def test_dimension_checked(self):
-        spec = energy_kernel(1.0)
+        spec = KernelSpec(1.0)
         with pytest.raises(InvalidInputError):
             mmd_squared(DiscreteMeasure.point([0.0]), DiscreteMeasure.point([0.0, 1.0]), spec)
 
@@ -177,7 +181,7 @@ class TestMmdSquared:
         # check the guard fires instead of silently clamping.
         from mmdrl import kernels as kernels_module
 
-        spec = energy_kernel(1.0)
+        spec = KernelSpec(1.0)
         p = DiscreteMeasure.point([0.0])
         q = DiscreteMeasure.point([1.0])
         monkeypatch.setattr(
@@ -189,7 +193,7 @@ class TestMmdSquared:
     def test_roundoff_negative_clamped(self, monkeypatch):
         from mmdrl import kernels as kernels_module
 
-        spec = energy_kernel(1.0)
+        spec = KernelSpec(1.0)
         p = DiscreteMeasure.point([0.0])
         q = DiscreteMeasure.point([1.0])
         monkeypatch.setattr(
@@ -206,7 +210,7 @@ class TestMmdSquared:
             dim = int(rng.integers(1, 4))
             p = random_signed_measure(rng, int(rng.integers(1, 6)), dim)
             q = random_signed_measure(rng, int(rng.integers(1, 6)), dim)
-            base = mmd_squared(p, q, energy_kernel(1.0))
+            base = mmd_squared(p, q, KernelSpec(1.0))
             atoms = np.concatenate([p.atoms, q.atoms])
             w = np.concatenate([p.weights, -q.weights])
             for _ in range(2):
@@ -216,7 +220,7 @@ class TestMmdSquared:
 
     def test_quadratic_form_on_merged_atoms(self):
         rng = np.random.default_rng(8)
-        spec = energy_kernel(1.0)
+        spec = KernelSpec(1.0)
         for _ in range(25):
             dim = int(rng.integers(1, 3))
             p = random_probability_measure(rng, int(rng.integers(1, 5)), dim)
@@ -229,7 +233,7 @@ class TestMmdSquared:
 
     def test_triangle_inequality_signed(self):
         rng = np.random.default_rng(9)
-        spec = energy_kernel(1.0)
+        spec = KernelSpec(1.0)
         for _ in range(60):
             dim = int(rng.integers(1, 3))
             p = random_signed_measure(rng, int(rng.integers(1, 5)), dim)
@@ -539,3 +543,17 @@ class TestMergeCloseAtoms:
         assert got_atoms.shape == ref_atoms.shape
         assert got_atoms.tobytes() == ref_atoms.tobytes()
         assert got_weights.tobytes() == ref_weights.tobytes()
+
+    @pytest.mark.parametrize("far", [2e296, -1e300, 1e307, np.inf, np.nan])
+    def test_keys_that_are_not_finite_are_refused(self, far):
+        # Past about 1.8e296 the key far / MERGE_TOL is infinite, and atoms
+        # that differ would fall in one bucket.
+        atoms = np.array([[1e300, 0.0], [0.0, far]])
+        with pytest.raises(InvalidInputError, match="merge"):
+            merge_close_atoms(atoms, np.array([0.5, 0.5]))
+
+    def test_largest_finite_keys_stay_apart(self):
+        atoms = np.array([[1e296], [-1e296], [1.7e296]])
+        got_atoms, got_weights = merge_close_atoms(atoms, np.full(3, 1.0 / 3))
+        assert got_atoms[:, 0].tolist() == [-1e296, 1e296, 1.7e296]
+        assert got_weights.tolist() == [1.0 / 3] * 3

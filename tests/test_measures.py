@@ -8,11 +8,11 @@ import pytest
 from mmdrl import (
     DiscreteMeasure,
     InvalidInputError,
+    KernelSpec,
     ReturnDistFn,
     SupportMap,
     as_probability,
     empirical,
-    energy_kernel,
     gram,
     mixture,
     mmd,
@@ -103,7 +103,7 @@ class TestPushforward:
         # by at least scale^(alpha/2).
         rng = np.random.default_rng(1)
         for alpha in (0.5, 1.0, 1.5):
-            spec = energy_kernel(alpha)
+            spec = KernelSpec(alpha)
             for _ in range(20):
                 dim = int(rng.integers(1, 3))
                 p = random_probability_measure(rng, int(rng.integers(1, 6)), dim)
@@ -148,7 +148,7 @@ class TestMixture:
         # The mixture's MMD to a third measure equals the quadratic form
         # evaluated on the stacked atoms directly.
         rng = np.random.default_rng(2)
-        spec = energy_kernel(1.0)
+        spec = KernelSpec(1.0)
         for _ in range(20):
             dim = int(rng.integers(1, 3))
             p = random_probability_measure(rng, int(rng.integers(1, 5)), dim)
@@ -221,12 +221,6 @@ class TestReturnDistFn:
         with open(tmp_path / "dump.json", "w", encoding="utf-8") as fh:
             json.dump(eta.to_json(), fh)
         assert path.read_bytes() == (tmp_path / "dump.json").read_bytes()
-
-    def test_replace(self):
-        eta = ReturnDistFn((DiscreteMeasure.point([0.0]), DiscreteMeasure.point([1.0])))
-        out = eta.replace(1, DiscreteMeasure.point([5.0]))
-        assert out[1].atoms[0, 0] == 5.0
-        assert eta[1].atoms[0, 0] == 1.0
 
 
 class TestSupportMap:

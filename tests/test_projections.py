@@ -12,11 +12,11 @@ from mmdrl import (
     CategoricalEngine,
     DiscreteMeasure,
     InvalidInputError,
+    KernelSpec,
     SignedProjector,
     SimplexProjector,
     SolverError,
     SupportMap,
-    energy_kernel,
     gram,
     mixture,
     mmd,
@@ -46,7 +46,7 @@ from util import (
     semimetric_matrix,
 )
 
-SPEC = energy_kernel(1.0)
+SPEC = KernelSpec(1.0)
 
 
 def projection_qp(target, support, spec):
@@ -538,7 +538,7 @@ class TestSimplexSolverProperties:
     @given(projection_instances())
     def test_matches_enumeration_and_accepts(self, instance):
         support, target, alpha = instance
-        qp = projection_qp(target, support, energy_kernel(alpha))
+        qp = projection_qp(target, support, KernelSpec(alpha))
         res = solve_simplex_qp(qp.gram, qp.linear)
         assert res.kkt_residual <= KKT_ACCEPT
         assert np.all(res.weights >= 0.0)
@@ -550,8 +550,8 @@ class TestSimplexSolverProperties:
     @given(projection_instances())
     def test_equals_signed_when_signed_is_feasible(self, instance):
         support, target, alpha = instance
-        qp = projection_qp(target, support, energy_kernel(alpha))
-        signed = project(SignedProjector(support, energy_kernel(alpha)), target)
+        qp = projection_qp(target, support, KernelSpec(alpha))
+        signed = project(SignedProjector(support, KernelSpec(alpha)), target)
         if np.min(signed) >= 0.0:
             res = solve_simplex_qp(qp.gram, qp.linear)
             np.testing.assert_allclose(res.weights, signed, atol=1e-9)
@@ -570,7 +570,7 @@ class TestSimplexSolverProperties:
         # reference-free projection.
         support, target, alpha = instance
         dim = support.shape[1]
-        projected = project_simplex(target, support, energy_kernel(alpha)).weights
+        projected = project_simplex(target, support, KernelSpec(alpha)).weights
         for ref in (None, [5.0, 5.0][:dim], [-30.0, 40.0][:dim]):
             oracle = enumerate_active_sets(distance_qp(target, support, alpha, ref))
             np.testing.assert_allclose(projected, oracle, atol=1e-9)
@@ -579,7 +579,7 @@ class TestSimplexSolverProperties:
     @given(projection_instances(), st.integers(0, 2**32 - 1))
     def test_warm_start_reaches_cold_solution(self, instance, seed):
         support, target, alpha = instance
-        qp = projection_qp(target, support, energy_kernel(alpha))
+        qp = projection_qp(target, support, KernelSpec(alpha))
         cold = solve_simplex_qp(qp.gram, qp.linear).weights
         # A sparse probability vector, as a previous sweep would leave.
         start = np.random.default_rng(seed).dirichlet(np.ones(cold.size))
@@ -602,7 +602,7 @@ def active_set_instances(draw):
     at d in {1, 2, 3} and alpha in {0.5, 1, 1.5}, with a mass-1 target of
     up to 8 atoms reaching past the support."""
     dim = draw(st.sampled_from((1, 2, 3)))
-    spec = energy_kernel(draw(st.sampled_from((0.5, 1.0, 1.5))))
+    spec = KernelSpec(draw(st.sampled_from((0.5, 1.0, 1.5))))
     n = draw(st.integers(2, 64))
     kind = draw(st.sampled_from(WARM_STARTS))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -681,7 +681,7 @@ class TestSignedProjectorProperties:
     @given(signed_instances(), st.sampled_from((-1.0, 0.3, 0.5, 2.0)))
     def test_affine_in_target_weights(self, instance, lam):
         support, alpha, p, q, _ = instance
-        projector = SignedProjector(support, energy_kernel(alpha))
+        projector = SignedProjector(support, KernelSpec(alpha))
         blend = project(
             projector, DiscreteMeasure(p.atoms, lam * p.weights + (1 - lam) * q.weights)
         )
@@ -697,7 +697,7 @@ class TestSignedProjectorProperties:
         # q = K_c w from the test's own distances, is normal to the mass-1
         # plane: constant across the support up to round-off.
         support, alpha, p, _, _ = instance
-        out = project(SignedProjector(support, energy_kernel(alpha)), p)
+        out = project(SignedProjector(support, KernelSpec(alpha)), p)
         k = -0.5 * semimetric_matrix(support, support, alpha)
         q = -0.5 * semimetric_matrix(support, p.atoms, alpha) @ p.weights
         grad = 2.0 * (k @ out - q)
@@ -709,7 +709,7 @@ class TestSignedProjectorProperties:
     @given(signed_instances())
     def test_mmd_nonexpansive(self, instance):
         support, alpha, p, _, r = instance
-        spec = energy_kernel(alpha)
+        spec = KernelSpec(alpha)
         projector = SignedProjector(support, spec)
         out_p = DiscreteMeasure(support, project(projector, p))
         out_r = DiscreteMeasure(support, project(projector, r))

@@ -9,12 +9,12 @@ from hypothesis import strategies as st
 import mmdrl.mdp as mdp_module
 from mmdrl import (
     InvalidInputError,
+    KernelSpec,
     StepSchedule,
     SupportMap,
     TabularMDP,
     categorical_td_run,
     dsm_mdp,
-    energy_kernel,
     ewp_td_run,
     random_mdp,
     rng_stream,
@@ -282,7 +282,7 @@ class TestCallSitesMatchInlineRule:
 
         def run():
             return categorical_td_run(
-                _fresh(mdp), support, energy_kernel(1.0), StepSchedule(0.6),
+                _fresh(mdp), support, KernelSpec(1.0), StepSchedule(0.6),
                 600, rng_stream(8), state_sampler=sampler, report_interval=100,
             )
 
@@ -308,7 +308,7 @@ class TestCallSitesMatchInlineRule:
 
         def run():
             return ewp_td_run(
-                _fresh(mdp), 4, energy_kernel(1.0), StepSchedule(0.6), 300,
+                _fresh(mdp), 4, KernelSpec(1.0), StepSchedule(0.6), 300,
                 rng_stream(9), report_interval=100,
             )
 

@@ -9,6 +9,7 @@ import pytest
 from mmdrl import (
     DiscreteMeasure,
     InvalidInputError,
+    KernelSpec,
     ReturnDistFn,
     SupportMap,
     StepSchedule,
@@ -18,7 +19,6 @@ from mmdrl import (
     categorical_td_run,
     dsm_mdp,
     empirical,
-    energy_kernel,
     ewp_mmd_sq_gradient,
     ewp_mmd_sq_objective,
     ewp_td_run,
@@ -39,7 +39,7 @@ from mmdrl.td import TdState
 
 from util import reference_ewp_td_run, semimetric_matrix, signed_dp_fixed_point
 
-SPEC = energy_kernel(1.0)
+SPEC = KernelSpec(1.0)
 
 
 def point_masses(n_states, dim):
@@ -61,6 +61,11 @@ class TestSchedule:
     def test_square_summability_enforced(self, exponent):
         with pytest.raises(InvalidInputError):
             StepSchedule(exponent)
+
+    @pytest.mark.parametrize("scale", [0.0, -1.0, float("nan"), float("inf")])
+    def test_scale_positive_and_finite(self, scale):
+        with pytest.raises(InvalidInputError, match="scale"):
+            StepSchedule(0.6, scale)
 
     def test_boundary_exponent_allowed(self):
         assert StepSchedule(1.0)(10) == pytest.approx(0.1)
@@ -649,7 +654,7 @@ class TestMassWithoutGuard:
         # round-off cannot accumulate over 10^5 steps.
         mdp, support = _shared_projector_case("mixed", dim=dim)
         state, _ = categorical_td_run(
-            mdp, support, energy_kernel(kernel_alpha), StepSchedule(), 100_000,
+            mdp, support, KernelSpec(kernel_alpha), StepSchedule(), 100_000,
             rng_stream(32, dim), report_interval=100_000,
         )
         assert max(abs(m.mass - 1.0) for m in state.estimate) <= 1e-12

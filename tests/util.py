@@ -278,8 +278,9 @@ def reference_zeroshot_seed(config, seed, estimate=None):
 # distance series as the plain loop over every state's mmd.
 
 
-def reference_ewp_sweeps(mdp, config, spec, rng):
-    """Replay ``ewp_random_solve(mdp, config, spec, rng=rng)``'s sweeps.
+def reference_ewp_sweeps(mdp, m, iterations, spec, rng):
+    """Replay ``ewp_random_solve(mdp, m, spec, rng=rng, iterations=iterations)``'s
+    sweeps.
 
     Returns (distances, backup gaps, final iterate): per sweep
     ``max(mmd(new[x], old[x], spec) for x in states)`` and the sup-MMD
@@ -287,10 +288,10 @@ def reference_ewp_sweeps(mdp, config, spec, rng):
     realised per-sweep approximation error)."""
     from mmdrl import ewp_init, ewp_random_step, exact_bellman, mmd
 
-    eta = ewp_init(mdp, config.m)
+    eta = ewp_init(mdp, m)
     distances, gaps = [], []
-    for _ in range(config.resolved_iterations(mdp.gamma, spec.alpha)):
-        new_eta = ewp_random_step(eta, mdp, config.m, rng)
+    for _ in range(iterations):
+        new_eta = ewp_random_step(eta, mdp, m, rng)
         distances.append(max(mmd(new_eta[x], eta[x], spec) for x in range(mdp.n_states)))
         exact = exact_bellman(eta, mdp)
         gaps.append(max(mmd(new_eta[x], exact[x], spec) for x in range(mdp.n_states)))
